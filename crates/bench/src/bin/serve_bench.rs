@@ -52,7 +52,6 @@
 //!     [--compact-every N] [--seed N] [--jobs N] [--profile]
 //!     [--trace-out P]`
 
-use hwm_bench::latency::LatencySummary;
 use hwm_bench::run::BenchRun;
 use hwm_bench::serve::{
     bench_designer, build_plans, clone_campaign_plans, fleet_rules, server_config, submit_local,
@@ -61,6 +60,7 @@ use hwm_bench::serve::{
 use hwm_bench::sim::SimConfig;
 use hwm_jsonio::Json;
 use hwm_metering::Foundry;
+use hwm_metrics::latency::LatencySummary;
 use hwm_metrics::HistoryConfig;
 use hwm_service::registry::{journal_digest, RecoverOptions};
 use hwm_service::wire::readout_to_bits_string;

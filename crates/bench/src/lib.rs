@@ -25,7 +25,6 @@ pub mod cache;
 pub mod cluster;
 pub mod figures;
 pub mod fit;
-pub mod latency;
 pub mod meta;
 pub mod monitor;
 pub mod parallel;

@@ -3,8 +3,9 @@
 //! Replication traffic rides the same 4-byte length-prefixed JSON
 //! framing as the client protocol ([`hwm_service::read_frame`] /
 //! [`hwm_service::write_frame`]); only the payload schema differs. Like
-//! the client codec, parsing is **strict** — unknown fields, missing
-//! fields and wrong types are refused — and every frame except
+//! the client codec, parsing is **strict** — unknown, missing,
+//! ill-typed and duplicated fields are refused by the same
+//! [`StrictObj`] reader — and every frame except
 //! [`RepFrame::Error`] names the shard it is for, so a frame that
 //! reaches the wrong replica is rejected instead of silently applied
 //! (see [`crate::ShardNode::handle_rep`]).
@@ -15,7 +16,7 @@
 //! writes.
 
 use crate::ClusterError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use hwm_metrics::AuditEvent;
 use hwm_service::{Request, Response};
 use hwm_trace::{SpanRecord, TraceContext};
@@ -264,59 +265,58 @@ impl RepFrame {
         }
     }
 
-    /// Parses a frame, rejecting unknown fields and wrong types.
+    /// Parses a frame, rejecting unknown, missing, ill-typed and
+    /// duplicated fields.
     ///
     /// # Errors
     ///
     /// Returns a [`ClusterError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<RepFrame, ClusterError> {
-        let fields = StrictObj::new(j)?;
-        let kind = fields.str_field("type")?;
+        let mut f = StrictObj::new(j, "replication frame")?;
+        let kind = f.string("type")?;
         let frame = match kind.as_str() {
             "forward" => RepFrame::Forward {
-                shard: fields.u64_field("shard")?,
-                tick: fields.u64_field("tick")?,
-                req: Request::from_json(fields.json_field("req")?)
-                    .map_err(|e| ClusterError::new(e.message))?,
-                trace: fields.trace_field("trace")?,
+                shard: f.uint("shard")?,
+                tick: f.uint("tick")?,
+                req: Request::from_json(f.field("req")?)?,
+                trace: trace_field(&mut f)?,
             },
             "reply" => RepFrame::Reply {
-                shard: fields.u64_field("shard")?,
-                resp: Response::from_json(fields.json_field("resp")?)
-                    .map_err(|e| ClusterError::new(e.message))?,
-                seq: fields.u64_field("seq")?,
-                entries: fields.str_arr_field("entries")?,
-                audit: fields.audit_field("audit")?,
-                spans: fields.spans_field("spans")?,
+                shard: f.uint("shard")?,
+                resp: Response::from_json(f.field("resp")?)?,
+                seq: f.uint("seq")?,
+                entries: entries_field(&mut f)?,
+                audit: audit_field(&mut f)?,
+                spans: spans_field(&mut f)?,
             },
             "append" => RepFrame::Append {
-                shard: fields.u64_field("shard")?,
-                entries: fields.str_arr_field("entries")?,
-                audit: fields.audit_field("audit")?,
-                trace: fields.trace_field("trace")?,
+                shard: f.uint("shard")?,
+                entries: entries_field(&mut f)?,
+                audit: audit_field(&mut f)?,
+                trace: trace_field(&mut f)?,
             },
             "snapshot" => RepFrame::Snapshot {
-                shard: fields.u64_field("shard")?,
-                snapshot: fields.str_field("snapshot")?,
-                audit: fields.audit_field("audit")?,
-                trace: fields.trace_field("trace")?,
+                shard: f.uint("shard")?,
+                snapshot: f.string("snapshot")?,
+                audit: audit_field(&mut f)?,
+                trace: trace_field(&mut f)?,
             },
             "promote" => RepFrame::Promote {
-                shard: fields.u64_field("shard")?,
-                clock: fields.u64_field("clock")?,
-                trace: fields.trace_field("trace")?,
+                shard: f.uint("shard")?,
+                clock: f.uint("clock")?,
+                trace: trace_field(&mut f)?,
             },
             "checkpoint" => RepFrame::Checkpoint {
-                shard: fields.u64_field("shard")?,
-                trace: fields.trace_field("trace")?,
+                shard: f.uint("shard")?,
+                trace: trace_field(&mut f)?,
             },
             "ack" => RepFrame::Ack {
-                shard: fields.u64_field("shard")?,
-                seq: fields.u64_field("seq")?,
-                spans: fields.spans_field("spans")?,
+                shard: f.uint("shard")?,
+                seq: f.uint("seq")?,
+                spans: spans_field(&mut f)?,
             },
             "error" => RepFrame::Error {
-                message: fields.str_field("message")?,
+                message: f.string("message")?,
             },
             other => {
                 return Err(ClusterError::new(format!(
@@ -324,118 +324,53 @@ impl RepFrame {
                 )))
             }
         };
-        fields.finish()?;
+        f.finish()?;
         Ok(frame)
     }
 }
 
-/// Strict object reader: every field must be consumed exactly once; any
-/// field left over at [`StrictObj::finish`] is an "unknown field" error.
-/// (The service keeps its reader private, so the replication codec
-/// carries its own copy of the idiom.)
-struct StrictObj<'a> {
-    fields: &'a [(String, Json)],
-    used: std::cell::RefCell<Vec<bool>>,
+/// The `"entries"` journal lines.
+fn entries_field(f: &mut StrictObj<'_>) -> Result<Vec<String>, ClusterError> {
+    let entries = f.arr("entries")?;
+    entries
+        .iter()
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| f.ill_typed("entries", "an array of strings").into())
+        })
+        .collect()
 }
 
-impl<'a> StrictObj<'a> {
-    fn new(j: &'a Json) -> Result<StrictObj<'a>, ClusterError> {
-        match j {
-            Json::Obj(fields) => Ok(StrictObj {
-                fields,
-                used: std::cell::RefCell::new(vec![false; fields.len()]),
-            }),
-            _ => Err(ClusterError::new("replication frame must be a JSON object")),
-        }
-    }
+/// The optional `"trace"` context: absent means untraced (old frames
+/// parse), present is parsed strictly (tampered contexts are refused).
+fn trace_field(f: &mut StrictObj<'_>) -> Result<Option<TraceContext>, ClusterError> {
+    f.opt("trace")?
+        .map(TraceContext::from_json)
+        .transpose()
+        .map_err(|e| ClusterError::new(e.message))
+}
 
-    fn take(&self, name: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == name && !self.used.borrow()[i] {
-                self.used.borrow_mut()[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
+/// The optional `"spans"` batch: absent means empty, present is parsed
+/// strictly per span.
+fn spans_field(f: &mut StrictObj<'_>) -> Result<Vec<SpanRecord>, ClusterError> {
+    let Some(spans) = f.opt("spans")? else {
+        return Ok(Vec::new());
+    };
+    spans
+        .as_arr()
+        .ok_or_else(|| f.ill_typed("spans", "an array"))?
+        .iter()
+        .map(|sj| SpanRecord::from_json(sj).map_err(|e| ClusterError::new(e.message)))
+        .collect()
+}
 
-    fn str_field(&self, name: &'static str) -> Result<String, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be a string")))
-    }
-
-    fn u64_field(&self, name: &'static str) -> Result<u64, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))?
-            .as_u64()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an unsigned integer")))
-    }
-
-    fn json_field(&self, name: &'static str) -> Result<&'a Json, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))
-    }
-
-    fn str_arr_field(&self, name: &'static str) -> Result<Vec<String>, ClusterError> {
-        self.json_field(name)?
-            .as_arr()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ClusterError::new(format!("field {name:?} must hold strings")))
-            })
-            .collect()
-    }
-
-    /// Optional trace context: absent means untraced (old frames parse),
-    /// present is parsed strictly (tampered contexts are refused).
-    fn trace_field(&self, name: &'static str) -> Result<Option<TraceContext>, ClusterError> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(j) => TraceContext::from_json(j)
-                .map(Some)
-                .map_err(|e| ClusterError::new(e.message)),
-        }
-    }
-
-    /// Optional span batch: absent means empty, present is parsed
-    /// strictly per span.
-    fn spans_field(&self, name: &'static str) -> Result<Vec<SpanRecord>, ClusterError> {
-        match self.take(name) {
-            None => Ok(Vec::new()),
-            Some(j) => j
-                .as_arr()
-                .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-                .iter()
-                .map(|sj| SpanRecord::from_json(sj).map_err(|e| ClusterError::new(e.message)))
-                .collect(),
-        }
-    }
-
-    fn audit_field(&self, name: &'static str) -> Result<Vec<AuditEvent>, ClusterError> {
-        self.json_field(name)?
-            .as_arr()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-            .iter()
-            .map(|ej| AuditEvent::from_json(ej).map_err(|e| ClusterError::new(e.message)))
-            .collect()
-    }
-
-    fn finish(&self) -> Result<(), ClusterError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.used.borrow()[i] {
-                return Err(ClusterError::new(format!(
-                    "replication frame has unknown field {k:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
+/// The `"audit"` event batch.
+fn audit_field(f: &mut StrictObj<'_>) -> Result<Vec<AuditEvent>, ClusterError> {
+    f.arr("audit")?
+        .iter()
+        .map(|ej| AuditEvent::from_json(ej).map_err(|e| ClusterError::new(e.message)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -604,13 +539,15 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected() {
-        let j = Json::obj(vec![
-            ("type", Json::Str("checkpoint".into())),
-            ("shard", Json::U64(0)),
-            ("extra", Json::U64(1)),
-        ]);
-        let err = RepFrame::from_json(&j).expect_err("unknown field refused");
-        assert!(err.message.contains("unknown field"), "{}", err.message);
+        for (extra, needle) in [("extra", "unknown field"), ("shard", "duplicate field \"shard\"")] {
+            let j = Json::obj(vec![
+                ("type", Json::Str("checkpoint".into())),
+                ("shard", Json::U64(0)),
+                (extra, Json::U64(1)),
+            ]);
+            let err = RepFrame::from_json(&j).expect_err("unknown field refused");
+            assert!(err.message.contains(needle), "{}", err.message);
+        }
     }
 
     #[test]

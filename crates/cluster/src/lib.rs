@@ -71,6 +71,12 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+impl From<hwm_jsonio::FieldError> for ClusterError {
+    fn from(e: hwm_jsonio::FieldError) -> ClusterError {
+        ClusterError::new(e.message)
+    }
+}
+
 impl From<hwm_service::WireError> for ClusterError {
     fn from(e: hwm_service::WireError) -> ClusterError {
         ClusterError::new(e.message)

@@ -10,21 +10,14 @@
 //! 1/(N+1) of them, and the proptest in this module holds the observed
 //! fraction under 2/N.
 
-/// FNV-1a offset basis (the same constant the registry digest uses).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use hwm_jsonio::{fnv1a, FNV1A_BASIS};
 
-/// Hashes bytes with 64-bit FNV-1a, then avalanches the result. Raw
-/// FNV-1a barely mixes its high bits, so the near-identical labels
-/// short keys produce would clump on the ring; the murmur-style
+/// Hashes bytes with the workspace's 64-bit FNV-1a, then avalanches the
+/// result. Raw FNV-1a barely mixes its high bits, so the near-identical
+/// labels short keys produce would clump on the ring; the murmur-style
 /// finalizer spreads them without giving up determinism.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut state = FNV_BASIS;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut state = fnv1a(FNV1A_BASIS, bytes);
     state ^= state >> 33;
     state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
     state ^= state >> 33;
@@ -54,7 +47,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(shards * vnodes);
         for shard in 0..shards {
             for v in 0..vnodes {
-                points.push((fnv1a(format!("shard-{shard}/vnode-{v}").as_bytes()), shard));
+                points.push((ring_hash(format!("shard-{shard}/vnode-{v}").as_bytes()), shard));
             }
         }
         points.sort_unstable();
@@ -69,7 +62,7 @@ impl HashRing {
     /// The shard owning `key`: the first ring point at or clockwise
     /// past the key's hash, wrapping at the top.
     pub fn route(&self, key: &str) -> usize {
-        let h = fnv1a(key.as_bytes());
+        let h = ring_hash(key.as_bytes());
         let idx = self.points.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.points[idx % self.points.len()];
         shard

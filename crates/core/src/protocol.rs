@@ -12,7 +12,7 @@ use crate::added::AddedStg;
 use crate::bfsm::{Bfsm, SafeEdges, SafeSearch};
 use crate::chip::{Chip, ScanReadout, UnlockKey};
 use crate::MeteringError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use hwm_rub::VariationModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +104,7 @@ impl LockOptions {
     }
 
     /// Parses options serialized by [`LockOptions::to_json`]. Strict:
-    /// every field must be present with the right type, and unknown
+    /// every field must be present once with the right type, and unknown
     /// fields are rejected (a misspelled knob must not silently fall back
     /// to a default — these options decide the lock's strength).
     ///
@@ -113,61 +113,28 @@ impl LockOptions {
     /// Returns [`MeteringError::InvalidOptions`] naming the offending
     /// field.
     pub fn from_json(json: &Json) -> Result<LockOptions, MeteringError> {
-        let bad = |reason: String| MeteringError::InvalidOptions { reason };
-        let fields = match json {
-            Json::Obj(fields) => fields,
-            _ => return Err(bad("options must be a JSON object".to_string())),
+        let mut f = StrictObj::new(json, "options")?;
+        let input_bits = match f.field("input_bits")? {
+            Json::Null => None,
+            v => Some(
+                v.as_usize()
+                    .ok_or_else(|| f.ill_typed("input_bits", "null or an unsigned integer"))?,
+            ),
         };
-        const KNOWN: [&str; 10] = [
-            "added_modules",
-            "input_bits",
-            "overrides_per_module",
-            "links_per_module",
-            "black_holes",
-            "trapdoor_length",
-            "group_bits",
-            "dummy_ffs",
-            "remote_disable",
-            "module_search_candidates",
-        ];
-        for (key, _) in fields {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(bad(format!("options has unknown field {key:?}")));
-            }
-        }
-        let get_usize = |key: &str| {
-            json.get(key)
-                .ok_or_else(|| bad(format!("options missing field {key:?}")))?
-                .as_usize()
-                .ok_or_else(|| bad(format!("options field {key:?} must be an unsigned integer")))
+        let options = LockOptions {
+            added_modules: f.uint("added_modules")?,
+            input_bits,
+            overrides_per_module: f.uint("overrides_per_module")?,
+            links_per_module: f.uint("links_per_module")?,
+            black_holes: f.uint("black_holes")?,
+            trapdoor_length: f.uint("trapdoor_length")?,
+            group_bits: f.uint("group_bits")?,
+            dummy_ffs: f.uint("dummy_ffs")?,
+            remote_disable: f.bool("remote_disable")?,
+            module_search_candidates: f.uint("module_search_candidates")?,
         };
-        Ok(LockOptions {
-            added_modules: get_usize("added_modules")?,
-            input_bits: match json.get("input_bits") {
-                Some(Json::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| {
-                    bad("options field \"input_bits\" must be null or an unsigned integer"
-                        .to_string())
-                })?),
-                None => {
-                    return Err(bad("options missing field \"input_bits\"".to_string()));
-                }
-            },
-            overrides_per_module: get_usize("overrides_per_module")?,
-            links_per_module: get_usize("links_per_module")?,
-            black_holes: get_usize("black_holes")?,
-            trapdoor_length: get_usize("trapdoor_length")?,
-            group_bits: get_usize("group_bits")?,
-            dummy_ffs: get_usize("dummy_ffs")?,
-            remote_disable: json
-                .get("remote_disable")
-                .ok_or_else(|| bad("options missing field \"remote_disable\"".to_string()))?
-                .as_bool()
-                .ok_or_else(|| {
-                    bad("options field \"remote_disable\" must be a boolean".to_string())
-                })?,
-            module_search_candidates: get_usize("module_search_candidates")?,
-        })
+        f.finish()?;
+        Ok(options)
     }
 }
 
@@ -451,51 +418,31 @@ impl Designer {
     pub fn import_database(json: &str) -> Result<Designer, MeteringError> {
         let bad = |reason: String| MeteringError::InvalidOptions { reason };
         let db = Json::parse(json).map_err(|e| bad(format!("deserialization failed: {e}")))?;
-        let version = db
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("database missing version".to_string()))?;
+        let mut f = StrictObj::new(&db, "database")?;
+        let version: u64 = f.uint("version")?;
         if version != DATABASE_VERSION {
             return Err(bad(format!("unsupported database version {version}")));
         }
-        let original = stg_from_json(
-            db.get("original")
-                .ok_or_else(|| bad("database missing original STG".to_string()))?,
-        )?;
-        let options = LockOptions::from_json(
-            db.get("options")
-                .ok_or_else(|| bad("database missing options".to_string()))?,
-        )?;
-        let seed = db
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("database missing seed".to_string()))?;
-        let mut designer = Designer::new(original, options, seed)?;
-        let log = db
-            .get("log")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("database missing log".to_string()))?;
-        designer.log = log
+        let original = stg_from_json(f.field("original")?)?;
+        let options = LockOptions::from_json(f.field("options")?)?;
+        let seed: u64 = f.uint("seed")?;
+        let log = f
+            .arr("log")?
             .iter()
             .map(|rec| {
-                Ok(ActivationRecord {
-                    reported_code: rec
-                        .get("reported_code")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("log record missing reported_code".to_string()))?,
-                    group: rec
-                        .get("group")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("log record missing group".to_string()))?
-                        as u8,
-                    key: rec
-                        .get("key")
-                        .map(key_from_json)
-                        .transpose()?
-                        .ok_or_else(|| bad("log record missing key".to_string()))?,
-                })
+                let mut r = StrictObj::new(rec, "log record")?;
+                let record = ActivationRecord {
+                    reported_code: r.uint("reported_code")?,
+                    group: r.uint("group")?,
+                    key: key_from_json(r.field("key")?)?,
+                };
+                r.finish()?;
+                Ok(record)
             })
             .collect::<Result<Vec<_>, MeteringError>>()?;
+        f.finish()?;
+        let mut designer = Designer::new(original, options, seed)?;
+        designer.log = log;
         Ok(designer)
     }
 }
@@ -565,30 +512,13 @@ fn stg_from_json(j: &Json) -> Result<hwm_fsm::Stg, MeteringError> {
     let bad = |reason: &str| MeteringError::InvalidOptions {
         reason: reason.to_string(),
     };
-    let inputs = j
-        .get("inputs")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("STG missing inputs"))?;
-    let outputs = j
-        .get("outputs")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("STG missing outputs"))?;
-    let mut stg = hwm_fsm::Stg::new(inputs, outputs);
-    if let Some(name) = j.get("name").and_then(Json::as_str) {
-        stg.set_name(name);
-    }
-    let states = j
-        .get("states")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("STG missing states"))?;
-    for s in states {
+    let mut f = StrictObj::new(j, "STG")?;
+    let mut stg = hwm_fsm::Stg::new(f.uint("inputs")?, f.uint("outputs")?);
+    stg.set_name(&f.string("name")?);
+    for s in f.arr("states")? {
         stg.add_state(s.as_str().ok_or_else(|| bad("state name must be a string"))?);
     }
-    for t in j
-        .get("transitions")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("STG missing transitions"))?
-    {
+    for t in f.arr("transitions")? {
         let fields = t.as_arr().filter(|f| f.len() == 4).ok_or_else(|| {
             bad("transition must be [from, input, to, output]")
         })?;
@@ -610,12 +540,12 @@ fn stg_from_json(j: &Json) -> Result<hwm_fsm::Stg, MeteringError> {
             reason: format!("bad transition: {e}"),
         })?;
     }
-    let reset = j
-        .get("reset")
-        .and_then(Json::as_usize)
-        .filter(|&i| i < stg.state_count())
-        .ok_or_else(|| bad("STG missing reset state"))?;
+    let reset: usize = f.uint("reset")?;
+    if reset >= stg.state_count() {
+        return Err(bad("STG reset state out of range"));
+    }
     stg.set_reset(hwm_fsm::StateId::from_index(reset));
+    f.finish()?;
     Ok(stg)
 }
 

@@ -102,27 +102,34 @@ proptest! {
         }
     }
 
-    /// Unknown fields are rejected, whatever their name and value.
+    /// Unknown fields are rejected, whatever their name and value, and so
+    /// is a second copy of any known field (no first- or last-key-wins).
     #[test]
     fn lock_options_reject_unknown_fields(
         options in arb_options(),
         tag in any::<u32>(),
         value in any::<u64>(),
     ) {
-        let name = format!("unknown_knob_{tag}");
-        let mut fields = match options.to_json() {
+        let fields = match options.to_json() {
             Json::Obj(fields) => fields,
             _ => unreachable!("to_json returns an object"),
         };
-        fields.push((name.clone(), Json::U64(value)));
-        match LockOptions::from_json(&Json::Obj(fields)) {
-            Err(MeteringError::InvalidOptions { reason }) => {
-                prop_assert!(
-                    reason.contains(&name),
-                    "error {reason:?} must name the unknown field {name:?}"
-                );
+        let repeated = fields[tag as usize % fields.len()].0.clone();
+        for (name, kind) in [
+            (format!("unknown_knob_{tag}"), "unknown field"),
+            (repeated, "duplicate field"),
+        ] {
+            let mut tampered = fields.clone();
+            tampered.push((name.clone(), Json::U64(value)));
+            match LockOptions::from_json(&Json::Obj(tampered)) {
+                Err(MeteringError::InvalidOptions { reason }) => {
+                    prop_assert!(
+                        reason.contains(&name) && reason.contains(kind),
+                        "error {reason:?} must name the {kind} {name:?}"
+                    );
+                }
+                other => prop_assert!(false, "{kind} {name:?} must fail, got {other:?}"),
             }
-            other => prop_assert!(false, "unknown {name:?} must fail, got {other:?}"),
         }
     }
 
@@ -182,6 +189,10 @@ fn database_import_rejects_tampered_options() {
     let tampered = exported.replace("\"added_modules\"", "\"aded_modules\"");
     assert_ne!(exported, tampered);
     assert!(hwm_metering::Designer::import_database(&tampered).is_err());
+    // A second copy of a field is refused too, not first-key-wins.
+    let duplicated = exported.replace("\"seed\":7", "\"seed\":7,\"seed\":8");
+    assert_ne!(exported, duplicated);
+    assert!(hwm_metering::Designer::import_database(&duplicated).is_err());
     // The untampered export still imports.
     assert!(hwm_metering::Designer::import_database(&exported).is_ok());
 }

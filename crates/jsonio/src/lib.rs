@@ -15,10 +15,32 @@
 //! 3. **Strict, total parsing.** The parser accepts exactly the JSON this
 //!    crate writes (plus standard whitespace), never panics on malformed
 //!    input, and reports positioned errors.
+//!
+//! On top of the value model, [`StrictObj`] is the one reader every
+//! fixed-schema decoder in the workspace uses: unknown, missing,
+//! ill-typed and duplicated fields are all errors. The crate also holds
+//! the workspace's one FNV-1a ([`fnv1a`]), because it sits below every
+//! crate that mints a hash identifier.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
+
+/// FNV-1a 64-bit offset basis: the starting state of [`fnv1a`].
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a 64-bit FNV-1a state (start from [`FNV1A_BASIS`]).
+/// Journal digests, trace and span ids, metric shard placement and ring
+/// points all hash through this one function, so equal inputs give equal
+/// identifiers everywhere.
+#[inline]
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    state
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,6 +477,227 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A well-formed JSON value that is not the object a decoder expects.
+/// Each crate converts it once into its own error type through a `From`
+/// impl, so decoders apply [`StrictObj`] with `?`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// Human-readable description naming the object and the field.
+    pub message: String,
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for std::io::Error {
+    /// Decoded files (snapshots) report schema violations as
+    /// `InvalidData`.
+    fn from(e: FieldError) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
+    }
+}
+
+/// Strict reader over one fixed-schema JSON object.
+///
+/// Every field is read by name, and [`StrictObj::finish`] rejects any
+/// field left unread. A key that occurs twice is an error both when it is
+/// read and when `finish` finds it unread, so no decoder picks the first
+/// or the last copy. A decoder that reads its schema and calls `finish`
+/// therefore refuses unknown, missing, ill-typed and duplicated fields
+/// alike, with messages of one shape: `"{what} missing field \"x\""`,
+/// `"{what} field \"x\" must be a string"`,
+/// `"{what} has unknown field \"x\""`,
+/// `"{what} has duplicate field \"x\""`. Each read scans the fields
+/// once, so a hostile object with many fields costs linear time.
+#[derive(Debug)]
+pub struct StrictObj<'a> {
+    what: &'a str,
+    fields: &'a [(String, Json)],
+    used: Vec<bool>,
+}
+
+impl<'a> StrictObj<'a> {
+    /// Opens `j` as the object named `what` in error messages.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `j` is not an object.
+    pub fn new(j: &'a Json, what: &'a str) -> Result<StrictObj<'a>, FieldError> {
+        let Json::Obj(fields) = j else {
+            return Err(field_error(format!("{what} must be a JSON object")));
+        };
+        Ok(StrictObj {
+            what,
+            fields,
+            used: vec![false; fields.len()],
+        })
+    }
+
+    fn duplicate(&self, name: &str) -> FieldError {
+        field_error(format!("{} has duplicate field {name:?}", self.what))
+    }
+
+    /// The optional field `name`, marking it read.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the key occurs more than once.
+    pub fn opt(&mut self, name: &str) -> Result<Option<&'a Json>, FieldError> {
+        let Some(i) = self.fields.iter().position(|(k, _)| k == name) else {
+            return Ok(None);
+        };
+        if self.fields[i + 1..].iter().any(|(k, _)| k == name) {
+            return Err(self.duplicate(name));
+        }
+        self.used[i] = true;
+        Ok(Some(&self.fields[i].1))
+    }
+
+    /// The required field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent or its key occurs more than once.
+    pub fn field(&mut self, name: &str) -> Result<&'a Json, FieldError> {
+        self.opt(name)?
+            .ok_or_else(|| field_error(format!("{} missing field {name:?}", self.what)))
+    }
+
+    /// The error for field `name` holding the wrong kind of value;
+    /// `expected` completes "must be …".
+    pub fn ill_typed(&self, name: &str, expected: &str) -> FieldError {
+        field_error(format!("{} field {name:?} must be {expected}", self.what))
+    }
+
+    /// The required unsigned-integer field `name`, converted to `T`
+    /// (`u64`, `usize`, `u8`, …) without truncation.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent, not an unsigned integer, or out of
+    /// `T`'s range.
+    pub fn uint<T: TryFrom<u64>>(&mut self, name: &str) -> Result<T, FieldError> {
+        let v = self.field(name)?;
+        let n = v
+            .as_u64()
+            .ok_or_else(|| self.ill_typed(name, "an unsigned integer"))?;
+        T::try_from(n).map_err(|_| {
+            let fits = format!(
+                "an unsigned integer that fits {}",
+                std::any::type_name::<T>()
+            );
+            self.ill_typed(name, &fits)
+        })
+    }
+
+    /// The optional unsigned-integer field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is present but not an unsigned integer.
+    pub fn opt_u64(&mut self, name: &str) -> Result<Option<u64>, FieldError> {
+        match self.opt(name)? {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| self.ill_typed(name, "an unsigned integer")),
+        }
+    }
+
+    /// The required boolean field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent or not a boolean.
+    pub fn bool(&mut self, name: &str) -> Result<bool, FieldError> {
+        let v = self.field(name)?;
+        v.as_bool().ok_or_else(|| self.ill_typed(name, "a boolean"))
+    }
+
+    /// The required string field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent or not a string.
+    pub fn string(&mut self, name: &str) -> Result<String, FieldError> {
+        let v = self.field(name)?;
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| self.ill_typed(name, "a string"))
+    }
+
+    /// The optional string field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is present but not a string.
+    pub fn opt_string(&mut self, name: &str) -> Result<Option<String>, FieldError> {
+        match self.opt(name)? {
+            None => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(|s| Some(s.to_string()))
+                .ok_or_else(|| self.ill_typed(name, "a string")),
+        }
+    }
+
+    /// The required array field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent or not an array.
+    pub fn arr(&mut self, name: &str) -> Result<&'a [Json], FieldError> {
+        let v = self.field(name)?;
+        v.as_arr().ok_or_else(|| self.ill_typed(name, "an array"))
+    }
+
+    /// The required array-of-unsigned-integers field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the field is absent, not an array, or holds anything
+    /// but unsigned integers.
+    pub fn u64_arr(&mut self, name: &str) -> Result<Vec<u64>, FieldError> {
+        self.arr(name)?
+            .iter()
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| self.ill_typed(name, "an array of unsigned integers"))
+            })
+            .collect()
+    }
+
+    /// Ends the read: every field must have been read.
+    ///
+    /// # Errors
+    ///
+    /// Fails naming the first field no accessor asked for, as a duplicate
+    /// when its key occurs more than once.
+    pub fn finish(self) -> Result<(), FieldError> {
+        let Some(i) = self.used.iter().position(|&used| !used) else {
+            return Ok(());
+        };
+        let name = &self.fields[i].0;
+        if self.fields.iter().filter(|(k, _)| k == name).count() > 1 {
+            return Err(self.duplicate(name));
+        }
+        Err(field_error(format!(
+            "{} has unknown field {name:?}",
+            self.what
+        )))
+    }
+}
+
+fn field_error(message: String) -> FieldError {
+    FieldError { message }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,5 +749,72 @@ mod tests {
         assert_eq!(j.get("meta").and_then(|m| m.get("seed")).and_then(Json::as_u64), Some(42));
         assert_eq!(j.get("meta").and_then(|m| m.get("ok")).and_then(Json::as_bool), Some(true));
         assert_eq!(j.get("xs").and_then(Json::as_arr).map(|a| a.len()), Some(2));
+    }
+
+    fn point(j: &Json) -> Result<(u64, String, Option<u64>), FieldError> {
+        let mut r = StrictObj::new(j, "point")?;
+        let p = (r.uint("x")?, r.string("name")?, r.opt_u64("z")?);
+        r.finish()?;
+        Ok(p)
+    }
+
+    #[test]
+    fn strict_obj_enforces_the_whole_policy() {
+        let good = Json::parse("{\"x\":1,\"name\":\"a\"}").unwrap();
+        assert_eq!(point(&good).unwrap(), (1, "a".to_string(), None));
+        let with_z = Json::parse("{\"z\":3,\"name\":\"a\",\"x\":1}").unwrap();
+        assert_eq!(point(&with_z).unwrap(), (1, "a".to_string(), Some(3)));
+        for (text, message) in [
+            ("[1]", "point must be a JSON object"),
+            ("{\"name\":\"a\"}", "point missing field \"x\""),
+            ("{\"x\":\"1\",\"name\":\"a\"}", "point field \"x\" must be an unsigned integer"),
+            ("{\"x\":1,\"name\":2}", "point field \"name\" must be a string"),
+            ("{\"x\":1,\"name\":\"a\",\"z\":-1}", "point field \"z\" must be an unsigned integer"),
+            ("{\"x\":1,\"name\":\"a\",\"w\":0}", "point has unknown field \"w\""),
+            ("{\"x\":1,\"name\":\"a\",\"x\":2}", "point has duplicate field \"x\""),
+            ("{\"z\":1,\"x\":1,\"name\":\"a\",\"z\":1}", "point has duplicate field \"z\""),
+            // An unread key that repeats is a duplicate, not an unknown.
+            ("{\"x\":1,\"name\":\"a\",\"w\":0,\"w\":0}", "point has duplicate field \"w\""),
+        ] {
+            let j = Json::parse(text).unwrap();
+            assert_eq!(point(&j).unwrap_err().message, message, "{text}");
+        }
+    }
+
+    #[test]
+    fn strict_obj_typed_accessors() {
+        let j = Json::parse("{\"b\":true,\"xs\":[1,2],\"bad\":[1,\"2\"],\"s\":\"t\",\"g\":256}")
+            .unwrap();
+        let mut r = StrictObj::new(&j, "doc").unwrap();
+        assert_eq!(r.bool("b"), Ok(true));
+        assert_eq!(r.uint::<u16>("g"), Ok(256));
+        // Narrowing never truncates.
+        assert_eq!(
+            r.uint::<u8>("g").unwrap_err().message,
+            "doc field \"g\" must be an unsigned integer that fits u8"
+        );
+        assert_eq!(r.u64_arr("xs"), Ok(vec![1, 2]));
+        assert_eq!(
+            r.u64_arr("bad").unwrap_err().message,
+            "doc field \"bad\" must be an array of unsigned integers"
+        );
+        assert_eq!(r.opt_string("s"), Ok(Some("t".to_string())));
+        assert_eq!(r.opt_string("absent"), Ok(None));
+        assert_eq!(r.opt("absent"), Ok(None));
+        assert!(r.arr("b").is_err());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding is incremental.
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"),
+            fnv1a(FNV1A_BASIS, b"foobar")
+        );
     }
 }

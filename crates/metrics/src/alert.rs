@@ -23,8 +23,9 @@
 //! samples on the logical clock, so the transition stream is
 //! byte-identical for any `--jobs`.
 
+use crate::snapshot::labels_from_json;
 use crate::timeseries::{History, WindowStats};
-use hwm_jsonio::Json;
+use hwm_jsonio::{FieldError, Json, StrictObj};
 use std::fmt;
 
 /// Wire schema version for [`AlertRuleSet`] JSON.
@@ -57,6 +58,12 @@ impl fmt::Display for AlertError {
 }
 
 impl std::error::Error for AlertError {}
+
+impl From<FieldError> for AlertError {
+    fn from(e: FieldError) -> AlertError {
+        AlertError::new(e.message)
+    }
+}
 
 /// What a rule watches: one exact series, or a whole family summed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -289,33 +296,19 @@ impl AlertRuleSet {
     ///
     /// Returns an [`AlertError`] naming the offending field or rule.
     pub fn from_json(j: &Json) -> Result<AlertRuleSet, AlertError> {
-        let fields = match j {
-            Json::Obj(fields) => fields,
-            _ => return Err(AlertError::new("rule set must be a JSON object")),
-        };
-        let (mut schema, mut rules_json) = (None, None);
-        for (k, v) in fields {
-            match k.as_str() {
-                "schema" => schema = v.as_u64(),
-                "rules" => rules_json = v.as_arr(),
-                other => {
-                    return Err(AlertError::new(format!("rule set has unknown field {other:?}")))
-                }
-            }
-        }
-        let schema =
-            schema.ok_or_else(|| AlertError::new("rule set missing or ill-typed \"schema\""))?;
+        let mut f = StrictObj::new(j, "rule set")?;
+        let schema: u64 = f.uint("schema")?;
         if schema != RULES_SCHEMA_VERSION {
             return Err(AlertError::new(format!(
                 "unsupported rules schema {schema} (expected {RULES_SCHEMA_VERSION})"
             )));
         }
-        let rules_json =
-            rules_json.ok_or_else(|| AlertError::new("rule set missing \"rules\" array"))?;
-        let mut rules = Vec::with_capacity(rules_json.len());
-        for rj in rules_json {
-            rules.push(rule_from_json(rj)?);
-        }
+        let rules = f
+            .arr("rules")?
+            .iter()
+            .map(rule_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        f.finish()?;
         AlertRuleSet::new(rules)
     }
 }
@@ -373,141 +366,63 @@ fn rule_to_json(r: &AlertRule) -> Json {
     Json::Obj(fields)
 }
 
-struct RuleFields {
-    name: Option<String>,
-    kind: Option<String>,
-    series: Option<String>,
-    labels: Option<Vec<(String, String)>>,
-    bad: Option<String>,
-    bad_labels: Option<Vec<(String, String)>>,
-    total: Option<String>,
-    total_labels: Option<Vec<(String, String)>>,
-    stat: Option<String>,
-    alpha_milli: Option<u64>,
-    window: Option<u64>,
-    fire_at: Option<u64>,
-    resolve_at: Option<u64>,
-    slo_milli: Option<u64>,
-    fire_burn_milli: Option<u64>,
-    resolve_burn_milli: Option<u64>,
+/// Reads a selector written by [`selector_fields`]: the metric name
+/// under `name_key` and the optional exact label set under
+/// `labels_key`.
+fn selector_from_json(
+    f: &mut StrictObj<'_>,
+    name_key: &str,
+    labels_key: &str,
+) -> Result<SeriesSelector, AlertError> {
+    Ok(SeriesSelector {
+        name: f.string(name_key)?,
+        labels: f.opt(labels_key)?.map(labels_from_json).transpose()?,
+    })
 }
 
-fn labels_from_json(j: &Json) -> Result<Vec<(String, String)>, AlertError> {
-    j.as_arr()
-        .ok_or_else(|| AlertError::new("labels must be an array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| AlertError::new("each label must be a [key, value] pair"))?;
-            match (pair[0].as_str(), pair[1].as_str()) {
-                (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
-                _ => Err(AlertError::new("label keys and values must be strings")),
-            }
-        })
-        .collect()
-}
-
+/// Decodes one rule; fields that do not belong to its kind (or, for
+/// `alpha_milli`, to its stat) are unknown fields.
 fn rule_from_json(j: &Json) -> Result<AlertRule, AlertError> {
-    let fields = match j {
-        Json::Obj(fields) => fields,
-        _ => return Err(AlertError::new("each rule must be a JSON object")),
-    };
-    let mut f = RuleFields {
-        name: None,
-        kind: None,
-        series: None,
-        labels: None,
-        bad: None,
-        bad_labels: None,
-        total: None,
-        total_labels: None,
-        stat: None,
-        alpha_milli: None,
-        window: None,
-        fire_at: None,
-        resolve_at: None,
-        slo_milli: None,
-        fire_burn_milli: None,
-        resolve_burn_milli: None,
-    };
-    for (k, v) in fields {
-        match k.as_str() {
-            "name" => f.name = v.as_str().map(str::to_string),
-            "kind" => f.kind = v.as_str().map(str::to_string),
-            "series" => f.series = v.as_str().map(str::to_string),
-            "labels" => f.labels = Some(labels_from_json(v)?),
-            "bad" => f.bad = v.as_str().map(str::to_string),
-            "bad_labels" => f.bad_labels = Some(labels_from_json(v)?),
-            "total" => f.total = v.as_str().map(str::to_string),
-            "total_labels" => f.total_labels = Some(labels_from_json(v)?),
-            "stat" => f.stat = v.as_str().map(str::to_string),
-            "alpha_milli" => f.alpha_milli = v.as_u64(),
-            "window" => f.window = v.as_u64(),
-            "fire_at" => f.fire_at = v.as_u64(),
-            "resolve_at" => f.resolve_at = v.as_u64(),
-            "slo_milli" => f.slo_milli = v.as_u64(),
-            "fire_burn_milli" => f.fire_burn_milli = v.as_u64(),
-            "resolve_burn_milli" => f.resolve_burn_milli = v.as_u64(),
-            other => return Err(AlertError::new(format!("rule has unknown field {other:?}"))),
-        }
-    }
-    let name = f.name.ok_or_else(|| AlertError::new("rule missing or ill-typed \"name\""))?;
-    let need = |v: Option<u64>, what: &str| {
-        v.ok_or_else(|| AlertError::new(format!("rule {name:?} missing or ill-typed {what:?}")))
-    };
-    let series_sel = |sname: Option<String>, labels: Option<Vec<(String, String)>>, what: &str| {
-        Ok(SeriesSelector {
-            name: sname
-                .ok_or_else(|| AlertError::new(format!("rule {name:?} missing or ill-typed {what:?}")))?,
-            labels,
-        })
-    };
-    let kind_str =
-        f.kind.clone().ok_or_else(|| AlertError::new(format!("rule {name:?} missing \"kind\"")))?;
-    let kind = match kind_str.as_str() {
+    let mut f = StrictObj::new(j, "rule")?;
+    let name = f.string("name")?;
+    let kind = match f.string("kind")?.as_str() {
         "threshold" => {
-            let stat = match f.stat.as_deref() {
-                Some("rate_per_1k") => WindowStat::RatePer1k,
-                Some("delta") => WindowStat::Delta,
-                Some("max") => WindowStat::Max,
-                Some("last") => WindowStat::Last,
-                Some("ewma") => WindowStat::Ewma {
-                    alpha_milli: need(f.alpha_milli, "alpha_milli")?,
+            let series = selector_from_json(&mut f, "series", "labels")?;
+            let stat = match f.string("stat")?.as_str() {
+                "rate_per_1k" => WindowStat::RatePer1k,
+                "delta" => WindowStat::Delta,
+                "max" => WindowStat::Max,
+                "last" => WindowStat::Last,
+                "ewma" => WindowStat::Ewma {
+                    alpha_milli: f.uint("alpha_milli")?,
                 },
-                Some(other) => {
+                other => {
                     return Err(AlertError::new(format!("rule {name:?} has unknown stat {other:?}")))
                 }
-                None => return Err(AlertError::new(format!("rule {name:?} missing \"stat\""))),
             };
-            if f.alpha_milli.is_some() && !matches!(stat, WindowStat::Ewma { .. }) {
-                return Err(AlertError::new(format!(
-                    "rule {name:?}: alpha_milli only applies to the ewma stat"
-                )));
-            }
             RuleKind::Threshold {
-                series: series_sel(f.series, f.labels, "series")?,
+                series,
                 stat,
-                window: need(f.window, "window")?,
-                fire_at: need(f.fire_at, "fire_at")?,
-                resolve_at: need(f.resolve_at, "resolve_at")?,
+                window: f.uint("window")?,
+                fire_at: f.uint("fire_at")?,
+                resolve_at: f.uint("resolve_at")?,
             }
         }
         "burn_rate" => RuleKind::BurnRate {
-            bad: series_sel(f.bad, f.bad_labels, "bad")?,
-            total: series_sel(f.total, f.total_labels, "total")?,
-            window: need(f.window, "window")?,
-            slo_milli: need(f.slo_milli, "slo_milli")?,
-            fire_burn_milli: need(f.fire_burn_milli, "fire_burn_milli")?,
-            resolve_burn_milli: need(f.resolve_burn_milli, "resolve_burn_milli")?,
+            bad: selector_from_json(&mut f, "bad", "bad_labels")?,
+            total: selector_from_json(&mut f, "total", "total_labels")?,
+            window: f.uint("window")?,
+            slo_milli: f.uint("slo_milli")?,
+            fire_burn_milli: f.uint("fire_burn_milli")?,
+            resolve_burn_milli: f.uint("resolve_burn_milli")?,
         },
         "absence" => RuleKind::Absence {
-            series: series_sel(f.series, f.labels, "series")?,
-            window: need(f.window, "window")?,
+            series: selector_from_json(&mut f, "series", "labels")?,
+            window: f.uint("window")?,
         },
         other => return Err(AlertError::new(format!("rule {name:?} has unknown kind {other:?}"))),
     };
+    f.finish()?;
     Ok(AlertRule { name, kind })
 }
 
@@ -926,6 +841,12 @@ mod tests {
         )
         .unwrap();
         assert!(AlertRuleSet::from_json(&bad_json).unwrap_err().message.contains("unknown kind"));
+        let dup_field = hwm_jsonio::Json::parse(
+            "{\"schema\":1,\"rules\":[{\"name\":\"x\",\"kind\":\"absence\",\
+             \"series\":\"a\",\"window\":1,\"window\":9}]}",
+        )
+        .unwrap();
+        assert!(AlertRuleSet::from_json(&dup_field).unwrap_err().message.contains("duplicate field"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Latency aggregation: nearest-rank percentiles over nanosecond
 //! samples. Absorbed from `hwm-bench` so both the serving benchmark and
-//! the live registry share one percentile definition (`hwm_bench::latency`
-//! remains as a re-export shim).
+//! the live registry share one percentile definition.
 //!
 //! Latencies are scheduling-dependent, so they feed *gauges* and
 //! [`crate::MetricClass::Timing`] histograms (excluded from the

@@ -22,8 +22,8 @@
 //!   remote disables), with the same strict parse-or-reject contract as
 //!   the registry journal.
 //! * [`latency`] — nearest-rank percentile summaries, absorbed from
-//!   `hwm_bench::latency` so the serving benchmark and the live registry
-//!   agree on quantile semantics.
+//!   `hwm-bench` so the serving benchmark and the live registry agree on
+//!   quantile semantics.
 //! * [`timeseries`] — a fixed-capacity ring-buffer history of the
 //!   det-class series, sampled on the logical tick clock, with windowed
 //!   derivations (rate per 1k ticks, sliding max, per-mille EWMA).
@@ -70,6 +70,7 @@ pub use timeseries::{
     HISTORY_SCHEMA_VERSION,
 };
 
+use hwm_jsonio::{fnv1a, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -223,14 +224,6 @@ impl Default for MetricsRegistry {
     }
 }
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl MetricsRegistry {
     /// A registry with `shards` independent locks (at least 1).
     pub fn new(shards: usize) -> MetricsRegistry {
@@ -254,7 +247,7 @@ impl MetricsRegistry {
     }
 
     fn shard_for(&self, name: &str, labels: LabelRefs<'_>) -> &Mutex<Shard> {
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, name.as_bytes());
+        let mut h = fnv1a(FNV1A_BASIS, name.as_bytes());
         for (k, v) in labels {
             h = fnv1a(h, k.as_bytes());
             h = fnv1a(h, v.as_bytes());

@@ -2,7 +2,7 @@
 //! Prometheus-style text exposition and the strict JSON wire codec.
 
 use crate::{MetricClass, MetricKind, SCHEMA_VERSION};
-use hwm_jsonio::Json;
+use hwm_jsonio::{FieldError, Json, StrictObj};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -120,6 +120,12 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<FieldError> for SnapshotError {
+    fn from(e: FieldError) -> SnapshotError {
+        SnapshotError::new(e.message)
+    }
+}
 
 /// Groups an iterator of sorted `(name, labels, class, (kind, value))`
 /// rows into families. Crate-internal: the registry produces the rows.
@@ -312,40 +318,26 @@ impl Snapshot {
         ])
     }
 
-    /// Parses the strict JSON wire form back: unknown fields, missing
-    /// fields and wrong types are all rejected.
+    /// Parses the strict JSON wire form back: unknown, missing,
+    /// ill-typed and duplicated fields are all rejected.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<Snapshot, SnapshotError> {
-        let fields = obj_fields(j, "snapshot")?;
-        let mut schema = None;
-        let mut families_json = None;
-        for (k, v) in fields {
-            match k.as_str() {
-                "schema" => schema = Some(v),
-                "families" => families_json = Some(v),
-                other => return Err(SnapshotError::new(format!("snapshot has unknown field {other:?}"))),
-            }
-        }
-        let schema = schema
-            .ok_or_else(|| SnapshotError::new("snapshot missing field \"schema\""))?
-            .as_u64()
-            .ok_or_else(|| SnapshotError::new("field \"schema\" must be an unsigned integer"))?;
+        let mut f = StrictObj::new(j, "snapshot")?;
+        let schema: u64 = f.uint("schema")?;
         if schema != SCHEMA_VERSION {
             return Err(SnapshotError::new(format!(
                 "unsupported snapshot schema {schema} (expected {SCHEMA_VERSION})"
             )));
         }
-        let families_json = families_json
-            .ok_or_else(|| SnapshotError::new("snapshot missing field \"families\""))?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::new("field \"families\" must be an array"))?;
-        let mut families = Vec::with_capacity(families_json.len());
-        for fj in families_json {
-            families.push(family_from_json(fj)?);
-        }
+        let families = f
+            .arr("families")?
+            .iter()
+            .map(family_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        f.finish()?;
         Ok(Snapshot { families })
     }
 }
@@ -388,63 +380,44 @@ fn series_to_json(s: &Series) -> Json {
     }
 }
 
-fn obj_fields<'a>(j: &'a Json, what: &str) -> Result<&'a [(String, Json)], SnapshotError> {
-    match j {
-        Json::Obj(fields) => Ok(fields),
-        _ => Err(SnapshotError::new(format!("{what} must be a JSON object"))),
-    }
-}
-
-fn u64_arr(j: &Json, name: &str) -> Result<Vec<u64>, SnapshotError> {
+/// Parses a `[[key, value], ...]` label list (shared with the history
+/// dump and the alert rules).
+pub(crate) fn labels_from_json(j: &Json) -> Result<Vec<(String, String)>, FieldError> {
+    let bad = |message: &str| FieldError {
+        message: message.to_string(),
+    };
     j.as_arr()
-        .ok_or_else(|| SnapshotError::new(format!("field {name:?} must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| SnapshotError::new(format!("field {name:?} must hold unsigned integers")))
-        })
-        .collect()
-}
-
-fn labels_from_json(j: &Json) -> Result<Vec<(String, String)>, SnapshotError> {
-    j.as_arr()
-        .ok_or_else(|| SnapshotError::new("field \"labels\" must be an array"))?
+        .ok_or_else(|| bad("field \"labels\" must be an array"))?
         .iter()
         .map(|pair| {
             let pair = pair
                 .as_arr()
                 .filter(|p| p.len() == 2)
-                .ok_or_else(|| SnapshotError::new("each label must be a [key, value] pair"))?;
+                .ok_or_else(|| bad("each label must be a [key, value] pair"))?;
             match (pair[0].as_str(), pair[1].as_str()) {
                 (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
-                _ => Err(SnapshotError::new("label keys and values must be strings")),
+                _ => Err(bad("label keys and values must be strings")),
             }
         })
         .collect()
 }
 
 fn family_from_json(j: &Json) -> Result<Family, SnapshotError> {
-    let fields = obj_fields(j, "family")?;
-    let (mut name, mut kind, mut class, mut series_json) = (None, None, None, None);
-    for (k, v) in fields {
-        match k.as_str() {
-            "name" => name = v.as_str().map(str::to_string),
-            "kind" => kind = v.as_str().and_then(MetricKind::parse),
-            "class" => class = v.as_str().and_then(MetricClass::parse),
-            "series" => series_json = v.as_arr(),
-            other => return Err(SnapshotError::new(format!("family has unknown field {other:?}"))),
-        }
-    }
-    let name = name.ok_or_else(|| SnapshotError::new("family missing or ill-typed field \"name\""))?;
-    let kind = kind.ok_or_else(|| SnapshotError::new(format!("family {name:?} missing or unknown \"kind\"")))?;
-    let class =
-        class.ok_or_else(|| SnapshotError::new(format!("family {name:?} missing or unknown \"class\"")))?;
-    let series_json =
-        series_json.ok_or_else(|| SnapshotError::new(format!("family {name:?} missing \"series\" array")))?;
-    let mut series = Vec::with_capacity(series_json.len());
-    for sj in series_json {
-        series.push(series_from_json(sj, &name, kind)?);
-    }
+    let mut f = StrictObj::new(j, "family")?;
+    let name = f.string("name")?;
+    let kind = f.string("kind")?;
+    let kind = MetricKind::parse(&kind)
+        .ok_or_else(|| SnapshotError::new(format!("family {name:?} has unknown kind {kind:?}")))?;
+    let class = f.string("class")?;
+    let class = MetricClass::parse(&class).ok_or_else(|| {
+        SnapshotError::new(format!("family {name:?} has unknown class {class:?}"))
+    })?;
+    let series = f
+        .arr("series")?
+        .iter()
+        .map(|sj| series_from_json(sj, &name, kind))
+        .collect::<Result<Vec<_>, _>>()?;
+    f.finish()?;
     Ok(Family {
         name,
         kind,
@@ -454,52 +427,21 @@ fn family_from_json(j: &Json) -> Result<Family, SnapshotError> {
 }
 
 fn series_from_json(j: &Json, family: &str, kind: MetricKind) -> Result<Series, SnapshotError> {
-    let fields = obj_fields(j, "series")?;
-    let mut labels = None;
-    let (mut value, mut bounds, mut counts, mut count, mut sum) = (None, None, None, None, None);
-    let mut exemplars = None;
-    for (k, v) in fields {
-        match k.as_str() {
-            "labels" => labels = Some(labels_from_json(v)?),
-            "value" => value = Some(v),
-            "bounds" => bounds = Some(v),
-            "counts" => counts = Some(v),
-            "count" => count = Some(v),
-            "sum" => sum = Some(v),
-            "exemplars" => exemplars = Some(v),
-            other => {
-                return Err(SnapshotError::new(format!(
-                    "series of {family:?} has unknown field {other:?}"
-                )))
-            }
-        }
-    }
-    let labels =
-        labels.ok_or_else(|| SnapshotError::new(format!("series of {family:?} missing \"labels\"")))?;
-    let fail = |what: &str| SnapshotError::new(format!("series of {family:?}: {what}"));
+    let what = format!("series of {family:?}");
+    let mut f = StrictObj::new(j, &what)?;
+    let labels = labels_from_json(f.field("labels")?)?;
+    let fail = |why: &str| SnapshotError::new(format!("{what}: {why}"));
     let value = match kind {
-        MetricKind::Counter | MetricKind::Gauge => {
-            if bounds.is_some() || counts.is_some() || count.is_some() || sum.is_some() || exemplars.is_some() {
-                return Err(fail("scalar series must not carry histogram fields"));
-            }
-            SeriesValue::Int(
-                value
-                    .ok_or_else(|| fail("missing \"value\""))?
-                    .as_u64()
-                    .ok_or_else(|| fail("field \"value\" must be an unsigned integer"))?,
-            )
-        }
+        MetricKind::Counter | MetricKind::Gauge => SeriesValue::Int(f.uint("value")?),
         MetricKind::Histogram => {
-            if value.is_some() {
-                return Err(fail("histogram series must not carry \"value\""));
-            }
-            let counts = u64_arr(counts.ok_or_else(|| fail("missing \"counts\""))?, "counts")?;
+            let bounds = f.u64_arr("bounds")?;
+            let counts = f.u64_arr("counts")?;
             // Optional: absent means "no observation carried a trace
             // id" — old snapshots parse unchanged.
-            let exemplars = match exemplars {
+            let exemplars = match f.opt("exemplars")? {
                 Some(j) => j
                     .as_arr()
-                    .ok_or_else(|| fail("field \"exemplars\" must be an array"))?
+                    .ok_or_else(|| f.ill_typed("exemplars", "an array"))?
                     .iter()
                     .map(|e| match e {
                         Json::Null => Ok(None),
@@ -512,16 +454,10 @@ fn series_from_json(j: &Json, family: &str, kind: MetricKind) -> Result<Series, 
                 None => vec![None; counts.len()],
             };
             let h = HistogramSnapshot {
-                bounds: u64_arr(bounds.ok_or_else(|| fail("missing \"bounds\""))?, "bounds")?,
+                bounds,
                 counts,
-                count: count
-                    .ok_or_else(|| fail("missing \"count\""))?
-                    .as_u64()
-                    .ok_or_else(|| fail("field \"count\" must be an unsigned integer"))?,
-                sum: sum
-                    .ok_or_else(|| fail("missing \"sum\""))?
-                    .as_u64()
-                    .ok_or_else(|| fail("field \"sum\" must be an unsigned integer"))?,
+                count: f.uint("count")?,
+                sum: f.uint("sum")?,
                 exemplars,
             };
             if h.counts.len() != h.bounds.len() + 1 {
@@ -536,6 +472,7 @@ fn series_from_json(j: &Json, family: &str, kind: MetricKind) -> Result<Series, 
             SeriesValue::Hist(h)
         }
     };
+    f.finish()?;
     Ok(Series { labels, value })
 }
 
@@ -748,6 +685,13 @@ requests_total{op=\"unlock\",outcome=\"key\"} 7
             fields.push(("extra".into(), Json::U64(1)));
         }
         assert!(Snapshot::from_json(&j).unwrap_err().message.contains("unknown field"));
+        // Duplicated top-level field: neither copy wins.
+        let mut j = good.clone();
+        if let Json::Obj(fields) = &mut j {
+            let families = fields[1].clone();
+            fields.push(families);
+        }
+        assert!(Snapshot::from_json(&j).unwrap_err().message.contains("duplicate field"));
         // Wrong schema version.
         let mut j = good.clone();
         if let Json::Obj(fields) = &mut j {

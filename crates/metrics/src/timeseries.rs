@@ -15,8 +15,9 @@
 //! by construction: sampling them would smuggle nondeterminism into a
 //! stream that downstream goldens pin byte-for-byte.
 
+use crate::snapshot::labels_from_json;
 use crate::{MetricClass, MetricKind, Snapshot, SnapshotError, SeriesValue};
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -463,46 +464,32 @@ impl HistoryDump {
         ])
     }
 
-    /// Parses the strict JSON wire form back: unknown fields, missing
-    /// fields and wrong types are all rejected, and samples must be in
-    /// strictly increasing tick order.
+    /// Parses the strict JSON wire form back: unknown, missing,
+    /// ill-typed and duplicated fields are all rejected, and samples must
+    /// be in strictly increasing tick order.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<HistoryDump, SnapshotError> {
-        let fields = match j {
-            Json::Obj(fields) => fields,
-            _ => return Err(err("history must be a JSON object")),
-        };
-        let (mut schema, mut stride, mut capacity, mut series_json) = (None, None, None, None);
-        for (k, v) in fields {
-            match k.as_str() {
-                "schema" => schema = v.as_u64(),
-                "stride" => stride = v.as_u64(),
-                "capacity" => capacity = v.as_u64(),
-                "series" => series_json = v.as_arr(),
-                other => return Err(err(format!("history has unknown field {other:?}"))),
-            }
-        }
-        let schema = schema.ok_or_else(|| err("history missing or ill-typed field \"schema\""))?;
+        let mut f = StrictObj::new(j, "history")?;
+        let schema: u64 = f.uint("schema")?;
         if schema != HISTORY_SCHEMA_VERSION {
             return Err(err(format!(
                 "unsupported history schema {schema} (expected {HISTORY_SCHEMA_VERSION})"
             )));
         }
-        let series_json =
-            series_json.ok_or_else(|| err("history missing field \"series\""))?;
-        let mut series = Vec::with_capacity(series_json.len());
-        for sj in series_json {
-            series.push(dump_series_from_json(sj)?);
-        }
-        Ok(HistoryDump {
-            stride: stride.ok_or_else(|| err("history missing or ill-typed field \"stride\""))?,
-            capacity: capacity
-                .ok_or_else(|| err("history missing or ill-typed field \"capacity\""))?,
-            series,
-        })
+        let dump = HistoryDump {
+            stride: f.uint("stride")?,
+            capacity: f.uint("capacity")?,
+            series: f
+                .arr("series")?
+                .iter()
+                .map(dump_series_from_json)
+                .collect::<Result<Vec<_>, _>>()?,
+        };
+        f.finish()?;
+        Ok(dump)
     }
 }
 
@@ -513,30 +500,17 @@ fn err(message: impl Into<String>) -> SnapshotError {
 }
 
 fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
-    let fields = match j {
-        Json::Obj(fields) => fields,
-        _ => return Err(err("history series must be a JSON object")),
-    };
-    let (mut name, mut labels, mut kind, mut samples_json) = (None, None, None, None);
-    for (k, v) in fields {
-        match k.as_str() {
-            "name" => name = v.as_str().map(str::to_string),
-            "labels" => labels = Some(labels_from_json(v)?),
-            "kind" => kind = v.as_str().and_then(MetricKind::parse),
-            "samples" => samples_json = v.as_arr(),
-            other => return Err(err(format!("history series has unknown field {other:?}"))),
-        }
-    }
-    let name = name.ok_or_else(|| err("history series missing or ill-typed \"name\""))?;
-    let kind =
-        kind.ok_or_else(|| err(format!("history series {name:?} missing or unknown \"kind\"")))?;
+    let mut f = StrictObj::new(j, "history series")?;
+    let name = f.string("name")?;
+    let labels = labels_from_json(f.field("labels")?)?;
+    let kind = f.string("kind")?;
+    let kind = MetricKind::parse(&kind)
+        .ok_or_else(|| err(format!("history series {name:?} has unknown kind {kind:?}")))?;
     if kind == MetricKind::Histogram {
         return Err(err(format!("history series {name:?}: histograms are never sampled")));
     }
-    let samples_json =
-        samples_json.ok_or_else(|| err(format!("history series {name:?} missing \"samples\"")))?;
-    let mut samples = Vec::with_capacity(samples_json.len());
-    for sj in samples_json {
+    let mut samples = Vec::new();
+    for sj in f.arr("samples")? {
         let pair = sj
             .as_arr()
             .filter(|p| p.len() == 2)
@@ -554,29 +528,13 @@ fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
         }
         samples.push(Sample { tick, value });
     }
+    f.finish()?;
     Ok(DumpSeries {
         name,
-        labels: labels.ok_or_else(|| err("history series missing \"labels\""))?,
+        labels,
         kind,
         samples,
     })
-}
-
-fn labels_from_json(j: &Json) -> Result<Vec<(String, String)>, SnapshotError> {
-    j.as_arr()
-        .ok_or_else(|| err("field \"labels\" must be an array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| err("each label must be a [key, value] pair"))?;
-            match (pair[0].as_str(), pair[1].as_str()) {
-                (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
-                _ => Err(err("label keys and values must be strings")),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -718,6 +676,13 @@ mod tests {
             fields.push(("extra".into(), Json::U64(1)));
         }
         assert!(HistoryDump::from_json(&j).unwrap_err().message.contains("unknown field"));
+        // A duplicated field is refused, not first- or last-key-wins.
+        let mut j = good.clone();
+        if let Json::Obj(fields) = &mut j {
+            let stride = fields[1].clone();
+            fields.push(stride);
+        }
+        assert!(HistoryDump::from_json(&j).unwrap_err().message.contains("duplicate field"));
         let mut j = good.clone();
         if let Json::Obj(fields) = &mut j {
             fields[0].1 = Json::U64(99);

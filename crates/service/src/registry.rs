@@ -53,7 +53,7 @@ use crate::fault::FaultyStore;
 use crate::snapshot::{snapshot_path, RegistrySnapshot};
 use crate::storage::{FileStore, FlushPolicy, JournalStore};
 use crate::wire::WireError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{FieldError, Json, StrictObj};
 use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
 use std::collections::HashMap;
 use std::fmt;
@@ -587,15 +587,10 @@ impl Registry {
             detail: what.to_string(),
         };
         let j = Json::parse(line).map_err(|e| fail(&format!("not JSON: {e}")))?;
-        let event = j
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing event"))?
-            .to_string();
-        let seq = j
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("missing seq"))?;
+        let bad = |e: FieldError| fail(&e.message);
+        let mut f = StrictObj::new(&j, "journal line").map_err(bad)?;
+        let event = f.string("event").map_err(bad)?;
+        let seq: u64 = f.uint("seq").map_err(bad)?;
         if seq <= skip_through {
             // Already folded into the snapshot: a crash between the
             // snapshot rename and the journal truncation leaves these
@@ -608,27 +603,19 @@ impl Registry {
                 self.seq + 1
             )));
         }
-        let str_field = |name: &str| {
-            j.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| fail(&format!("missing {name}")))
-        };
+        let mut read = |name: &str| f.string(name).map_err(bad);
         let apply = match event.as_str() {
-            "register" => self.register(
-                &str_field("client")?,
-                &str_field("ic")?,
-                &str_field("readout")?,
-                j.get("group")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| fail("missing group"))? as u8,
-            ),
+            "register" => {
+                let (client, ic, readout) = (read("client")?, read("ic")?, read("readout")?);
+                let group: u8 = f.uint("group").map_err(bad)?;
+                f.finish().map_err(bad)?;
+                self.register(&client, &ic, &readout, group)
+            }
             "duplicate" => {
+                let (client, ic, prior) = (read("client")?, read("ic")?, read("prior")?);
+                f.finish().map_err(bad)?;
                 // Replaying the rejection re-runs the detector; it must
                 // reject again, which re-counts the duplicate.
-                let client = str_field("client")?;
-                let ic = str_field("ic")?;
-                let prior = str_field("prior")?;
                 let readout = self
                     .by_ic
                     .get(&prior)
@@ -639,14 +626,17 @@ impl Registry {
                     _ => return Err(fail("duplicate event did not re-collide")),
                 }
             }
-            "unlock" => self.mark_unlocked(
-                &str_field("ic")?,
-                j.get("key_len")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| fail("missing key_len"))?,
-                &str_field("client")?,
-            ),
-            "disable" => self.mark_disabled(&str_field("ic")?, &str_field("client")?),
+            "unlock" => {
+                let (ic, client) = (read("ic")?, read("client")?);
+                let key_len: usize = f.uint("key_len").map_err(bad)?;
+                f.finish().map_err(bad)?;
+                self.mark_unlocked(&ic, key_len, &client)
+            }
+            "disable" => {
+                let (ic, client) = (read("ic")?, read("client")?);
+                f.finish().map_err(bad)?;
+                self.mark_disabled(&ic, &client)
+            }
             other => return Err(fail(&format!("unknown event {other:?}"))),
         };
         apply.map_err(|e| fail(&format!("replay rejected: {e}")))
@@ -1074,17 +1064,10 @@ impl Drop for Registry {
     }
 }
 
-/// FNV-1a offset basis (the digest of an empty journal).
-pub const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds more bytes into a rolling FNV-1a state.
-pub fn digest_update(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    state
-}
+/// The rolling journal digest is the workspace's one FNV-1a: the digest
+/// of an empty journal is the offset basis, and `digest_update` folds
+/// more bytes into a rolling state.
+pub use hwm_jsonio::{fnv1a as digest_update, FNV1A_BASIS as DIGEST_BASIS};
 
 /// FNV-1a digest of journal bytes — a compact fingerprint for the
 /// determinism checks ("byte-identical journal for every `--jobs`").
@@ -1183,6 +1166,7 @@ mod tests {
             ("not json\n", "line 1"),
             ("{\"event\":\"register\",\"seq\":2}\n", "seq 2 out of order"),
             ("{\"event\":\"warp\",\"seq\":1}\n", "unknown event"),
+            ("{\"event\":\"disable\",\"seq\":1,\"seq\":1}\n", "duplicate field \"seq\""),
             (
                 "{\"event\":\"unlock\",\"seq\":1,\"ic\":\"x\",\"client\":\"c\",\"key_len\":2}\n",
                 "replay rejected",

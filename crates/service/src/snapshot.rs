@@ -24,13 +24,14 @@
 //! Keys are never snapshotted, for the same reason they are never
 //! journaled.
 //!
-//! Parsing is strict in the same spirit as the wire layer: unknown
-//! fields, missing fields, or a wrong `schema` are hard errors — a
+//! Parsing is strict through the same reader as the wire layer: unknown,
+//! missing, ill-typed or duplicated fields, or a wrong `schema`, are hard
+//! errors — a
 //! snapshot is trusted state, and silently ignoring what we do not
 //! understand would corrupt recovery.
 
 use crate::registry::{CloneEvidence, IcRecord, IcState};
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -64,31 +65,6 @@ pub fn snapshot_path(journal_path: &Path) -> PathBuf {
 
 fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn obj_fields<'a>(j: &'a Json, what: &str, allowed: &[&str]) -> io::Result<&'a [(String, Json)]> {
-    let Json::Obj(fields) = j else {
-        return Err(invalid(format!("snapshot {what} is not an object")));
-    };
-    for (k, _) in fields {
-        if !allowed.contains(&k.as_str()) {
-            return Err(invalid(format!("snapshot {what} has unknown field {k:?}")));
-        }
-    }
-    Ok(fields)
-}
-
-fn u64_field(j: &Json, what: &str, name: &str) -> io::Result<u64> {
-    j.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| invalid(format!("snapshot {what} missing {name}")))
-}
-
-fn str_field(j: &Json, what: &str, name: &str) -> io::Result<String> {
-    j.get(name)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| invalid(format!("snapshot {what} missing {name}")))
 }
 
 impl RegistrySnapshot {
@@ -136,67 +112,59 @@ impl RegistrySnapshot {
     /// # Errors
     ///
     /// `InvalidData` for anything that is not exactly a well-formed v1
-    /// snapshot: bad JSON, wrong schema number, missing or unknown
-    /// fields, an unknown state name, or internally inconsistent
-    /// sequence numbers.
+    /// snapshot: bad JSON, wrong schema number, missing, unknown,
+    /// ill-typed or duplicated fields, an unknown state name, or
+    /// internally inconsistent sequence numbers.
     pub fn from_json(text: &str) -> io::Result<RegistrySnapshot> {
         let j = Json::parse(text).map_err(|e| invalid(format!("snapshot is not JSON: {e}")))?;
-        obj_fields(&j, "document", &["schema", "seq", "digest", "records", "clones"])?;
-        let schema = u64_field(&j, "document", "schema")?;
+        let mut doc = StrictObj::new(&j, "snapshot document")?;
+        let schema: u64 = doc.uint("schema")?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(invalid(format!(
                 "snapshot schema {schema} unsupported (expected {SNAPSHOT_SCHEMA})"
             )));
         }
-        let seq = u64_field(&j, "document", "seq")?;
-        let digest = u64_field(&j, "document", "digest")?;
-        let records_json = j
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("snapshot missing records array"))?;
-        let mut records = Vec::with_capacity(records_json.len());
-        for (i, r) in records_json.iter().enumerate() {
-            let what = format!("record {i}");
-            obj_fields(r, &what, &["ic", "client", "readout", "group", "state", "seq"])?;
-            let state_name = str_field(r, &what, "state")?;
-            let state = IcState::parse(&state_name)
-                .ok_or_else(|| invalid(format!("snapshot {what} has unknown state {state_name:?}")))?;
-            let record_seq = u64_field(r, &what, "seq")?;
+        let seq: u64 = doc.uint("seq")?;
+        let digest: u64 = doc.uint("digest")?;
+        let in_range = |what: &str, record_seq: u64| {
             if record_seq == 0 || record_seq > seq {
-                return Err(invalid(format!(
-                    "snapshot {what} seq {record_seq} outside journal range 1..={seq}"
-                )));
+                Err(invalid(format!(
+                    "{what} seq {record_seq} outside journal range 1..={seq}"
+                )))
+            } else {
+                Ok(record_seq)
             }
+        };
+        let mut records = Vec::new();
+        for (i, rj) in doc.arr("records")?.iter().enumerate() {
+            let what = format!("snapshot record {i}");
+            let mut r = StrictObj::new(rj, &what)?;
+            let state_name = r.string("state")?;
+            let state = IcState::parse(&state_name)
+                .ok_or_else(|| invalid(format!("{what} has unknown state {state_name:?}")))?;
             records.push(IcRecord {
-                ic: str_field(r, &what, "ic")?,
-                client: str_field(r, &what, "client")?,
-                readout: str_field(r, &what, "readout")?,
-                group: u64_field(r, &what, "group")? as u8,
+                seq: in_range(&what, r.uint("seq")?)?,
+                ic: r.string("ic")?,
+                client: r.string("client")?,
+                readout: r.string("readout")?,
+                group: r.uint("group")?,
                 state,
-                seq: record_seq,
             });
+            r.finish()?;
         }
-        let clones_json = j
-            .get("clones")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("snapshot missing clones array"))?;
-        let mut clones = Vec::with_capacity(clones_json.len());
-        for (i, c) in clones_json.iter().enumerate() {
-            let what = format!("clone {i}");
-            obj_fields(c, &what, &["seq", "ic", "client", "prior"])?;
-            let clone_seq = u64_field(c, &what, "seq")?;
-            if clone_seq == 0 || clone_seq > seq {
-                return Err(invalid(format!(
-                    "snapshot {what} seq {clone_seq} outside journal range 1..={seq}"
-                )));
-            }
+        let mut clones = Vec::new();
+        for (i, cj) in doc.arr("clones")?.iter().enumerate() {
+            let what = format!("snapshot clone {i}");
+            let mut c = StrictObj::new(cj, &what)?;
             clones.push(CloneEvidence {
-                seq: clone_seq,
-                ic: str_field(c, &what, "ic")?,
-                client: str_field(c, &what, "client")?,
-                prior: str_field(c, &what, "prior")?,
+                seq: in_range(&what, c.uint("seq")?)?,
+                ic: c.string("ic")?,
+                client: c.string("client")?,
+                prior: c.string("prior")?,
             });
+            c.finish()?;
         }
+        doc.finish()?;
         Ok(RegistrySnapshot {
             seq,
             digest,
@@ -291,7 +259,12 @@ mod tests {
         let good = sample().to_json();
         for (mutate, needle) in [
             (good.replace("\"schema\":1", "\"schema\":2"), "schema 2"),
-            (good.replace("\"digest\":", "\"digset\":"), "unknown field"),
+            // A renamed field is reported as the missing one: the strict
+            // reader fails on the first absent field before it can know
+            // which leftover fields are unknown.
+            (good.replace("\"digest\":", "\"digset\":"), "missing field \"digest\""),
+            (good.replace("\"digest\":", "\"extra\":0,\"digest\":"), "unknown field"),
+            (good.replace("\"seq\":5,", "\"seq\":5,\"seq\":6,"), "duplicate field \"seq\""),
             (good.replace("\"state\":\"unlocked\"", "\"state\":\"molten\""), "unknown state"),
             (good.replace("\"seq\":3,\"ic\":\"ic-2\"", "\"seq\":9,\"ic\":\"ic-2\""), "outside journal range"),
             ("nope".to_string(), "not JSON"),

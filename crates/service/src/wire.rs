@@ -3,8 +3,9 @@
 //! Messages are JSON objects (via `hwm-jsonio`, so integers round-trip
 //! losslessly and equal values always serialize to identical bytes) carried
 //! in length-prefixed frames: a 4-byte big-endian payload length followed
-//! by that many bytes of UTF-8 JSON. The codec is **strict**: unknown
-//! fields, missing fields and wrong types are all rejected, so a malformed
+//! by that many bytes of UTF-8 JSON. The codec is **strict**: unknown,
+//! missing, ill-typed and duplicated fields are all rejected (one
+//! [`StrictObj`] reader, shared with every other decoder), so a malformed
 //! or hostile client cannot smuggle state past the parser — the same
 //! strictness contract as the designer's lock database.
 //!
@@ -13,12 +14,11 @@
 //! `hwm_metering::ScanReadout`'s `Bits` prints; [`parse_readout_bits`]
 //! inverts that rendering.
 
+use hwm_jsonio::{FieldError, Json, StrictObj};
 use hwm_logic::Bits;
 use hwm_trace::{SpanRecord, TraceContext};
 use std::fmt;
 use std::io::{self, Read, Write};
-
-use hwm_jsonio::Json;
 
 /// Maximum frame payload the service will read (1 MiB). Larger prefixes
 /// are treated as protocol errors, which bounds a hostile client's memory
@@ -47,6 +47,12 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> WireError {
+        WireError::new(e.message)
+    }
+}
 
 /// A request from the foundry (or an attacker) to the designer's server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,53 +221,59 @@ impl Request {
         }
     }
 
-    /// Parses a request, rejecting unknown fields and wrong types.
+    /// Parses a request, rejecting unknown, missing, ill-typed and
+    /// duplicated fields.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<Request, WireError> {
-        let fields = StrictObj::new(j, "request")?;
-        let kind = fields.str_field("type")?;
-        let req = match kind.as_str() {
+        let mut fields = StrictObj::new(j, "request")?;
+        let req = Request::read(&mut fields)?;
+        fields.finish()?;
+        Ok(req)
+    }
+
+    /// Reads the request's own fields; the caller finishes the reader.
+    fn read(fields: &mut StrictObj<'_>) -> Result<Request, WireError> {
+        let kind = fields.string("type")?;
+        Ok(match kind.as_str() {
             "register" => Request::Register {
-                client: fields.str_field("client")?,
-                ic: fields.str_field("ic")?,
-                readout: fields.str_field("readout")?,
+                client: fields.string("client")?,
+                ic: fields.string("ic")?,
+                readout: fields.string("readout")?,
             },
             "unlock" => Request::Unlock {
-                client: fields.str_field("client")?,
-                readout: fields.str_field("readout")?,
+                client: fields.string("client")?,
+                readout: fields.string("readout")?,
             },
             "remote_disable" => Request::RemoteDisable {
-                client: fields.str_field("client")?,
-                ic: fields.str_field("ic")?,
+                client: fields.string("client")?,
+                ic: fields.string("ic")?,
             },
             "status" => Request::Status {
-                client: fields.str_field("client")?,
-                ic: fields.opt_str_field("ic")?,
+                client: fields.string("client")?,
+                ic: fields.opt_string("ic")?,
             },
             "metrics" => Request::Metrics {
-                client: fields.str_field("client")?,
+                client: fields.string("client")?,
             },
             "audit" => Request::Audit {
-                client: fields.str_field("client")?,
-                since: fields.opt_u64_field("since")?,
+                client: fields.string("client")?,
+                since: fields.opt_u64("since")?,
             },
             "history" => Request::History {
-                client: fields.str_field("client")?,
-                window: fields.opt_u64_field("window")?,
+                client: fields.string("client")?,
+                window: fields.opt_u64("window")?,
             },
             "traces" => Request::Traces {
-                client: fields.str_field("client")?,
-                limit: fields.opt_u64_field("limit")?,
+                client: fields.string("client")?,
+                limit: fields.opt_u64("limit")?,
             },
             other => {
                 return Err(WireError::new(format!("unknown request type {other:?}")));
             }
-        };
-        fields.finish()?;
-        Ok(req)
+        })
     }
 }
 
@@ -294,9 +306,9 @@ impl TracedRequest {
         j
     }
 
-    /// Parses a request frame, peeling off the optional `"trace"` field
-    /// before the strict request parse (which still rejects every other
-    /// unknown field).
+    /// Parses a request frame: the optional `"trace"` field and the
+    /// request's own fields are read from one strict reader, so every
+    /// other unknown field is still rejected.
     ///
     /// # Errors
     ///
@@ -304,28 +316,14 @@ impl TracedRequest {
     /// for trace contexts on admin requests — the admin plane is
     /// deliberately untraced (reading traces must not create spans).
     pub fn from_json(j: &Json) -> Result<TracedRequest, WireError> {
-        let fields = match j {
-            Json::Obj(fields) => fields,
-            _ => return Err(WireError::new("request must be a JSON object")),
-        };
-        let mut trace_json = None;
-        let mut kept = Vec::with_capacity(fields.len());
-        for (k, v) in fields {
-            // Only the first "trace" field is the context; a duplicate
-            // stays behind and fails the strict request parse.
-            if k == "trace" && trace_json.is_none() {
-                trace_json = Some(v);
-            } else {
-                kept.push((k.clone(), v.clone()));
-            }
-        }
-        let trace = match trace_json {
-            Some(v) => {
-                Some(TraceContext::from_json(v).map_err(|e| WireError::new(e.message))?)
-            }
-            None => None,
-        };
-        let req = Request::from_json(&Json::Obj(kept))?;
+        let mut fields = StrictObj::new(j, "request")?;
+        let trace = fields
+            .opt("trace")?
+            .map(TraceContext::from_json)
+            .transpose()
+            .map_err(|e| WireError::new(e.message))?;
+        let req = Request::read(&mut fields)?;
+        fields.finish()?;
         if trace.is_some() && req.is_admin() {
             return Err(WireError::new(
                 "admin requests must not carry a \"trace\" context",
@@ -570,70 +568,70 @@ impl Response {
         }
     }
 
-    /// Parses a response, rejecting unknown fields and wrong types.
+    /// Parses a response, rejecting unknown, missing, ill-typed and
+    /// duplicated fields.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<Response, WireError> {
-        let fields = StrictObj::new(j, "response")?;
-        let kind = fields.str_field("type")?;
+        let mut fields = StrictObj::new(j, "response")?;
+        let kind = fields.string("type")?;
         let resp = match kind.as_str() {
             "registered" => Response::Registered {
-                ic: fields.str_field("ic")?,
-                total: fields.u64_field("total")?,
+                ic: fields.string("ic")?,
+                total: fields.uint("total")?,
             },
             "key" => Response::Key {
-                ic: fields.str_field("ic")?,
-                key: fields.u64_arr_field("key")?,
+                ic: fields.string("ic")?,
+                key: fields.u64_arr("key")?,
             },
             "disabled" => Response::Disabled {
-                ic: fields.str_field("ic")?,
-                kill: fields.u64_arr_field("kill")?,
+                ic: fields.string("ic")?,
+                kill: fields.u64_arr("kill")?,
             },
             "status" => Response::Status(StatusReport {
-                registered: fields.u64_field("registered")?,
-                unlocked: fields.u64_field("unlocked")?,
-                disabled: fields.u64_field("disabled")?,
-                duplicates: fields.u64_field("duplicates")?,
-                lockouts: fields.u64_field("lockouts")?,
-                ic_state: fields.opt_str_field("ic_state")?,
+                registered: fields.uint("registered")?,
+                unlocked: fields.uint("unlocked")?,
+                disabled: fields.uint("disabled")?,
+                duplicates: fields.uint("duplicates")?,
+                lockouts: fields.uint("lockouts")?,
+                ic_state: fields.opt_string("ic_state")?,
             }),
             "metrics" => Response::Metrics {
-                snapshot: hwm_metrics::Snapshot::from_json(fields.json_field("snapshot")?)
+                snapshot: hwm_metrics::Snapshot::from_json(fields.field("snapshot")?)
                     .map_err(|e| WireError::new(e.message))?,
             },
             "audit" => Response::Audit {
                 events: fields
-                    .json_field("events")?
-                    .as_arr()
-                    .ok_or_else(|| WireError::new("field \"events\" must be an array"))?
+                    .arr("events")?
                     .iter()
-                    .map(|ej| hwm_metrics::AuditEvent::from_json(ej).map_err(|e| WireError::new(e.message)))
+                    .map(|ej| {
+                        hwm_metrics::AuditEvent::from_json(ej)
+                            .map_err(|e| WireError::new(e.message))
+                    })
                     .collect::<Result<Vec<_>, _>>()?,
-                next: fields.u64_field("next")?,
+                next: fields.uint("next")?,
             },
             "history" => Response::History {
-                history: hwm_metrics::HistoryDump::from_json(fields.json_field("history")?)
+                history: hwm_metrics::HistoryDump::from_json(fields.field("history")?)
                     .map_err(|e| WireError::new(e.message))?,
             },
             "traces" => Response::Traces {
                 spans: fields
-                    .json_field("spans")?
-                    .as_arr()
-                    .ok_or_else(|| WireError::new("field \"spans\" must be an array"))?
+                    .arr("spans")?
                     .iter()
                     .map(|sj| SpanRecord::from_json(sj).map_err(|e| WireError::new(e.message)))
                     .collect::<Result<Vec<_>, _>>()?,
             },
             "error" => Response::Error {
                 code: {
-                    let raw = fields.str_field("code")?;
+                    let raw = fields.string("code")?;
                     ErrorCode::parse(&raw)
                         .ok_or_else(|| WireError::new(format!("unknown error code {raw:?}")))?
                 },
-                message: fields.str_field("message")?,
-                retry_at: fields.opt_u64_field("retry_at")?,
+                message: fields.string("message")?,
+                retry_at: fields.opt_u64("retry_at")?,
             },
             other => {
                 return Err(WireError::new(format!("unknown response type {other:?}")));
@@ -641,102 +639,6 @@ impl Response {
         };
         fields.finish()?;
         Ok(resp)
-    }
-}
-
-/// Strict object reader: every field must be consumed exactly once; any
-/// remaining field at [`StrictObj::finish`] is an "unknown field" error.
-struct StrictObj<'a> {
-    what: &'static str,
-    fields: &'a [(String, Json)],
-    used: std::cell::RefCell<Vec<bool>>,
-}
-
-impl<'a> StrictObj<'a> {
-    fn new(j: &'a Json, what: &'static str) -> Result<StrictObj<'a>, WireError> {
-        match j {
-            Json::Obj(fields) => Ok(StrictObj {
-                what,
-                fields,
-                used: std::cell::RefCell::new(vec![false; fields.len()]),
-            }),
-            _ => Err(WireError::new(format!("{what} must be a JSON object"))),
-        }
-    }
-
-    fn take(&self, name: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == name && !self.used.borrow()[i] {
-                self.used.borrow_mut()[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn str_field(&self, name: &'static str) -> Result<String, WireError> {
-        self.take(name)
-            .ok_or_else(|| WireError::new(format!("{} missing field {name:?}", self.what)))?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| WireError::new(format!("field {name:?} must be a string")))
-    }
-
-    fn opt_str_field(&self, name: &'static str) -> Result<Option<String>, WireError> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| WireError::new(format!("field {name:?} must be a string"))),
-        }
-    }
-
-    fn json_field(&self, name: &'static str) -> Result<&'a Json, WireError> {
-        self.take(name)
-            .ok_or_else(|| WireError::new(format!("{} missing field {name:?}", self.what)))
-    }
-
-    fn u64_field(&self, name: &'static str) -> Result<u64, WireError> {
-        self.take(name)
-            .ok_or_else(|| WireError::new(format!("{} missing field {name:?}", self.what)))?
-            .as_u64()
-            .ok_or_else(|| WireError::new(format!("field {name:?} must be an unsigned integer")))
-    }
-
-    fn opt_u64_field(&self, name: &'static str) -> Result<Option<u64>, WireError> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                WireError::new(format!("field {name:?} must be an unsigned integer"))
-            }),
-        }
-    }
-
-    fn u64_arr_field(&self, name: &'static str) -> Result<Vec<u64>, WireError> {
-        self.take(name)
-            .ok_or_else(|| WireError::new(format!("{} missing field {name:?}", self.what)))?
-            .as_arr()
-            .ok_or_else(|| WireError::new(format!("field {name:?} must be an array")))?
-            .iter()
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    WireError::new(format!("field {name:?} must hold unsigned integers"))
-                })
-            })
-            .collect()
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.used.borrow()[i] {
-                return Err(WireError::new(format!(
-                    "{} has unknown field {k:?}",
-                    self.what
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1051,7 +953,7 @@ mod tests {
             fields.push(("trace".into(), Json::U64(7)));
         }
         assert!(TracedRequest::from_json(&j).is_err());
-        // A second "trace" field is an unknown field, not a silent
+        // A second "trace" field is a duplicate field, not a silent
         // overwrite.
         let traced = TracedRequest {
             req: req.clone(),
@@ -1063,7 +965,7 @@ mod tests {
             fields.push(dup);
         }
         let err = TracedRequest::from_json(&j).unwrap_err();
-        assert!(err.message.contains("unknown field"), "{err}");
+        assert!(err.message.contains("duplicate field \"trace\""), "{err}");
         // The admin plane is deliberately untraced.
         let admin = TracedRequest {
             req: Request::Traces {

@@ -383,3 +383,205 @@ proptest! {
         prop_assert_eq!(split, whole);
     }
 }
+
+#[path = "support/mutate.rs"]
+mod mutate;
+
+/// A decoder under fuzz: whether it accepts a JSON value.
+type Decodes = fn(&hwm_jsonio::Json) -> bool;
+
+/// Valid encodings covering every variant and optional field of the
+/// service-side decoders, each paired with its decoder.
+fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
+    use hwm_jsonio::Json;
+    use hwm_metering::LockOptions;
+    use hwm_metrics::{
+        AuditLog, AuditValue, History, HistoryConfig, HistoryDump, MetricClass, MetricsRegistry,
+        Snapshot,
+    };
+    use hwm_service::{
+        CloneEvidence, ErrorCode, IcRecord, IcState, RegistrySnapshot, Request, Response,
+        StatusReport, TracedRequest,
+    };
+    use hwm_trace::{SpanRecord, TraceContext};
+
+    let metrics = MetricsRegistry::default();
+    metrics.inc("requests", &[("op", "unlock")], 3);
+    metrics.observe_exemplar("units", &[], MetricClass::Det, &[2, 8], 1, 0xabcd);
+    let snapshot = metrics.snapshot();
+    let mut history = History::new(HistoryConfig::default());
+    history.record(4, &snapshot);
+    let dump = history.dump(None);
+    let mut audit = AuditLog::new();
+    audit.record(
+        3,
+        "lockout",
+        &[
+            ("client", AuditValue::Str("fab".into())),
+            ("until", AuditValue::U64(41)),
+        ],
+    );
+    let span = SpanRecord {
+        trace_id: 7,
+        span_id: 8,
+        parent: 0,
+        name: "request".into(),
+        node: "single".into(),
+        tick: 3,
+        units: 1,
+        attrs: vec![("outcome".into(), "ok".into())],
+    };
+    let ctx = TraceContext::root(1, 2, "fab", "unlock");
+    let client = || "fab".to_string();
+    let mut corpus: Vec<(Json, Decodes)> = Vec::new();
+    for (req, traced) in [
+        (
+            Request::Register {
+                client: client(),
+                ic: "ic-0".into(),
+                readout: "01".into(),
+            },
+            true,
+        ),
+        (
+            Request::Unlock {
+                client: client(),
+                readout: "01".into(),
+            },
+            true,
+        ),
+        (
+            Request::RemoteDisable {
+                client: client(),
+                ic: "ic-0".into(),
+            },
+            false,
+        ),
+        (
+            Request::Status {
+                client: client(),
+                ic: Some("ic-0".into()),
+            },
+            true,
+        ),
+        (Request::Metrics { client: client() }, false),
+        (
+            Request::Audit {
+                client: client(),
+                since: Some(2),
+            },
+            false,
+        ),
+        (
+            Request::History {
+                client: client(),
+                window: Some(8),
+            },
+            false,
+        ),
+        (
+            Request::Traces {
+                client: client(),
+                limit: Some(4),
+            },
+            false,
+        ),
+    ] {
+        let trace = traced.then_some(ctx);
+        corpus.push((TracedRequest { req, trace }.to_json(), |j| {
+            TracedRequest::from_json(j).is_ok()
+        }));
+    }
+    for resp in [
+        Response::Registered {
+            ic: "ic-0".into(),
+            total: 1,
+        },
+        Response::Key {
+            ic: "ic-0".into(),
+            key: vec![1, u64::MAX],
+        },
+        Response::Disabled {
+            ic: "ic-0".into(),
+            kill: vec![3],
+        },
+        Response::Status(StatusReport {
+            registered: 2,
+            ic_state: Some("unlocked".into()),
+            ..StatusReport::default()
+        }),
+        Response::Metrics {
+            snapshot: snapshot.clone(),
+        },
+        Response::Audit {
+            events: audit.events().to_vec(),
+            next: 1,
+        },
+        Response::History {
+            history: dump.clone(),
+        },
+        Response::Traces { spans: vec![span] },
+        Response::Error {
+            code: ErrorCode::Throttled,
+            message: "slow down".into(),
+            retry_at: Some(9),
+        },
+    ] {
+        corpus.push((resp.to_json(), |j| Response::from_json(j).is_ok()));
+    }
+    let registry = RegistrySnapshot {
+        seq: 5,
+        digest: 0xdead_beef,
+        records: vec![IcRecord {
+            ic: "ic-0".into(),
+            client: client(),
+            readout: "0101".into(),
+            group: 2,
+            state: IcState::Unlocked,
+            seq: 1,
+        }],
+        clones: vec![CloneEvidence {
+            seq: 3,
+            ic: "ic-2".into(),
+            client: client(),
+            prior: "ic-0".into(),
+        }],
+    };
+    corpus.push((Json::parse(&registry.to_json()).unwrap(), |j| {
+        RegistrySnapshot::from_json(&j.to_string()).is_ok()
+    }));
+    for options in [
+        LockOptions::default(),
+        LockOptions {
+            input_bits: Some(3),
+            ..LockOptions::default()
+        },
+    ] {
+        corpus.push((options.to_json(), |j| LockOptions::from_json(j).is_ok()));
+    }
+    corpus.push((snapshot.to_json(), |j| Snapshot::from_json(j).is_ok()));
+    corpus.push((dump.to_json(), |j| HistoryDump::from_json(j).is_ok()));
+    corpus
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Deterministic decoder fuzz: one mutation (duplicate, unknown,
+    /// retyped or dropped field) at every field of every object of a
+    /// valid encoding. No decoder panics, and no duplicated or unknown
+    /// field in a fixed-schema object is accepted.
+    #[test]
+    fn decoders_refuse_duplicate_and_unknown_fields_without_panicking(
+        sample in any::<u64>(),
+        op in 0usize..4,
+    ) {
+        let corpus = decoder_corpus();
+        let (valid, decodes) = &corpus[sample as usize % corpus.len()];
+        prop_assert!(decodes(valid), "unmutated encoding must decode: {valid}");
+        let m = mutate::MUTATIONS[op];
+        if let Some(mutant) = mutate::first_wrongly_accepted(valid, m, decodes) {
+            prop_assert!(false, "{m:?} mutant was accepted: {mutant}");
+        }
+    }
+}

@@ -30,7 +30,7 @@
 //! exactly the property that lets trace dumps be golden-snapshot
 //! material.
 
-use hwm_jsonio::Json;
+use hwm_jsonio::{fnv1a, FieldError, Json, StrictObj, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -41,19 +41,8 @@ pub const SPAN_SCHEMA_VERSION: u64 = 1;
 /// Default per-node span ring capacity (spans, not traces).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv_bytes(hash, &value.to_le_bytes())
+    fnv1a(hash, &value.to_le_bytes())
 }
 
 /// A broken span dump or trace-context payload.
@@ -79,6 +68,12 @@ impl fmt::Display for SpanError {
 
 impl std::error::Error for SpanError {}
 
+impl From<FieldError> for SpanError {
+    fn from(e: FieldError) -> SpanError {
+        SpanError::new(e.message)
+    }
+}
+
 /// The trace identity a request carries across node boundaries.
 ///
 /// `parent_span == 0` means "this context roots the trace": the first
@@ -98,14 +93,14 @@ impl TraceContext {
     /// Roots a trace deterministically: FNV-1a over
     /// `{seed, tick, client, kind}`. No wall clock, no RNG.
     pub fn root(seed: u64, tick: u64, client: &str, kind: &str) -> TraceContext {
-        let mut h = FNV_BASIS;
+        let mut h = FNV1A_BASIS;
         h = fnv_u64(h, seed);
         h = fnv_u64(h, tick);
-        h = fnv_bytes(h, client.as_bytes());
-        h = fnv_bytes(h, kind.as_bytes());
+        h = fnv1a(h, client.as_bytes());
+        h = fnv1a(h, kind.as_bytes());
         // Trace id 0 is reserved as "absent" in exemplars; remap.
         TraceContext {
-            trace_id: if h == 0 { FNV_BASIS } else { h },
+            trace_id: if h == 0 { FNV1A_BASIS } else { h },
             parent_span: 0,
             tick,
         }
@@ -129,18 +124,18 @@ impl TraceContext {
         ])
     }
 
-    /// Strict parse: unknown fields, missing fields and wrong types are
-    /// refused.
+    /// Strict parse: unknown, missing, ill-typed and duplicated fields
+    /// are refused.
     ///
     /// # Errors
     ///
     /// Returns a [`SpanError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<TraceContext, SpanError> {
-        let fields = StrictObj::new(j, "trace context")?;
+        let mut fields = StrictObj::new(j, "trace context")?;
         let ctx = TraceContext {
-            trace_id: fields.u64_field("trace_id")?,
-            parent_span: fields.u64_field("parent_span")?,
-            tick: fields.u64_field("tick")?,
+            trace_id: fields.uint("trace_id")?,
+            parent_span: fields.uint("parent_span")?,
+            tick: fields.uint("tick")?,
         };
         fields.finish()?;
         Ok(ctx)
@@ -151,13 +146,13 @@ impl TraceContext {
 /// `{trace_id, parent span id, span name, child index under parent}`.
 /// The tree's shape fully determines every id — no global counters.
 pub fn span_id(trace_id: u64, parent: u64, name: &str, index: u64) -> u64 {
-    let mut h = FNV_BASIS;
+    let mut h = FNV1A_BASIS;
     h = fnv_u64(h, trace_id);
     h = fnv_u64(h, parent);
-    h = fnv_bytes(h, name.as_bytes());
+    h = fnv1a(h, name.as_bytes());
     h = fnv_u64(h, index);
     if h == 0 {
-        FNV_BASIS
+        FNV1A_BASIS
     } else {
         h
     }
@@ -238,8 +233,8 @@ impl SpanRecord {
     ///
     /// Returns a [`SpanError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<SpanRecord, SpanError> {
-        let fields = StrictObj::new(j, "span record")?;
-        let attrs = match fields.json_field("attrs")? {
+        let mut fields = StrictObj::new(j, "span record")?;
+        let attrs = match fields.field("attrs")? {
             Json::Obj(pairs) => pairs
                 .iter()
                 .map(|(k, v)| {
@@ -251,13 +246,13 @@ impl SpanRecord {
             _ => return Err(SpanError::new("field \"attrs\" must be an object")),
         };
         let span = SpanRecord {
-            trace_id: fields.u64_field("trace_id")?,
-            span_id: fields.u64_field("span_id")?,
-            parent: fields.u64_field("parent")?,
-            name: fields.str_field("name")?,
-            node: fields.str_field("node")?,
-            tick: fields.u64_field("tick")?,
-            units: fields.u64_field("units")?,
+            trace_id: fields.uint("trace_id")?,
+            span_id: fields.uint("span_id")?,
+            parent: fields.uint("parent")?,
+            name: fields.string("name")?,
+            node: fields.string("node")?,
+            tick: fields.uint("tick")?,
+            units: fields.uint("units")?,
             attrs,
         };
         fields.finish()?;
@@ -507,67 +502,6 @@ pub fn render_traces(trees: &[TraceTree]) -> String {
         }
     }
     out
-}
-
-/// Strict object reader (every field consumed exactly once) — the wire
-/// codec's idiom, copied because the service keeps its reader private.
-struct StrictObj<'a> {
-    what: &'static str,
-    fields: &'a [(String, Json)],
-    used: std::cell::RefCell<Vec<bool>>,
-}
-
-impl<'a> StrictObj<'a> {
-    fn new(j: &'a Json, what: &'static str) -> Result<StrictObj<'a>, SpanError> {
-        match j {
-            Json::Obj(fields) => Ok(StrictObj {
-                what,
-                fields,
-                used: std::cell::RefCell::new(vec![false; fields.len()]),
-            }),
-            _ => Err(SpanError::new(format!("{what} must be a JSON object"))),
-        }
-    }
-
-    fn take(&self, name: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == name && !self.used.borrow()[i] {
-                self.used.borrow_mut()[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn json_field(&self, name: &'static str) -> Result<&'a Json, SpanError> {
-        self.take(name)
-            .ok_or_else(|| SpanError::new(format!("{} missing field {name:?}", self.what)))
-    }
-
-    fn str_field(&self, name: &'static str) -> Result<String, SpanError> {
-        self.json_field(name)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| SpanError::new(format!("field {name:?} must be a string")))
-    }
-
-    fn u64_field(&self, name: &'static str) -> Result<u64, SpanError> {
-        self.json_field(name)?
-            .as_u64()
-            .ok_or_else(|| SpanError::new(format!("field {name:?} must be an unsigned integer")))
-    }
-
-    fn finish(&self) -> Result<(), SpanError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.used.borrow()[i] {
-                return Err(SpanError::new(format!(
-                    "{} has unknown field {k:?}",
-                    self.what
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
