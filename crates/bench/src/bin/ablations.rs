@@ -8,9 +8,7 @@ use hwm_bench::run::BenchRun;
 fn main() {
     let run = BenchRun::start("ablations");
     let (seed, jobs) = (run.seed(), run.jobs());
-    let runs: usize = hwm_bench::arg_value("--runs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let runs: usize = hwm_bench::num_arg("--runs").unwrap_or(20);
     println!(
         "{}",
         hwm_bench::ablations::modules_vs_hitting_jobs(runs, seed, jobs).expect("ablation 1")

@@ -28,27 +28,23 @@ use hwm_trace::GaugeAgg;
 
 fn main() {
     let run = hwm_bench::run::BenchRun::start("cluster_bench");
-    let parse = |flag: &str, default: usize| -> usize {
-        match hwm_bench::arg_value(flag) {
-            None => default,
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("cluster_bench: {flag} wants a number, got {s:?}");
-                std::process::exit(2);
-            }),
-        }
-    };
     let smoke = hwm_bench::flag_present("--smoke");
     let defaults = ClusterSimConfig::new(run.seed());
+    let (clients, per_client) = if smoke {
+        (6, 4)
+    } else {
+        (defaults.clients, defaults.per_client)
+    };
     let config = ClusterSimConfig {
-        shards: parse("--shards", defaults.shards),
-        replicas: parse("--replicas", defaults.replicas),
-        vnodes: parse("--vnodes", defaults.vnodes),
-        clients: parse("--clients", if smoke { 6 } else { defaults.clients }),
-        per_client: parse("--per-client", if smoke { 4 } else { defaults.per_client }),
-        crashes: parse("--crashes", defaults.crashes),
+        shards: hwm_bench::num_arg("--shards").unwrap_or(defaults.shards),
+        replicas: hwm_bench::num_arg("--replicas").unwrap_or(defaults.replicas),
+        vnodes: hwm_bench::num_arg("--vnodes").unwrap_or(defaults.vnodes),
+        clients: hwm_bench::num_arg("--clients").unwrap_or(clients),
+        per_client: hwm_bench::num_arg("--per-client").unwrap_or(per_client),
+        crashes: hwm_bench::num_arg("--crashes").unwrap_or(defaults.crashes),
         jobs: run.jobs(),
         tcp: hwm_bench::flag_present("--tcp"),
-        rep_window: parse("--rep-window", defaults.rep_window),
+        rep_window: hwm_bench::num_arg("--rep-window").unwrap_or(defaults.rep_window),
         ..defaults
     };
     let traces_out = hwm_bench::arg_value("--traces-out");

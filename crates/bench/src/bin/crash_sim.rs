@@ -23,19 +23,14 @@ use hwm_service::FaultKind;
 
 fn main() {
     let run = hwm_bench::run::BenchRun::start("crash_sim");
-    let parse = |flag: &str, default: usize| -> usize {
-        hwm_bench::arg_value(flag)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
     if let Some(campaign) = hwm_bench::arg_value("--campaign") {
         if campaign != "clone" {
             eprintln!("crash_sim: unknown campaign {campaign:?} (try clone)");
             std::process::exit(2);
         }
         let config = AlertSimConfig {
-            clients: parse("--clients", 8),
-            per_client: parse("--per-client", 16),
+            clients: hwm_bench::num_arg("--clients").unwrap_or(8),
+            per_client: hwm_bench::num_arg("--per-client").unwrap_or(16),
             jobs: run.jobs(),
             ..AlertSimConfig::new(run.seed())
         };
@@ -54,12 +49,12 @@ fn main() {
     }
     let base = SimConfig {
         seed: run.seed(),
-        clients: parse("--clients", 8),
-        per_client: parse("--per-client", 8),
+        clients: hwm_bench::num_arg("--clients").unwrap_or(8),
+        per_client: hwm_bench::num_arg("--per-client").unwrap_or(8),
         kind: FaultKind::TornWrite, // placeholder; run_matrix sets the kind
-        crashes: parse("--crashes", 3),
+        crashes: hwm_bench::num_arg("--crashes").unwrap_or(3),
         jobs: run.jobs(),
-        compact_every: parse("--compact-every", 0) as u64,
+        compact_every: hwm_bench::num_arg("--compact-every").unwrap_or(0),
     };
     let kinds: Vec<FaultKind> = match hwm_bench::arg_value("--kinds") {
         Some(list) => list

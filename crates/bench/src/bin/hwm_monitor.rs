@@ -25,6 +25,8 @@
 //! it client-side against the polled history — the panel shows live
 //! rule values even when the server has no rules installed.
 //!
+//! A malformed number in any flag exits 2 naming the flag.
+//!
 //! Output discipline: the dashboard and `--json` report carry only
 //! `det`-class metrics; wall-clock latency tables are printed to stderr,
 //! and only under `--timings` (in `--json` mode, `--timings` folds the
@@ -144,18 +146,14 @@ fn main() {
     if let Some(addr) = hwm_bench::arg_value("--connect") {
         // --interval supersedes --interval-ms; the old flag stays as an
         // alias so existing invocations keep working.
-        let interval = hwm_bench::arg_value("--interval")
-            .as_deref()
-            .and_then(parse_interval)
-            .or_else(|| {
-                hwm_bench::arg_value("--interval-ms")
-                    .and_then(|s| s.parse().ok())
-                    .map(Interval::Ms)
-            })
-            .unwrap_or(Interval::Ms(1000));
-        let retries: u32 = hwm_bench::arg_value("--retries")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(5);
+        let interval = match hwm_bench::arg_value("--interval") {
+            Some(s) => parse_interval(&s).unwrap_or_else(|| {
+                eprintln!("hwm_monitor: --interval wants N[ms] or Nticks, got {s:?}");
+                std::process::exit(2);
+            }),
+            None => hwm_bench::num_arg("--interval-ms").map_or(Interval::Ms(1000), Interval::Ms),
+        };
+        let retries: u32 = hwm_bench::num_arg("--retries").unwrap_or(5);
         let mut last_rendered_tick: Option<u64> = None;
         loop {
             let mut client = match connect_with_retry(&addr, retries) {
@@ -197,16 +195,10 @@ fn main() {
     // In-process mode: stand up a seeded server, drive the standard
     // workload, observe once. Plans are pure up to (seed, client index)
     // and submission is serial, so this path is jobs-invariant.
-    let seed: u64 = hwm_bench::arg_value("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2024);
+    let seed: u64 = hwm_bench::num_arg("--seed").unwrap_or(2024);
     let jobs = hwm_bench::parallel::jobs_from_args();
-    let clients: usize = hwm_bench::arg_value("--clients")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let per_client: usize = hwm_bench::arg_value("--per-client")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let clients: usize = hwm_bench::num_arg("--clients").unwrap_or(8);
+    let per_client: usize = hwm_bench::num_arg("--per-client").unwrap_or(16);
     let designer = bench_designer(seed);
     let plans = build_plans(&designer, clients, per_client, seed, jobs);
     let server = Arc::new(ActivationServer::new(

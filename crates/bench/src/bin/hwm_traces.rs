@@ -31,7 +31,7 @@ fn load_spans() -> Result<Vec<SpanRecord>, String> {
             spans_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
         }
         (None, Some(addr)) => {
-            let limit = hwm_bench::arg_value("--limit").and_then(|s| s.parse().ok());
+            let limit = hwm_bench::num_arg("--limit");
             let mut client = TcpClient::connect(&addr)
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
             match client
@@ -61,7 +61,7 @@ fn main() {
         client: hwm_bench::arg_value("--client"),
         ic: hwm_bench::arg_value("--ic"),
         outcome: hwm_bench::arg_value("--outcome"),
-        slowest: hwm_bench::arg_value("--slowest").and_then(|s| s.parse().ok()),
+        slowest: hwm_bench::num_arg("--slowest"),
     };
     let trees = query.run(&spans);
     // Stdout carries only the rendered trees (golden material); the

@@ -43,9 +43,7 @@ fn trace_paths() -> Vec<PathBuf> {
 }
 
 fn main() {
-    let top: usize = hwm_bench::arg_value("--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let top: usize = hwm_bench::num_arg("--top").unwrap_or(20);
     let paths = trace_paths();
     if paths.is_empty() {
         eprintln!("no traces: pass paths or run binaries with --trace-out results/trace/<name>.jsonl");

@@ -320,22 +320,15 @@ fn main() {
             }
         }
     }
-    let clients: usize = hwm_bench::arg_value("--clients")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let per_client: usize = hwm_bench::arg_value("--per-client")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let clients: usize = hwm_bench::num_arg("--clients").unwrap_or(8);
+    let per_client: usize = hwm_bench::num_arg("--per-client").unwrap_or(16);
     let tcp = hwm_bench::flag_present("--tcp");
     let json = hwm_bench::flag_present("--json");
     let overhead = hwm_bench::flag_present("--overhead");
     // --pipeline N submits N requests per wire burst (1 = one round
     // trip per request, the historical behavior). Dispatch order is
     // unchanged, so every deterministic byte is too.
-    let pipeline: usize = hwm_bench::arg_value("--pipeline")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let pipeline: usize = hwm_bench::num_arg("--pipeline").unwrap_or(1).max(1);
     // --flush picks the journal durability policy (per-event, sync,
     // buffered, group-commit[:N]); it only matters with --journal,
     // since the in-memory journal has no flush boundary.
@@ -351,10 +344,8 @@ fn main() {
             }
         },
     };
-    let port: u16 = hwm_bench::arg_value("--port")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let hold_secs: Option<u64> = hwm_bench::arg_value("--hold").and_then(|s| s.parse().ok());
+    let port: u16 = hwm_bench::num_arg("--port").unwrap_or(0);
+    let hold_secs: Option<u64> = hwm_bench::num_arg("--hold");
     let metrics_out = hwm_bench::arg_value("--metrics-out");
     let alerts_out = hwm_bench::arg_value("--alerts-out");
     let traces_out = hwm_bench::arg_value("--traces-out");
@@ -387,13 +378,9 @@ fn main() {
             clients,
             per_client,
             kind,
-            crashes: hwm_bench::arg_value("--crashes")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(3),
+            crashes: hwm_bench::num_arg("--crashes").unwrap_or(3),
             jobs: run.jobs(),
-            compact_every: hwm_bench::arg_value("--compact-every")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
+            compact_every: hwm_bench::num_arg("--compact-every").unwrap_or(0),
         };
         let dir = std::env::temp_dir().join(format!("hwm-serve-faults-{}", std::process::id()));
         let outcome = hwm_bench::sim::run_sim(&config, &dir);

@@ -10,12 +10,8 @@ use hwm_bench::run::BenchRun;
 
 fn main() {
     let run = BenchRun::start("table3");
-    let runs: usize = hwm_bench::arg_value("--runs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let cap: u64 = hwm_bench::arg_value("--cap")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
+    let runs: usize = hwm_bench::num_arg("--runs").unwrap_or(100);
+    let cap: u64 = hwm_bench::num_arg("--cap").unwrap_or(2_000_000);
     println!(
         "Table 3 — average brute-force attempts ({runs} runs per cell, cap {cap}; paper: 10000 runs)"
     );

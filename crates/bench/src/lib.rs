@@ -77,6 +77,27 @@ pub fn arg_value(name: &str) -> Option<String> {
     None
 }
 
+/// Parses the numeric value of a `--flag value` option from
+/// `std::env::args`; `None` when the flag is absent. A flag given without
+/// a value, or with one that does not parse as `T`, is a usage error:
+/// the binary names the flag on stderr and exits with status 2 instead
+/// of falling back to a default.
+pub fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    args.position(|a| a == name)?;
+    let value = args.next();
+    if let Some(v) = value.as_deref().and_then(|s| s.parse().ok()) {
+        return Some(v);
+    }
+    let program = std::path::Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |p| p.to_string_lossy().into_owned());
+    let got = value.map_or("nothing".to_string(), |s| format!("{s:?}"));
+    eprintln!("{program}: {name} wants a number, got {got}");
+    std::process::exit(2);
+}
+
 /// Whether a bare `--flag` is present in `std::env::args`.
 pub fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)

@@ -39,8 +39,7 @@ pub fn default_jobs() -> usize {
 /// Parses the uniform `--jobs N` flag, falling back to [`default_jobs`].
 /// `--jobs 0` is treated as "auto" (the default) rather than an error.
 pub fn jobs_from_args() -> usize {
-    crate::arg_value("--jobs")
-        .and_then(|s| s.parse::<usize>().ok())
+    crate::num_arg::<usize>("--jobs")
         .filter(|&n| n > 0)
         .unwrap_or_else(default_jobs)
 }

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `start` parses the uniform flags (`--seed N`, `--jobs N`, `--profile`,
-//! `--trace-out PATH`, `--cache-stats`), enables trace collection when
+//! `--trace-out PATH`, `--cache-stats`; a malformed number exits 2), enables trace collection when
 //! profiling was requested and opens the run's root span (named after the
 //! experiment, so every span path in the trace is rooted at the binary
 //! name). `finish` closes the root span, folds the synthesis-cache
@@ -39,9 +39,7 @@ impl BenchRun {
     /// the binary name; it becomes the root span and the key of the run's
     /// `bench_meta.json` entry.
     pub fn start(experiment: &'static str) -> BenchRun {
-        let seed: u64 = crate::arg_value("--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2024);
+        let seed: u64 = crate::num_arg("--seed").unwrap_or(2024);
         let jobs = crate::parallel::jobs_from_args();
         let profile = crate::flag_present("--profile");
         let trace_out = crate::arg_value("--trace-out").map(PathBuf::from);

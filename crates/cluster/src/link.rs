@@ -3,19 +3,19 @@
 //! Mirrors the service's transport split. [`LocalLink`] is in-process
 //! but still round-trips every frame through the real codec, so the
 //! deterministic simulations exercise the same bytes TCP would carry;
-//! [`TcpLink`] speaks to a [`RepHost`], the small TCP front end that
-//! serves a replica's replication port.
+//! [`TcpLink`] speaks to a [`RepHost`]: the activation front end's own
+//! [`TcpServer`] serving a [`ShardNode`], so replication shares its
+//! accept loop, pipelined frame decoder, accept poll and fault hooks.
 
 use crate::frame::RepFrame;
 use crate::node::ShardNode;
 use crate::ClusterError;
-use hwm_service::{read_frame, write_frame};
+use hwm_jsonio::Json;
+use hwm_service::wire::{write_frame_with, FrameScratch};
+use hwm_service::{read_frame, write_frame, FrameService, TcpServer};
 use std::io;
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A channel to one replica. `Sync` is part of the contract: the
 /// router's windowed fan-out calls followers from scoped threads, so a
@@ -69,9 +69,10 @@ impl NodeLink for LocalLink {
 
 /// TCP link to a [`RepHost`]. One connection, requests serialized on an
 /// internal mutex (the router already serializes dispatch, so this is
-/// belt-and-braces, not a bottleneck).
+/// belt-and-braces, not a bottleneck). The encode scratch sits under the
+/// same mutex, so sending a frame allocates no buffers.
 pub struct TcpLink {
-    stream: Mutex<TcpStream>,
+    conn: Mutex<(TcpStream, FrameScratch)>,
 }
 
 impl TcpLink {
@@ -84,124 +85,36 @@ impl TcpLink {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpLink {
-            stream: Mutex::new(stream),
+            conn: Mutex::new((stream, FrameScratch::new())),
         })
     }
 }
 
 impl NodeLink for TcpLink {
     fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError> {
-        let mut stream = self.stream.lock().expect("link stream poisoned");
-        write_frame(&mut *stream, &frame.to_json()).map_err(|e| io_err("send frame", e))?;
-        match read_frame(&mut *stream).map_err(|e| io_err("read reply", e))? {
+        let mut conn = self.conn.lock().expect("link stream poisoned");
+        let (stream, scratch) = &mut *conn;
+        write_frame_with(scratch, stream, &frame.to_json()).map_err(|e| io_err("send frame", e))?;
+        match read_frame(stream).map_err(|e| io_err("read reply", e))? {
             Some(payload) => RepFrame::from_json(&payload),
             None => Err(ClusterError::new("replica closed the connection")),
         }
     }
 }
 
-/// How long the accept loop sleeps between polls of the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// A replica's replication port: the service's [`TcpServer`] serving a
+/// [`ShardNode`] through the [`FrameService`] impl below.
+pub type RepHost = TcpServer;
 
-/// A replica's replication port: accepts connections and answers
-/// [`RepFrame`]s against one [`ShardNode`] (the same accept-loop shape
-/// as the service's `TcpServer`).
-pub struct RepHost {
-    addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-}
-
-impl RepHost {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving the node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn(addr: impl ToSocketAddrs, node: Arc<ShardNode>) -> io::Result<RepHost> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let conn_registry = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nodelay(true);
-                        if let Ok(clone) = stream.try_clone() {
-                            conn_registry
-                                .lock()
-                                .expect("connection registry poisoned")
-                                .push(clone);
-                        }
-                        let node = Arc::clone(&node);
-                        handlers.push(std::thread::spawn(move || {
-                            serve_rep_connection(stream, &node);
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
-        });
-        Ok(RepHost {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            conns,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Ok(conns) = self.conns.lock() {
-            for stream in conns.iter() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RepHost {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Serves one replication connection until EOF or I/O error. A frame
-/// that decodes as JSON but not as a [`RepFrame`] gets an error frame
-/// back; the connection stays open.
-fn serve_rep_connection(mut stream: TcpStream, node: &ShardNode) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        let reply = match RepFrame::from_json(&payload) {
-            Ok(frame) => node.handle_rep(&frame),
+/// The replication protocol as a frame service: a frame that decodes as
+/// JSON but not as a [`RepFrame`] gets a [`RepFrame::Error`] back, and
+/// the connection stays open.
+impl FrameService for ShardNode {
+    fn answer(&self, frame: &Json) -> Json {
+        let reply = match RepFrame::from_json(frame) {
+            Ok(frame) => self.handle_rep(&frame),
             Err(e) => RepFrame::Error { message: e.message },
         };
-        if write_frame(&mut stream, &reply.to_json()).is_err() {
-            return;
-        }
+        reply.to_json()
     }
 }

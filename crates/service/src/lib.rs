@@ -60,7 +60,7 @@ pub use server::{ActivationServer, ServerConfig, ServerRole};
 pub use snapshot::{snapshot_path, RegistrySnapshot};
 pub use storage::FlushPolicy;
 pub use throttle::{Decision, RateLimiter, ThrottleConfig};
-pub use transport::{Client, Handler, LocalClient, TcpClient, TcpFaults, TcpServer};
+pub use transport::{Client, FrameService, Handler, LocalClient, TcpClient, TcpFaults, TcpServer};
 pub use wire::{
     read_frame, write_frame, ErrorCode, Request, Response, StatusReport, TracedRequest, WireError,
 };

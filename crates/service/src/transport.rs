@@ -12,7 +12,9 @@
 //!   connection (handlers serialize on the server mutex; concurrency
 //!   covers framing and I/O). Journal ordering across *concurrent* TCP
 //!   clients follows mutex acquisition order and is therefore not
-//!   deterministic — documented in DESIGN.md.
+//!   deterministic — documented in DESIGN.md. The server serves any
+//!   [`FrameService`], so the cluster's replication port is this same
+//!   accept loop over a replica.
 //!
 //! Both transports accept an optional fault layer for the crash
 //! simulation. Injected transport faults (short reads, connection drops,
@@ -28,6 +30,7 @@ use crate::wire::{
     encode_frame, read_frame, write_frame_with, ErrorCode, FrameDecoder, FrameScratch, Request,
     Response, TracedRequest, WireError,
 };
+use hwm_jsonio::Json;
 use hwm_trace::TraceContext;
 use std::io;
 use std::io::{Read, Write};
@@ -62,6 +65,31 @@ pub trait Handler: Send + Sync {
     /// keep working; tracing-aware handlers override this.
     fn handle_traced(&self, req: &Request, _trace: Option<&TraceContext>) -> Response {
         self.handle(req)
+    }
+}
+
+/// Anything a [`TcpServer`] can serve: answers one decoded JSON frame
+/// with one JSON frame. Every [`Handler`] is one (the activation
+/// protocol); the cluster's replication port implements it over its own
+/// frame type, so both ride the same accept loop, pipelined decoder and
+/// fault hooks.
+pub trait FrameService: Send + Sync {
+    /// Answers one decoded frame. A frame that is JSON but not a valid
+    /// message gets an error frame back; the connection stays open.
+    fn answer(&self, frame: &Json) -> Json;
+}
+
+impl<H: Handler> FrameService for H {
+    fn answer(&self, frame: &Json) -> Json {
+        let resp = match TracedRequest::from_json(frame) {
+            Ok(traced) => self.handle_traced(&traced.req, traced.trace.as_ref()),
+            Err(e) => Response::Error {
+                code: ErrorCode::Malformed,
+                message: e.message,
+                retry_at: None,
+            },
+        };
+        resp.to_json()
     }
 }
 
@@ -263,7 +291,7 @@ impl TcpFaults {
 }
 
 /// A running TCP front end: nonblocking accept loop plus one handler
-/// thread per accepted connection.
+/// thread per accepted connection, answering through a [`FrameService`].
 pub struct TcpServer {
     addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -276,9 +304,9 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving with the
     /// default accept poll ([`DEFAULT_ACCEPT_POLL_MS`]).
-    pub fn spawn<H: Handler + 'static>(
+    pub fn spawn<S: FrameService + 'static>(
         addr: impl ToSocketAddrs,
-        server: Arc<H>,
+        server: Arc<S>,
     ) -> io::Result<TcpServer> {
         TcpServer::spawn_inner(addr, server, None, DEFAULT_ACCEPT_POLL_MS)
     }
@@ -286,9 +314,9 @@ impl TcpServer {
     /// Binds `addr` and serves with an explicit accept-loop poll sleep —
     /// how a front end honors
     /// [`crate::server::ServerConfig::accept_poll_ms`].
-    pub fn spawn_with_poll<H: Handler + 'static>(
+    pub fn spawn_with_poll<S: FrameService + 'static>(
         addr: impl ToSocketAddrs,
-        server: Arc<H>,
+        server: Arc<S>,
         poll_ms: u64,
     ) -> io::Result<TcpServer> {
         TcpServer::spawn_inner(addr, server, None, poll_ms)
@@ -296,17 +324,17 @@ impl TcpServer {
 
     /// Binds `addr` and serves with a deterministic fault schedule
     /// (crash simulation only).
-    pub fn spawn_with_faults<H: Handler + 'static>(
+    pub fn spawn_with_faults<S: FrameService + 'static>(
         addr: impl ToSocketAddrs,
-        server: Arc<H>,
+        server: Arc<S>,
         faults: Arc<TcpFaults>,
     ) -> io::Result<TcpServer> {
         TcpServer::spawn_inner(addr, server, Some(faults), DEFAULT_ACCEPT_POLL_MS)
     }
 
-    fn spawn_inner<H: Handler + 'static>(
+    fn spawn_inner<S: FrameService + 'static>(
         addr: impl ToSocketAddrs,
-        server: Arc<H>,
+        server: Arc<S>,
         faults: Option<Arc<TcpFaults>>,
         poll_ms: u64,
     ) -> io::Result<TcpServer> {
@@ -401,13 +429,17 @@ impl Drop for TcpServer {
     }
 }
 
-/// Serves one connection until EOF or I/O error. A frame that decodes as
-/// JSON but not as a request gets a `malformed` error response; the
-/// connection stays open (the client may recover). Broken frames tear the
+/// Serves one connection until EOF or I/O error. Every frame that
+/// decodes as JSON is answered by the service (a bad message gets an
+/// error frame; the connection stays open). Broken frames tear the
 /// connection down. An injected fault loses the incoming request —
 /// short-read tears it mid-frame, conn-drop discards it whole — and
 /// closes the connection before anything is dispatched.
-fn serve_connection<H: Handler>(mut stream: TcpStream, server: &H, faults: Option<&TcpFaults>) {
+fn serve_connection<S: FrameService>(
+    mut stream: TcpStream,
+    service: &S,
+    faults: Option<&TcpFaults>,
+) {
     // Per-connection scratch: a decoder that drains request bursts with
     // large reads, an encode scratch, and a response staging buffer.
     // Responses accumulate while the decoder still holds complete frames
@@ -466,15 +498,7 @@ fn serve_connection<H: Handler>(mut stream: TcpStream, server: &H, faults: Optio
                 Err(_) => return,
             }
         };
-        let resp = match TracedRequest::from_json(&payload) {
-            Ok(traced) => server.handle_traced(&traced.req, traced.trace.as_ref()),
-            Err(e) => Response::Error {
-                code: ErrorCode::Malformed,
-                message: e.message,
-                retry_at: None,
-            },
-        };
-        match encode_frame(&mut scratch, &resp.to_json()) {
+        match encode_frame(&mut scratch, &service.answer(&payload)) {
             Ok(frame) => staged.extend_from_slice(frame),
             Err(_) => return,
         }
