@@ -86,18 +86,7 @@ fn main() {
     match run_cluster_sim(&config) {
         Ok(outcome) => {
             if let Some(path) = &traces_out {
-                let write = || -> std::io::Result<()> {
-                    if let Some(parent) = std::path::Path::new(path)
-                        .parent()
-                        .filter(|p| !p.as_os_str().is_empty())
-                    {
-                        std::fs::create_dir_all(parent)?;
-                    }
-                    std::fs::write(path, &outcome.trace_jsonl)
-                };
-                if let Err(e) = write() {
-                    eprintln!("warning: could not write traces to {path}: {e}");
-                }
+                hwm_bench::write_artifact(path, "traces", &outcome.trace_jsonl);
             }
             print!("{}", outcome.report());
             if outcome.matches() {

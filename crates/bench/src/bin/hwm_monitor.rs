@@ -206,7 +206,7 @@ fn main() {
         Registry::in_memory(),
         server_config(),
     ));
-    submit_local(&server, &plans);
+    submit_local(&server, &plans, 1);
     let mut client = LocalClient::new(server);
     let obs = observe_or_exit(&mut client);
     report(&obs, rules.as_ref(), json, timings);

@@ -55,7 +55,7 @@
 use hwm_bench::run::BenchRun;
 use hwm_bench::serve::{
     bench_designer, build_plans, clone_campaign_plans, fleet_rules, server_config, submit_local,
-    submit_local_pipelined, submit_tcp, submit_tcp_pipelined, ClientPlan, Tally,
+    submit_tcp, ClientPlan, Tally,
 };
 use hwm_bench::sim::SimConfig;
 use hwm_jsonio::Json;
@@ -276,18 +276,11 @@ fn serving_path_variant(
             .expect("warmup");
         let t0 = Instant::now();
         let mut requests = 0u64;
-        if depth > 1 {
-            for window in schedule.chunks(depth) {
-                requests += client
-                    .call_pipelined(window)
-                    .expect("pipelined overhead submission")
-                    .len() as u64;
-            }
-        } else {
-            for req in &schedule {
-                let _ = client.call(req).expect("overhead submission");
-                requests += 1;
-            }
+        for window in schedule.chunks(depth) {
+            requests += client
+                .call_pipelined(window)
+                .expect("overhead submission")
+                .len() as u64;
         }
         best = best.max(requests as f64 / t0.elapsed().as_secs_f64().max(1e-9));
         // The explicit group-commit barrier: any pending batch reaches
@@ -418,7 +411,7 @@ fn main() {
     let (baseline_rps, sampling_off_rps, tracing_rps, serving_path) = if overhead && !tcp {
         let rps_of = |server: &Arc<ActivationServer>| {
             let t0 = Instant::now();
-            let (t, _) = submit_local(server, &plans);
+            let (t, _) = submit_local(server, &plans, 1);
             t.requests as f64 / t0.elapsed().as_secs_f64().max(1e-9)
         };
         let metrics_off = Arc::new(ActivationServer::new(
@@ -561,22 +554,15 @@ fn main() {
 
     let t0 = Instant::now();
     let (tally, mut latencies) = if let Some(tcp_server) = &tcp_server {
-        let submitted = if pipeline > 1 {
-            submit_tcp_pipelined(tcp_server.addr(), plans, pipeline)
-        } else {
-            submit_tcp(tcp_server.addr(), plans)
-        };
-        match submitted {
+        match submit_tcp(tcp_server.addr(), plans, pipeline) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("serve_bench: TCP submission failed: {e}");
                 std::process::exit(1);
             }
         }
-    } else if pipeline > 1 {
-        submit_local_pipelined(&server, &plans, pipeline)
     } else {
-        submit_local(&server, &plans)
+        submit_local(&server, &plans, pipeline)
     };
     let wall = t0.elapsed();
 
@@ -609,37 +595,13 @@ fn main() {
     }
 
     if let Some(path) = &metrics_out {
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, server.snapshot().to_prometheus())
-        };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write metrics to {path}: {e}");
-        }
+        hwm_bench::write_artifact(path, "metrics", server.snapshot().to_prometheus());
     }
     if let Some(path) = &alerts_out {
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, server.alerts_jsonl())
-        };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write alerts to {path}: {e}");
-        }
+        hwm_bench::write_artifact(path, "alerts", server.alerts_jsonl());
     }
     if let Some(path) = &traces_out {
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, server.trace_dump())
-        };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write traces to {path}: {e}");
-        }
+        hwm_bench::write_artifact(path, "traces", server.trace_dump());
     }
 
     // Scheduling-dependent numbers: stderr + bench_meta.json gauges only.

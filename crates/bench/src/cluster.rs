@@ -20,6 +20,7 @@
 //! over the in-process and TCP replication transports.
 
 use crate::serve::{bench_designer, build_plans, round_robin, server_config, Tally};
+use crate::sim::{absorb_counters, CounterSums};
 use hwm_cluster::{
     ClusterRouter, FailoverEvent, LocalLink, NodeLink, RepHost, ShardGroup, ShardNode, TcpLink,
 };
@@ -28,18 +29,9 @@ use hwm_service::{
     ActivationServer, Client, FaultKind, FaultPlan, IcState, LocalClient, Registry, RegistryCounts,
     Request, Response, ServerConfig, ServerRole, TcpClient, TcpServer,
 };
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
-
-/// Deterministic counters summed per `(name, labels)` — same shape as
-/// the crash-sim's comparison key.
-pub type CounterSums = BTreeMap<(String, Vec<(String, String)>), u64>;
-
-/// Counters describing recovery machinery; the fault-free oracle never
-/// exercises them (promotion counts one recovery), so they are excluded.
-const RECOVERY_ONLY: &[&str] = &["journal_recoveries_total", "journal_compactions_total"];
 
 /// Fleet gauges the router must reproduce exactly.
 const FLEET_GAUGES: &[&str] = &[
@@ -225,25 +217,6 @@ impl ClusterSimOutcome {
             if self.matches() { "MATCH" } else { "MISMATCH" }
         );
         out
-    }
-}
-
-/// Sums det-class counters, skipping `skip_cluster_families` (the
-/// router's `cluster_*` families have no single-node counterpart) and
-/// the recovery-only names.
-fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot, skip_cluster_families: bool) {
-    for f in &snapshot.deterministic().families {
-        if f.kind != MetricKind::Counter
-            || RECOVERY_ONLY.contains(&f.name.as_str())
-            || (skip_cluster_families && f.name.starts_with("cluster_"))
-        {
-            continue;
-        }
-        for s in &f.series {
-            if let SeriesValue::Int(v) = s.value {
-                *sums.entry((f.name.clone(), s.labels.clone())).or_insert(0) += v;
-            }
-        }
     }
 }
 
@@ -507,7 +480,7 @@ pub fn run_cluster_sim(config: &ClusterSimConfig) -> io::Result<ClusterSimOutcom
     }
     let mut oracle_counters = CounterSums::new();
     let oracle_snapshot = oracle_server.snapshot();
-    absorb_counters(&mut oracle_counters, &oracle_snapshot, false);
+    absorb_counters(&mut oracle_counters, &oracle_snapshot);
     let oracle_audit = oracle_server.audit_jsonl();
     let (oracle_records, oracle_clones) = registry_union(&[&oracle_server]);
 
@@ -561,7 +534,7 @@ pub fn run_cluster_sim(config: &ClusterSimConfig) -> io::Result<ClusterSimOutcom
 
     let cluster_snapshot = world.router.snapshot();
     let mut cluster_counters = CounterSums::new();
-    absorb_counters(&mut cluster_counters, &cluster_snapshot, true);
+    absorb_counters(&mut cluster_counters, &cluster_snapshot);
     let counters_match = cluster_counters == oracle_counters;
     let gauges_match = fleet_gauges(&cluster_snapshot) == fleet_gauges(&oracle_snapshot);
 

@@ -98,6 +98,22 @@ pub fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::process::exit(2);
 }
 
+/// Writes an output artifact (`--metrics-out`, `--traces-out`, …),
+/// creating its parent directory. A failure is a warning on stderr,
+/// naming `what` and the path: the run's results on stdout still stand.
+pub fn write_artifact(path: impl AsRef<std::path::Path>, what: &str, contents: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    let write = || -> std::io::Result<()> {
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, contents)
+    };
+    if let Err(e) = write() {
+        eprintln!("warning: could not write {what} to {}: {e}", path.display());
+    }
+}
+
 /// Whether a bare `--flag` is present in `std::env::args`.
 pub fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)

@@ -511,7 +511,7 @@ mod tests {
             Registry::in_memory(),
             server_config(),
         ));
-        submit_local(&server, &plans);
+        submit_local(&server, &plans, 1);
         let mut client = LocalClient::new(server);
         observe(&mut client).expect("observe")
     }
@@ -603,7 +603,7 @@ mod tests {
                 ..server_config()
             },
         ));
-        submit_local(&server, &plans);
+        submit_local(&server, &plans, 1);
         let mut client = LocalClient::new(server);
         let obs = observe(&mut client).expect("observe");
         assert!(!obs.traces.is_empty(), "traced server yields spans");

@@ -90,15 +90,7 @@ impl BenchRun {
         };
         meta::record(&info, &summary);
         if let Some(path) = &self.trace_out {
-            let write = || -> std::io::Result<()> {
-                if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(parent)?;
-                }
-                std::fs::write(path, summary.to_jsonl(&info))
-            };
-            if let Err(e) = write() {
-                eprintln!("warning: could not write trace to {}: {e}", path.display());
-            }
+            crate::write_artifact(path, "trace", summary.to_jsonl(&info));
         }
         if self.profile {
             eprint!("{}", summary.phase_table(&info));

@@ -20,7 +20,7 @@ use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_metrics::{AlertRule, AlertRuleSet, RuleKind, SeriesSelector, WindowStat};
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    ActivationServer, Client, ErrorCode, LocalClient, Request, Response, ServerConfig, TcpClient,
+    ActivationServer, ErrorCode, LocalClient, Request, Response, ServerConfig, TcpClient,
     ThrottleConfig,
 };
 use rand::rngs::StdRng;
@@ -85,6 +85,16 @@ impl Tally {
                 ErrorCode::LockedOut => self.locked_out += 1,
                 _ => self.other_errors += 1,
             },
+        }
+    }
+
+    /// Counts one burst of responses sent at `t0`, attributing the
+    /// burst's latency evenly to its requests.
+    fn absorb_burst(&mut self, resps: &[Response], t0: Instant, latencies: &mut Vec<u64>) {
+        let per_req = t0.elapsed().as_nanos() as u64 / resps.len().max(1) as u64;
+        for resp in resps {
+            latencies.push(per_req);
+            self.absorb(resp);
         }
     }
 
@@ -320,62 +330,40 @@ pub fn round_robin(plans: &[ClientPlan]) -> Vec<Request> {
     }
 }
 
-/// Serial round-robin submission over the in-process transport. Returns
-/// the tally and per-request latencies (ns).
+/// Round-robin submission over the in-process transport, `depth`
+/// requests per burst ([`LocalClient::call_pipelined`]; depth 1 is one
+/// round trip per request). Dispatch order is the flat schedule for any
+/// depth, so the journal, audit stream and det-class counters are
+/// byte-identical; latency is recorded per burst and attributed evenly
+/// to its requests.
 ///
 /// # Panics
 ///
 /// Panics if the in-process codec rejects one of its own frames.
-pub fn submit_local(server: &Arc<ActivationServer>, plans: &[ClientPlan]) -> (Tally, Vec<u64>) {
-    let _span = hwm_trace::span("serve_bench.submit");
-    let mut client = LocalClient::new(Arc::clone(server));
-    let mut tally = Tally::default();
-    let mut latencies = Vec::new();
-    for req in &round_robin(plans) {
-        let t0 = Instant::now();
-        let resp = client.call(req).expect("in-process transport");
-        latencies.push(t0.elapsed().as_nanos() as u64);
-        tally.absorb(&resp);
-    }
-    (tally, latencies)
-}
-
-/// Pipelined round-robin submission over the in-process transport:
-/// the same flat schedule as [`submit_local`], submitted `depth`
-/// requests at a time through [`LocalClient::call_pipelined`]. Dispatch
-/// order is identical to the serial path, so the journal, audit stream
-/// and det-class counters are byte-identical for any depth; latency is
-/// recorded per batch and attributed evenly to its requests.
-///
-/// # Panics
-///
-/// Panics if the in-process codec rejects one of its own frames.
-pub fn submit_local_pipelined(
+pub fn submit_local(
     server: &Arc<ActivationServer>,
     plans: &[ClientPlan],
     depth: usize,
 ) -> (Tally, Vec<u64>) {
-    let _span = hwm_trace::span("serve_bench.submit_pipelined");
-    let depth = depth.max(1);
+    let _span = hwm_trace::span("serve_bench.submit");
     let mut client = LocalClient::new(Arc::clone(server));
     let mut tally = Tally::default();
     let mut latencies = Vec::new();
-    for window in round_robin(plans).chunks(depth) {
+    for window in round_robin(plans).chunks(depth.max(1)) {
         let t0 = Instant::now();
         let resps = client.call_pipelined(window).expect("in-process transport");
-        let per_req = t0.elapsed().as_nanos() as u64 / window.len().max(1) as u64;
-        for resp in &resps {
-            latencies.push(per_req);
-            tally.absorb(resp);
-        }
+        tally.absorb_burst(&resps, t0, &mut latencies);
     }
     (tally, latencies)
 }
 
-/// Concurrent submission over TCP: one connection per client, against an
-/// already-listening server (the caller owns the [`TcpServer`], so it can
+/// Concurrent submission over TCP: one connection per client, each
+/// sending `depth` requests per burst ([`TcpClient::call_pipelined`];
+/// depth 1 is one round trip per request), against an already-listening
+/// server (the caller owns the [`hwm_service::TcpServer`], so it can
 /// report the bound port and keep serving after the workload — e.g. for
-/// `serve_bench --hold` with an external monitor attached).
+/// `serve_bench --hold` with an external monitor attached). Burst
+/// latency is attributed evenly to the burst's requests.
 ///
 /// # Errors
 ///
@@ -387,6 +375,7 @@ pub fn submit_local_pipelined(
 pub fn submit_tcp(
     addr: std::net::SocketAddr,
     plans: Vec<ClientPlan>,
+    depth: usize,
 ) -> std::io::Result<(Tally, Vec<u64>)> {
     let _span = hwm_trace::span("serve_bench.submit_tcp");
     let results: Vec<std::io::Result<(Tally, Vec<u64>)>> = std::thread::scope(|scope| {
@@ -397,70 +386,12 @@ pub fn submit_tcp(
                     let mut client = TcpClient::connect(addr)?;
                     let mut tally = Tally::default();
                     let mut latencies = Vec::new();
-                    for req in &plan.requests {
-                        let t0 = Instant::now();
-                        let resp = client.call(req).map_err(|e| {
-                            std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
-                        })?;
-                        latencies.push(t0.elapsed().as_nanos() as u64);
-                        tally.absorb(&resp);
-                    }
-                    Ok((tally, latencies))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let mut tally = Tally::default();
-    let mut latencies = Vec::new();
-    for r in results {
-        let (t, l) = r?;
-        tally.merge(&t);
-        latencies.extend(l);
-    }
-    Ok((tally, latencies))
-}
-
-/// Pipelined TCP submission: one connection per client, each client
-/// bursting `depth` frames per write ([`TcpClient::call_pipelined`])
-/// instead of one round trip per request. Batch latency is attributed
-/// evenly to the batch's requests.
-///
-/// # Errors
-///
-/// Propagates socket failures from any client thread.
-///
-/// # Panics
-///
-/// Panics if a client thread itself panics.
-pub fn submit_tcp_pipelined(
-    addr: std::net::SocketAddr,
-    plans: Vec<ClientPlan>,
-    depth: usize,
-) -> std::io::Result<(Tally, Vec<u64>)> {
-    let _span = hwm_trace::span("serve_bench.submit_tcp_pipelined");
-    let depth = depth.max(1);
-    let results: Vec<std::io::Result<(Tally, Vec<u64>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                scope.spawn(move || {
-                    let mut client = TcpClient::connect(addr)?;
-                    let mut tally = Tally::default();
-                    let mut latencies = Vec::new();
-                    for window in plan.requests.chunks(depth) {
+                    for window in plan.requests.chunks(depth.max(1)) {
                         let t0 = Instant::now();
                         let resps = client.call_pipelined(window).map_err(|e| {
                             std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
                         })?;
-                        let per_req = t0.elapsed().as_nanos() as u64 / window.len().max(1) as u64;
-                        for resp in &resps {
-                            latencies.push(per_req);
-                            tally.absorb(resp);
-                        }
+                        tally.absorb_burst(&resps, t0, &mut latencies);
                     }
                     Ok((tally, latencies))
                 })

@@ -87,13 +87,20 @@ impl SimConfig {
 /// Deterministic metrics counters summed per `(name, labels)`.
 pub type CounterSums = BTreeMap<(String, Vec<(String, String)>), u64>;
 
-/// Counters describing the recovery machinery itself — the fault-free
-/// oracle never exercises it, so they are excluded from the comparison.
+/// Counters describing the recovery machinery itself — a fault-free
+/// oracle never exercises it (a promotion counts one recovery), so they
+/// are excluded from every oracle comparison.
 const RECOVERY_ONLY: &[&str] = &["journal_recoveries_total", "journal_compactions_total"];
 
-fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot) {
+/// Adds a snapshot's det-class counters into `sums`, skipping the
+/// recovery-only names and the router's `cluster_*` families (no
+/// single-node snapshot has one, so they have no oracle counterpart).
+pub fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot) {
     for f in &snapshot.deterministic().families {
-        if f.kind != MetricKind::Counter || RECOVERY_ONLY.contains(&f.name.as_str()) {
+        if f.kind != MetricKind::Counter
+            || RECOVERY_ONLY.contains(&f.name.as_str())
+            || f.name.starts_with("cluster_")
+        {
             continue;
         }
         for s in &f.series {
@@ -549,7 +556,7 @@ fn run_alert_world(config: &AlertSimConfig, plans: &[ClientPlan]) -> AlertWorld 
         server_config(),
     ));
     server.set_alert_rules(fleet_rules());
-    let (tally, _) = submit_local(&server, plans);
+    let (tally, _) = submit_local(&server, plans, 1);
     let mut client = LocalClient::new(Arc::clone(&server));
     let obs = observe(&mut client).expect("in-process monitor poll");
     let transitions = obs

@@ -22,7 +22,7 @@ fn run_and_observe(clients: usize, per_client: usize, jobs: usize) -> (Arc<Activ
         Registry::in_memory(),
         server_config(),
     ));
-    submit_local(&server, &plans);
+    submit_local(&server, &plans, 1);
     let mut client = LocalClient::new(Arc::clone(&server));
     let obs = observe(&mut client).expect("observe");
     (server, obs)

@@ -39,7 +39,7 @@ pub mod ring;
 pub mod router;
 
 pub use frame::RepFrame;
-pub use link::{LocalLink, NodeLink, RepHost, TcpLink};
+pub use link::{FrameLink, LocalLink, NodeLink, RepHost, TcpLink};
 pub use node::ShardNode;
 pub use ring::HashRing;
 pub use router::{ClusterRouter, FailoverEvent, ShardGroup};

@@ -1,27 +1,29 @@
 //! Links: how the router reaches a replica.
 //!
-//! Mirrors the service's transport split. [`LocalLink`] is in-process
-//! but still round-trips every frame through the real codec, so the
-//! deterministic simulations exercise the same bytes TCP would carry;
-//! [`TcpLink`] speaks to a [`RepHost`]: the activation front end's own
-//! [`TcpServer`] serving a [`ShardNode`], so replication shares its
-//! accept loop, pipelined frame decoder, accept poll and fault hooks.
+//! A link is [`hwm_service`]'s frame client carrying [`RepFrame`]s: one
+//! [`FrameLink`] maps replication frames over either of the service's
+//! two frame transports. [`LocalLink`] runs over a
+//! [`LocalWire`](hwm_service::LocalWire), in-process but still through
+//! the real codec, so the deterministic simulations exercise the same
+//! bytes TCP would carry. [`TcpLink`] runs over a
+//! [`FrameConn`](hwm_service::FrameConn) to a [`RepHost`]: the
+//! activation front end's own [`TcpServer`] serving a [`ShardNode`], so
+//! replication shares its accept loop, pipelined frame decoder, accept
+//! poll and fault hooks.
 
 use crate::frame::RepFrame;
 use crate::node::ShardNode;
 use crate::ClusterError;
 use hwm_jsonio::Json;
-use hwm_service::wire::{write_frame_with, FrameScratch};
-use hwm_service::{read_frame, write_frame, FrameService, TcpServer};
+use hwm_service::{FrameConn, FrameService, FrameTransport, LocalWire, TcpServer};
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 
 /// A channel to one replica. `Sync` is part of the contract: the
 /// router's windowed fan-out calls followers from scoped threads, so a
-/// link must tolerate being shared (both built-in links serialize
-/// internally — [`LocalLink`] via the node's own lock, [`TcpLink`] via
-/// its stream mutex).
+/// link must tolerate being shared (both built-in links serialize on
+/// their transport's mutex).
 pub trait NodeLink: Send + Sync {
     /// Sends one frame, blocking for the reply.
     ///
@@ -33,72 +35,51 @@ pub trait NodeLink: Send + Sync {
     fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError>;
 }
 
-fn io_err(context: &str, e: io::Error) -> ClusterError {
-    ClusterError::new(format!("{context}: {e}"))
+/// The replication protocol over a frame transport. One round trip at a
+/// time, serialized on an internal mutex (the router already serializes
+/// dispatch, so this is belt-and-braces, not a bottleneck). The
+/// transport's buffers sit under the same mutex, so a round trip
+/// allocates no buffers.
+pub struct FrameLink<T> {
+    conn: Mutex<T>,
 }
 
-/// In-process link: encodes the frame through the real codec, decodes
-/// it back, dispatches, and round-trips the reply the same way.
-pub struct LocalLink {
-    node: Arc<ShardNode>,
-}
+/// In-process link: a [`FrameLink`] over a [`LocalWire`] into the
+/// replica.
+pub type LocalLink = FrameLink<LocalWire<ShardNode>>;
 
-impl LocalLink {
+/// TCP link to a [`RepHost`]: a [`FrameLink`] over one [`FrameConn`].
+pub type TcpLink = FrameLink<FrameConn>;
+
+impl FrameLink<LocalWire<ShardNode>> {
     /// A link bound to the given replica.
     pub fn new(node: Arc<ShardNode>) -> LocalLink {
-        LocalLink { node }
+        FrameLink {
+            conn: Mutex::new(LocalWire::new(node, None)),
+        }
     }
 }
 
-impl NodeLink for LocalLink {
-    fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError> {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &frame.to_json()).map_err(|e| io_err("encode frame", e))?;
-        let decoded = read_frame(&mut buf.as_slice())
-            .map_err(|e| io_err("decode frame", e))?
-            .ok_or_else(|| ClusterError::new("frame truncated"))?;
-        let reply = self.node.handle_rep(&RepFrame::from_json(&decoded)?);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &reply.to_json()).map_err(|e| io_err("encode reply", e))?;
-        let decoded = read_frame(&mut buf.as_slice())
-            .map_err(|e| io_err("decode reply", e))?
-            .ok_or_else(|| ClusterError::new("reply frame truncated"))?;
-        RepFrame::from_json(&decoded)
-    }
-}
-
-/// TCP link to a [`RepHost`]. One connection, requests serialized on an
-/// internal mutex (the router already serializes dispatch, so this is
-/// belt-and-braces, not a bottleneck). The encode scratch sits under the
-/// same mutex, so sending a frame allocates no buffers.
-pub struct TcpLink {
-    conn: Mutex<(TcpStream, FrameScratch)>,
-}
-
-impl TcpLink {
+impl FrameLink<FrameConn> {
     /// Connects to a replica's replication port.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpLink> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpLink {
-            conn: Mutex::new((stream, FrameScratch::new())),
+        Ok(FrameLink {
+            conn: Mutex::new(FrameConn::connect(addr)?),
         })
     }
 }
 
-impl NodeLink for TcpLink {
+impl<T: FrameTransport + Send> NodeLink for FrameLink<T> {
     fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError> {
-        let mut conn = self.conn.lock().expect("link stream poisoned");
-        let (stream, scratch) = &mut *conn;
-        write_frame_with(scratch, stream, &frame.to_json()).map_err(|e| io_err("send frame", e))?;
-        match read_frame(stream).map_err(|e| io_err("read reply", e))? {
-            Some(payload) => RepFrame::from_json(&payload),
-            None => Err(ClusterError::new("replica closed the connection")),
-        }
+        let mut conn = self
+            .conn
+            .lock()
+            .map_err(|_| ClusterError::new("link poisoned by a panicked caller"))?;
+        RepFrame::from_json(&conn.call(frame.to_json())?)
     }
 }
 

@@ -3,13 +3,16 @@
 //! object of a valid frame, nested requests, responses, spans and audit
 //! events included. [`RepFrame::from_json`] never panics, and no
 //! duplicated or unknown field in a fixed-schema object is accepted.
+//! Every mutant is also sent on into a live replica's dispatch.
 
-use hwm_cluster::RepFrame;
+use hwm_cluster::{RepFrame, ShardNode};
 use hwm_jsonio::Json;
+use hwm_metering::{Designer, LockOptions};
 use hwm_metrics::{AuditLog, AuditValue};
-use hwm_service::{Request, Response};
+use hwm_service::{ActivationServer, FrameService, Registry, Request, Response, ServerConfig};
 use hwm_trace::{SpanRecord, TraceContext};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 #[path = "../../service/tests/support/mutate.rs"]
 mod mutate;
@@ -100,4 +103,58 @@ proptest! {
             prop_assert!(false, "{m:?} mutant was accepted: {mutant}");
         }
     }
+}
+
+/// Fuzz on into dispatch: every one-mutation mutant of every frame is
+/// answered by a live replica through [`FrameService::answer`], the path
+/// both link transports take. Nothing panics, and a mutant the decoder
+/// refuses gets a [`RepFrame::Error`] back and leaves the replica's
+/// logical clock and journal exactly as they were.
+#[test]
+fn mutated_frames_are_refused_at_dispatch_without_side_effects() {
+    let designer = Designer::new(
+        hwm_fsm::Stg::ring_counter(5, 2),
+        LockOptions {
+            added_modules: 2,
+            black_holes: 1,
+            ..LockOptions::default()
+        },
+        2024,
+    )
+    .expect("designer");
+    let server = ActivationServer::new(designer, Registry::in_memory(), ServerConfig::default());
+    let node = ShardNode::new(0, Arc::new(server));
+    let state = || {
+        let server = node.server();
+        (server.clock(), server.with_registry(|r| r.journal_len()))
+    };
+    let (mut refused, mut dispatched) = (0, 0);
+    for valid in frames() {
+        for m in mutate::MUTATIONS {
+            for (mutant, must_reject) in mutate::mutants(&valid, m) {
+                let before = state();
+                let reply = RepFrame::from_json(&node.answer(&mutant))
+                    .unwrap_or_else(|e| panic!("reply to {mutant} does not decode: {e}"));
+                if RepFrame::from_json(&mutant).is_ok() {
+                    assert!(!must_reject, "{m:?} mutant was accepted: {mutant}");
+                    dispatched += 1;
+                    continue;
+                }
+                refused += 1;
+                assert!(
+                    matches!(reply, RepFrame::Error { .. }),
+                    "refused mutant {mutant} got {reply:?}"
+                );
+                assert_eq!(
+                    state(),
+                    before,
+                    "refused mutant {mutant} changed the replica"
+                );
+            }
+        }
+    }
+    assert!(
+        refused > 0 && dispatched > 0,
+        "{refused} refused, {dispatched} dispatched"
+    );
 }

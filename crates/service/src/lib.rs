@@ -33,8 +33,9 @@
 //!   admission decisions are deterministic;
 //! * [`server`] — the handler core tying designer + registry + limiter
 //!   together behind one mutex;
-//! * [`transport`] — an in-process client (deterministic, still goes
-//!   through the real codec) and a TCP front end (thread per connection).
+//! * [`transport`] — one frame round trip per transport (in-process,
+//!   deterministic but still through the real codec; and TCP), the typed
+//!   clients over them, and the TCP front end (thread per connection).
 //!
 //! The serving benchmark lives in `hwm-bench` (`serve_bench`); the online
 //! brute-force analysis lives in `hwm-attacks` (`online`).
@@ -60,7 +61,10 @@ pub use server::{ActivationServer, ServerConfig, ServerRole};
 pub use snapshot::{snapshot_path, RegistrySnapshot};
 pub use storage::FlushPolicy;
 pub use throttle::{Decision, RateLimiter, ThrottleConfig};
-pub use transport::{Client, FrameService, Handler, LocalClient, TcpClient, TcpFaults, TcpServer};
+pub use transport::{
+    Client, FrameClient, FrameConn, FrameService, FrameTransport, Handler, LocalClient, LocalWire,
+    TcpClient, TcpFaults, TcpServer,
+};
 pub use wire::{
     read_frame, write_frame, ErrorCode, Request, Response, StatusReport, TracedRequest, WireError,
 };

@@ -1,20 +1,32 @@
-//! Transports: how requests reach the [`ActivationServer`].
+//! Transports: how frames reach a [`FrameService`].
 //!
-//! Two transports speak the same framed protocol ([`crate::wire`]):
+//! Every client round trip — activation requests and the cluster's
+//! replication frames alike — runs through one [`FrameTransport`] per
+//! transport. Its one method sends N frames as a burst and reads back
+//! exactly N replies:
 //!
-//! * [`LocalClient`] — in-process. Every request and response still round-
-//!   trips through the real frame codec (length prefix, JSON encode,
-//!   strict decode), so protocol bugs cannot hide behind direct calls,
-//!   but there are no sockets and no scheduler: a fixed request sequence
-//!   produces a byte-identical registry journal on every run. This is the
-//!   transport the deterministic benchmarks and tests use.
-//! * [`TcpServer`] / [`TcpClient`] — real sockets, one handler thread per
-//!   connection (handlers serialize on the server mutex; concurrency
-//!   covers framing and I/O). Journal ordering across *concurrent* TCP
-//!   clients follows mutex acquisition order and is therefore not
-//!   deterministic — documented in DESIGN.md. The server serves any
-//!   [`FrameService`], so the cluster's replication port is this same
-//!   accept loop over a replica.
+//! * [`LocalWire`] — in-process. Frames are encoded onto an in-memory
+//!   wire, answered through [`FrameService::answer`], and the replies are
+//!   decoded from the same bytes TCP would carry, so protocol bugs cannot
+//!   hide behind direct calls. There are no sockets and no scheduler: a
+//!   fixed request sequence produces a byte-identical registry journal on
+//!   every run. This is the transport the deterministic benchmarks and
+//!   tests use.
+//! * [`FrameConn`] — one TCP connection. The burst leaves in one
+//!   `write_all` and the replies are read through a [`FrameDecoder`].
+//!
+//! Typed clients are thin mappings over a transport. [`FrameClient`]
+//! maps [`Request`] to [`Response`] ([`LocalClient`] and [`TcpClient`]
+//! name its two instances); `hwm-cluster`'s links map replication
+//! frames. [`Client::call`] is a burst of one.
+//!
+//! The server side is one accept loop, [`TcpServer`], with one handler
+//! thread per connection (handlers serialize on the server mutex;
+//! concurrency covers framing and I/O). Journal ordering across
+//! *concurrent* TCP clients follows mutex acquisition order and is
+//! therefore not deterministic — documented in DESIGN.md. The server
+//! serves any [`FrameService`], so the cluster's replication port is this
+//! same accept loop over a replica.
 //!
 //! Both transports accept an optional fault layer for the crash
 //! simulation. Injected transport faults (short reads, connection drops,
@@ -27,8 +39,8 @@
 use crate::fault::{ArmedFault, FaultInjector, FaultKind, FaultPlan};
 use crate::server::ActivationServer;
 use crate::wire::{
-    encode_frame, read_frame, write_frame_with, ErrorCode, FrameDecoder, FrameScratch, Request,
-    Response, TracedRequest, WireError,
+    encode_frame, read_frame, ErrorCode, FrameDecoder, FrameScratch, Request, Response,
+    TracedRequest, WireError,
 };
 use hwm_jsonio::Json;
 use hwm_trace::TraceContext;
@@ -47,9 +59,8 @@ pub trait Client {
 
     /// Arms a trace context for the *next* call only: that request is
     /// sent as a [`TracedRequest`] envelope, after which the client
-    /// reverts to untraced frames. Default is a no-op so transports
-    /// without tracing support keep compiling.
-    fn set_trace(&mut self, _ctx: TraceContext) {}
+    /// reverts to untraced frames.
+    fn set_trace(&mut self, ctx: TraceContext);
 }
 
 /// Anything that can answer a wire request: a single
@@ -103,29 +114,266 @@ impl Handler for ActivationServer {
     }
 }
 
-/// In-process transport: frames each request into a buffer, decodes it
-/// back, dispatches, and frames the response the same way. Encode
-/// buffers are per-client scratch, reused across calls.
-pub struct LocalClient<H: Handler = ActivationServer> {
-    server: Arc<H>,
-    faults: Option<FaultInjector>,
-    trace: Option<TraceContext>,
-    scratch: FrameScratch,
-    /// Staging buffer for in-flight frames (the "wire" of the in-process
-    /// transport), reused across calls.
-    wire_buf: Vec<u8>,
+fn io_err(context: &str, e: io::Error) -> WireError {
+    WireError::new(format!("{context}: {e}"))
 }
 
-impl<H: Handler> LocalClient<H> {
+/// One frame round trip per transport: the only code that moves client
+/// frames, for every protocol.
+pub trait FrameTransport {
+    /// Sends `frames` as one burst, then hands the replies to `reply` in
+    /// order: exactly one per frame, or an error that ends the burst.
+    /// The peer answers in arrival order, so a burst dispatches exactly
+    /// as the same frames sent one by one.
+    ///
+    /// # Errors
+    ///
+    /// The first codec, transport or injected failure, or the first
+    /// error `reply` returns. Replies not yet handed over are lost, as
+    /// on a torn connection.
+    fn burst(
+        &mut self,
+        frames: impl IntoIterator<Item = Json>,
+        reply: impl FnMut(Json) -> Result<(), WireError>,
+    ) -> Result<(), WireError>;
+
+    /// One frame, one reply: a burst of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameTransport::burst`].
+    fn call(&mut self, frame: Json) -> Result<Json, WireError> {
+        let mut answer = None;
+        self.burst([frame], |j| {
+            answer = Some(j);
+            Ok(())
+        })?;
+        answer.ok_or_else(|| WireError::new("burst of one returned no reply"))
+    }
+}
+
+/// The in-process transport: each burst is encoded onto an in-memory
+/// wire, the service decodes and answers every frame in order through
+/// [`FrameService::answer`], and the replies come back as frames too.
+/// Works for any service — a [`Handler`] or a cluster replica. The
+/// wire's buffers are reused across bursts.
+pub struct LocalWire<S> {
+    service: Arc<S>,
+    faults: Option<FaultInjector>,
+    scratch: FrameScratch,
+    /// Request bytes on their way to the service.
+    inbound: FrameDecoder,
+    /// Reply bytes on their way back.
+    outbound: FrameDecoder,
+}
+
+impl<S: FrameService> LocalWire<S> {
+    /// A wire into `service`. With `faults`, every frame consumes the
+    /// transport fault armed on the injector as it goes onto the wire
+    /// (crash simulation only): a short read delivers a prefix of the
+    /// frame, a connection drop loses it whole — either way before the
+    /// service sees it, and the burst ends with the error.
+    pub fn new(service: Arc<S>, faults: Option<FaultInjector>) -> LocalWire<S> {
+        LocalWire {
+            service,
+            faults,
+            scratch: FrameScratch::new(),
+            inbound: FrameDecoder::new(),
+            outbound: FrameDecoder::new(),
+        }
+    }
+
+    /// The service this wire dispatches into.
+    pub fn service(&self) -> &Arc<S> {
+        &self.service
+    }
+
+    /// Puts `frame` on the wire, or the part of it an armed transport
+    /// fault lets through; returns that fault's error.
+    fn send(&mut self, frame: &Json) -> Result<Option<&'static str>, WireError> {
+        let bytes =
+            encode_frame(&mut self.scratch, frame).map_err(|e| io_err("encode frame", e))?;
+        if let Some(injector) = &self.faults {
+            match injector.take() {
+                Some(ArmedFault::ConnDrop) => {
+                    return Ok(Some(
+                        "injected connection drop: request frame lost in flight",
+                    ));
+                }
+                Some(ArmedFault::ShortRead { salt }) => {
+                    let keep = (salt % bytes.len() as u64) as usize;
+                    self.inbound.extend(&bytes[..keep]);
+                    return Ok(Some("injected short read: request frame truncated"));
+                }
+                // Storage faults pass through: the journal store consumes
+                // those after dispatch.
+                Some(other) => injector.arm(other),
+                None => {}
+            }
+        }
+        self.inbound.extend(bytes);
+        Ok(None)
+    }
+
+    fn run_burst(
+        &mut self,
+        frames: impl IntoIterator<Item = Json>,
+        mut reply: impl FnMut(Json) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let mut sent = 0;
+        let mut lost = None;
+        for frame in frames {
+            lost = self.send(&frame)?;
+            if lost.is_some() {
+                break;
+            }
+            sent += 1;
+        }
+        // The service drains the wire in order, answering every whole
+        // frame — the ones before a struck frame included.
+        for _ in 0..sent {
+            let frame = self
+                .inbound
+                .next_frame()
+                .map_err(|e| io_err("decode frame", e))?
+                .ok_or_else(|| WireError::new("frame truncated"))?;
+            let answer = self.service.answer(&frame);
+            let bytes =
+                encode_frame(&mut self.scratch, &answer).map_err(|e| io_err("encode reply", e))?;
+            self.outbound.extend(bytes);
+        }
+        if let Some(lost) = lost {
+            // Whatever of the struck frame arrived must not decode.
+            return match self.inbound.next_frame() {
+                Ok(Some(_)) => Err(WireError::new("a torn frame decoded whole — codec bug")),
+                _ => Err(WireError::new(lost)),
+            };
+        }
+        for _ in 0..sent {
+            let answer = self
+                .outbound
+                .next_frame()
+                .map_err(|e| io_err("decode reply", e))?
+                .ok_or_else(|| WireError::new("reply frame truncated"))?;
+            reply(answer)?;
+        }
+        Ok(())
+    }
+}
+
+impl<S: FrameService> FrameTransport for LocalWire<S> {
+    fn burst(
+        &mut self,
+        frames: impl IntoIterator<Item = Json>,
+        reply: impl FnMut(Json) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let result = self.run_burst(frames, reply);
+        if result.is_err() {
+            // A failed burst leaves a torn wire behind; the next starts
+            // clean, like a reconnect.
+            self.inbound = FrameDecoder::new();
+            self.outbound = FrameDecoder::new();
+        }
+        result
+    }
+}
+
+/// One TCP connection speaking length-prefixed frames. The stream, the
+/// encode scratch, the burst staging buffer, the reply decoder and the
+/// read chunk all live here, so a steady-state round trip allocates no
+/// buffers and zeroes none.
+pub struct FrameConn {
+    stream: TcpStream,
+    scratch: FrameScratch,
+    burst: Vec<u8>,
+    decoder: FrameDecoder,
+    chunk: Box<[u8]>,
+}
+
+impl FrameConn {
+    /// Connects to a [`TcpServer`] (or anything speaking its framing).
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<FrameConn> {
+        let stream = TcpStream::connect(addr)?;
+        // Frames are tiny request/response pairs; Nagle + delayed ACK
+        // would stall each round trip.
+        stream.set_nodelay(true)?;
+        Ok(FrameConn {
+            stream,
+            scratch: FrameScratch::new(),
+            burst: Vec::new(),
+            decoder: FrameDecoder::new(),
+            chunk: vec![0u8; 16 * 1024].into_boxed_slice(),
+        })
+    }
+}
+
+impl FrameTransport for FrameConn {
+    fn burst(
+        &mut self,
+        frames: impl IntoIterator<Item = Json>,
+        mut reply: impl FnMut(Json) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        // The burst leaves as one contiguous byte run in one write_all.
+        self.burst.clear();
+        let mut sent = 0;
+        for frame in frames {
+            let bytes =
+                encode_frame(&mut self.scratch, &frame).map_err(|e| io_err("send frame", e))?;
+            self.burst.extend_from_slice(bytes);
+            sent += 1;
+        }
+        self.stream
+            .write_all(&self.burst)
+            .map_err(|e| io_err("send frame", e))?;
+        // Each socket read pulls as many reply frames as the kernel has
+        // buffered. The decoder refuses an oversized length prefix
+        // before buffering its payload.
+        for _ in 0..sent {
+            let answer = loop {
+                if let Some(answer) = self
+                    .decoder
+                    .next_frame()
+                    .map_err(|e| io_err("read reply", e))?
+                {
+                    break answer;
+                }
+                let n = self
+                    .stream
+                    .read(&mut self.chunk)
+                    .map_err(|e| io_err("read reply", e))?;
+                if n == 0 {
+                    return Err(WireError::new("peer closed the connection"));
+                }
+                self.decoder.extend(&self.chunk[..n]);
+            };
+            reply(answer)?;
+        }
+        Ok(())
+    }
+}
+
+/// The activation protocol over any [`FrameTransport`]: requests go out
+/// as [`TracedRequest`] frames, replies come back as [`Response`]s.
+pub struct FrameClient<T> {
+    transport: T,
+    trace: Option<TraceContext>,
+}
+
+/// The in-process activation client: a [`FrameClient`] over a
+/// [`LocalWire`] into a [`Handler`].
+pub type LocalClient<H = ActivationServer> = FrameClient<LocalWire<H>>;
+
+/// The TCP activation client: a [`FrameClient`] over a [`FrameConn`].
+pub type TcpClient = FrameClient<FrameConn>;
+
+impl<H: Handler> FrameClient<LocalWire<H>> {
     /// A client bound to the given server.
     pub fn new(server: Arc<H>) -> LocalClient<H> {
-        LocalClient {
-            server,
-            faults: None,
-            trace: None,
-            scratch: FrameScratch::new(),
-            wire_buf: Vec::new(),
-        }
+        FrameClient::over(LocalWire::new(server, None))
     }
 
     /// A client that consumes transport faults armed on `injector`
@@ -133,129 +381,70 @@ impl<H: Handler> LocalClient<H> {
     /// request frame in flight, an armed connection drop loses it
     /// entirely — in both cases before the server sees it.
     pub fn with_faults(server: Arc<H>, injector: FaultInjector) -> LocalClient<H> {
-        LocalClient {
-            server,
-            faults: Some(injector),
-            trace: None,
-            scratch: FrameScratch::new(),
-            wire_buf: Vec::new(),
-        }
+        FrameClient::over(LocalWire::new(server, Some(injector)))
     }
 
     /// The server this client dispatches into.
     pub fn server(&self) -> &Arc<H> {
-        &self.server
+        self.transport.service()
     }
+}
 
-    /// Submits up to `window` requests as one pipelined burst: every
-    /// request is encoded into the in-process wire before the first
-    /// response is decoded, exactly the frame interleaving a pipelined
-    /// TCP client produces. Dispatch order — and therefore every journal
-    /// byte and deterministic counter — is identical to `window`
-    /// sequential [`Client::call`]s.
+impl FrameClient<FrameConn> {
+    /// Connects to a [`TcpServer`].
     ///
     /// # Errors
     ///
-    /// Returns the first frame-level failure; responses before it are
-    /// lost (as they would be on a torn connection).
+    /// Propagates connection failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
+        FrameConn::connect(addr).map(FrameClient::over)
+    }
+}
+
+impl<T: FrameTransport> FrameClient<T> {
+    fn over(transport: T) -> FrameClient<T> {
+        FrameClient {
+            transport,
+            trace: None,
+        }
+    }
+
+    /// Submits `reqs` as one pipelined burst: every request frame is on
+    /// the wire before the first response is read, so a connection pays
+    /// one round-trip latency for the whole window. Dispatch order — and
+    /// therefore every journal byte and deterministic counter — is
+    /// identical to sequential [`Client::call`]s. An armed trace context
+    /// rides on the first request.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first frame-level failure; responses after it are
+    /// lost (the connection should be considered dead).
     pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, WireError> {
-        // Phase 1: every request goes onto the wire back-to-back.
-        self.wire_buf.clear();
-        for req in reqs {
-            let traced = TracedRequest {
+        let mut trace = self.trace.take();
+        let frames = reqs.iter().map(|req| {
+            TracedRequest {
                 req: req.clone(),
-                trace: self.trace.take(),
-            };
-            write_frame_with(&mut self.scratch, &mut self.wire_buf, &traced.to_json())
-                .map_err(|e| io_err("encode request", e))?;
-        }
-        // Phase 2: the server drains the stream in order; responses are
-        // framed back onto a response wire.
-        let mut rd = &self.wire_buf[..];
-        let mut resp_wire = Vec::new();
-        for _ in reqs {
-            let decoded = read_frame(&mut rd)
-                .map_err(|e| io_err("decode request", e))?
-                .ok_or_else(|| WireError::new("request frame truncated"))?;
-            let traced = TracedRequest::from_json(&decoded)?;
-            let resp = self
-                .server
-                .handle_traced(&traced.req, traced.trace.as_ref());
-            write_frame_with(&mut self.scratch, &mut resp_wire, &resp.to_json())
-                .map_err(|e| io_err("encode response", e))?;
-        }
-        // Phase 3: the client decodes the response burst.
-        let mut rd = &resp_wire[..];
+                trace: trace.take(),
+            }
+            .to_json()
+        });
         let mut out = Vec::with_capacity(reqs.len());
-        for _ in reqs {
-            let decoded = read_frame(&mut rd)
-                .map_err(|e| io_err("decode response", e))?
-                .ok_or_else(|| WireError::new("response frame truncated"))?;
-            out.push(Response::from_json(&decoded)?);
-        }
+        self.transport.burst(frames, |answer| {
+            out.push(Response::from_json(&answer)?);
+            Ok(())
+        })?;
         Ok(out)
     }
 }
 
-fn io_err(context: &str, e: io::Error) -> WireError {
-    WireError::new(format!("{context}: {e}"))
-}
-
-impl<H: Handler> Client for LocalClient<H> {
+impl<T: FrameTransport> Client for FrameClient<T> {
     fn call(&mut self, req: &Request) -> Result<Response, WireError> {
-        // Encode the request through the real codec — as a traced
-        // envelope when a context is armed, as a bare request otherwise,
-        // so untraced traffic stays byte-identical to the old protocol.
         let traced = TracedRequest {
             req: req.clone(),
             trace: self.trace.take(),
         };
-        self.wire_buf.clear();
-        write_frame_with(&mut self.scratch, &mut self.wire_buf, &traced.to_json())
-            .map_err(|e| io_err("encode request", e))?;
-        // An armed transport fault strikes the request in flight — the
-        // server never sees it. Storage faults pass through (the journal
-        // store consumes those after dispatch).
-        if let Some(injector) = &self.faults {
-            match injector.take() {
-                Some(ArmedFault::ConnDrop) => {
-                    return Err(WireError::new(
-                        "injected connection drop: request frame lost in flight",
-                    ));
-                }
-                Some(ArmedFault::ShortRead { salt }) => {
-                    // Deliver only a prefix of the frame; the codec must
-                    // reject the truncation.
-                    let keep = (salt % self.wire_buf.len().max(1) as u64) as usize;
-                    self.wire_buf.truncate(keep);
-                    let short = read_frame(&mut self.wire_buf.as_slice())
-                        .map_err(|e| io_err("decode request", e))?;
-                    return match short {
-                        None => Err(WireError::new("injected short read: request frame truncated")),
-                        Some(_) => Err(WireError::new(
-                            "injected short read left a whole frame — codec bug",
-                        )),
-                    };
-                }
-                Some(other) => injector.arm(other),
-                None => {}
-            }
-        }
-        let decoded = read_frame(&mut self.wire_buf.as_slice())
-            .map_err(|e| io_err("decode request", e))?
-            .ok_or_else(|| WireError::new("request frame truncated"))?;
-        let traced = TracedRequest::from_json(&decoded)?;
-        // ...dispatch, then round-trip the response too.
-        let resp = self
-            .server
-            .handle_traced(&traced.req, traced.trace.as_ref());
-        self.wire_buf.clear();
-        write_frame_with(&mut self.scratch, &mut self.wire_buf, &resp.to_json())
-            .map_err(|e| io_err("encode response", e))?;
-        let decoded = read_frame(&mut self.wire_buf.as_slice())
-            .map_err(|e| io_err("decode response", e))?
-            .ok_or_else(|| WireError::new("response frame truncated"))?;
-        Response::from_json(&decoded)
+        Response::from_json(&self.transport.call(traced.to_json())?)
     }
 
     fn set_trace(&mut self, ctx: TraceContext) {
@@ -502,102 +691,5 @@ fn serve_connection<S: FrameService>(
             Ok(frame) => staged.extend_from_slice(frame),
             Err(_) => return,
         }
-    }
-}
-
-/// A blocking TCP client speaking the framed protocol, with a reusable
-/// per-connection encode scratch.
-pub struct TcpClient {
-    stream: TcpStream,
-    trace: Option<TraceContext>,
-    scratch: FrameScratch,
-    burst: Vec<u8>,
-    decoder: FrameDecoder,
-}
-
-impl TcpClient {
-    /// Connects to a [`TcpServer`].
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            stream,
-            trace: None,
-            scratch: FrameScratch::new(),
-            burst: Vec::new(),
-            decoder: FrameDecoder::new(),
-        })
-    }
-
-    /// Submits `reqs` as one pipelined burst: every request frame is
-    /// written before the first response is read, so the connection pays
-    /// one round-trip latency for the whole window instead of one per
-    /// request. The server dispatches in arrival order, so journal bytes
-    /// and deterministic counters are identical to sequential calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first frame-level failure; responses after it are
-    /// lost (the connection should be considered dead).
-    pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, WireError> {
-        // Write the burst as one contiguous byte run: frames are
-        // appended to the reusable staging buffer and leave in a single
-        // write_all, minimizing syscalls and packets.
-        self.burst.clear();
-        for req in reqs {
-            let traced = TracedRequest {
-                req: req.clone(),
-                trace: self.trace.take(),
-            };
-            write_frame_with(&mut self.scratch, &mut self.burst, &traced.to_json())
-                .map_err(|e| io_err("send request", e))?;
-        }
-        self.stream
-            .write_all(&self.burst)
-            .map_err(|e| io_err("send request", e))?;
-        self.stream.flush().map_err(|e| io_err("send request", e))?;
-        // Drain responses through the decoder: each socket read pulls as
-        // many response frames as the kernel has buffered, instead of
-        // two read syscalls per frame.
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut chunk = [0u8; 16 * 1024];
-        while out.len() < reqs.len() {
-            if let Some(payload) = self
-                .decoder
-                .next_frame()
-                .map_err(|e| io_err("read response", e))?
-            {
-                out.push(Response::from_json(&payload)?);
-                continue;
-            }
-            let n = self
-                .stream
-                .read(&mut chunk)
-                .map_err(|e| io_err("read response", e))?;
-            if n == 0 {
-                return Err(WireError::new("server closed the connection"));
-            }
-            self.decoder.extend(&chunk[..n]);
-        }
-        Ok(out)
-    }
-}
-
-impl Client for TcpClient {
-    fn call(&mut self, req: &Request) -> Result<Response, WireError> {
-        let traced = TracedRequest {
-            req: req.clone(),
-            trace: self.trace.take(),
-        };
-        write_frame_with(&mut self.scratch, &mut self.stream, &traced.to_json())
-            .map_err(|e| io_err("send request", e))?;
-        match read_frame(&mut self.stream).map_err(|e| io_err("read response", e))? {
-            Some(payload) => Response::from_json(&payload),
-            None => Err(WireError::new("server closed the connection")),
-        }
-    }
-
-    fn set_trace(&mut self, ctx: TraceContext) {
-        self.trace = Some(ctx);
     }
 }

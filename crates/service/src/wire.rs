@@ -707,35 +707,18 @@ pub fn encode_frame<'a>(scratch: &'a mut FrameScratch, payload: &Json) -> io::Re
     Ok(&scratch.frame)
 }
 
-/// Writes one length-prefixed frame through caller-owned scratch: the
-/// prefix and payload are assembled contiguously and leave in a *single*
-/// `write_all`, so a TCP peer never sees a frame split at the
-/// prefix/payload boundary by the sender, and nothing is allocated per
-/// frame.
-///
-/// # Errors
-///
-/// Propagates I/O failures; refuses payloads above [`MAX_FRAME`].
-pub fn write_frame_with(
-    scratch: &mut FrameScratch,
-    w: &mut impl Write,
-    payload: &Json,
-) -> io::Result<()> {
-    encode_frame(scratch, payload)?;
-    w.write_all(&scratch.frame)?;
-    w.flush()
-}
-
-/// Writes one length-prefixed frame (convenience wrapper over
-/// [`write_frame_with`] with a throwaway scratch — hot paths should hold
-/// a [`FrameScratch`] and call [`write_frame_with`] directly).
+/// Writes one length-prefixed frame: the bytes of [`encode_frame`], in a
+/// *single* `write_all`, so a TCP peer never sees a frame split at the
+/// prefix/payload boundary by the sender. Builds a throwaway scratch;
+/// hot paths hold a [`FrameScratch`] and call [`encode_frame`].
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; refuses payloads above [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, payload: &Json) -> io::Result<()> {
     let mut scratch = FrameScratch::new();
-    write_frame_with(&mut scratch, w, payload)
+    w.write_all(encode_frame(&mut scratch, payload)?)?;
+    w.flush()
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
@@ -1097,8 +1080,7 @@ mod tests {
         };
         // Encode through caller-owned scratch (the hot-path form).
         let mut scratch = FrameScratch::new();
-        let mut buf = Vec::new();
-        write_frame_with(&mut scratch, &mut buf, &req.to_json()).unwrap();
+        let buf = encode_frame(&mut scratch, &req.to_json()).unwrap().to_vec();
         let mut cursor = std::io::Cursor::new(&buf);
         let j = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(Request::from_json(&j).unwrap(), req);

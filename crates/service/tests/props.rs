@@ -390,50 +390,15 @@ mod mutate;
 /// A decoder under fuzz: whether it accepts a JSON value.
 type Decodes = fn(&hwm_jsonio::Json) -> bool;
 
-/// Valid encodings covering every variant and optional field of the
-/// service-side decoders, each paired with its decoder.
-fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
-    use hwm_jsonio::Json;
-    use hwm_metering::LockOptions;
-    use hwm_metrics::{
-        AuditLog, AuditValue, History, HistoryConfig, HistoryDump, MetricClass, MetricsRegistry,
-        Snapshot,
-    };
-    use hwm_service::{
-        CloneEvidence, ErrorCode, IcRecord, IcState, RegistrySnapshot, Request, Response,
-        StatusReport, TracedRequest,
-    };
-    use hwm_trace::{SpanRecord, TraceContext};
+/// Valid request frames: every request variant with every optional
+/// field set, traced wherever a trace context is allowed.
+fn request_corpus() -> Vec<hwm_jsonio::Json> {
+    use hwm_service::{Request, TracedRequest};
+    use hwm_trace::TraceContext;
 
-    let metrics = MetricsRegistry::default();
-    metrics.inc("requests", &[("op", "unlock")], 3);
-    metrics.observe_exemplar("units", &[], MetricClass::Det, &[2, 8], 1, 0xabcd);
-    let snapshot = metrics.snapshot();
-    let mut history = History::new(HistoryConfig::default());
-    history.record(4, &snapshot);
-    let dump = history.dump(None);
-    let mut audit = AuditLog::new();
-    audit.record(
-        3,
-        "lockout",
-        &[
-            ("client", AuditValue::Str("fab".into())),
-            ("until", AuditValue::U64(41)),
-        ],
-    );
-    let span = SpanRecord {
-        trace_id: 7,
-        span_id: 8,
-        parent: 0,
-        name: "request".into(),
-        node: "single".into(),
-        tick: 3,
-        units: 1,
-        attrs: vec![("outcome".into(), "ok".into())],
-    };
     let ctx = TraceContext::root(1, 2, "fab", "unlock");
     let client = || "fab".to_string();
-    let mut corpus: Vec<(Json, Decodes)> = Vec::new();
+    let mut corpus = Vec::new();
     for (req, traced) in [
         (
             Request::Register {
@@ -488,9 +453,56 @@ fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
         ),
     ] {
         let trace = traced.then_some(ctx);
-        corpus.push((TracedRequest { req, trace }.to_json(), |j| {
-            TracedRequest::from_json(j).is_ok()
-        }));
+        corpus.push(TracedRequest { req, trace }.to_json());
+    }
+    corpus
+}
+
+/// Valid encodings covering every variant and optional field of the
+/// service-side decoders, each paired with its decoder.
+fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
+    use hwm_jsonio::Json;
+    use hwm_metering::LockOptions;
+    use hwm_metrics::{
+        AuditLog, AuditValue, History, HistoryConfig, HistoryDump, MetricClass, MetricsRegistry,
+        Snapshot,
+    };
+    use hwm_service::{
+        CloneEvidence, ErrorCode, IcRecord, IcState, RegistrySnapshot, Response, StatusReport,
+        TracedRequest,
+    };
+    use hwm_trace::SpanRecord;
+
+    let metrics = MetricsRegistry::default();
+    metrics.inc("requests", &[("op", "unlock")], 3);
+    metrics.observe_exemplar("units", &[], MetricClass::Det, &[2, 8], 1, 0xabcd);
+    let snapshot = metrics.snapshot();
+    let mut history = History::new(HistoryConfig::default());
+    history.record(4, &snapshot);
+    let dump = history.dump(None);
+    let mut audit = AuditLog::new();
+    audit.record(
+        3,
+        "lockout",
+        &[
+            ("client", AuditValue::Str("fab".into())),
+            ("until", AuditValue::U64(41)),
+        ],
+    );
+    let span = SpanRecord {
+        trace_id: 7,
+        span_id: 8,
+        parent: 0,
+        name: "request".into(),
+        node: "single".into(),
+        tick: 3,
+        units: 1,
+        attrs: vec![("outcome".into(), "ok".into())],
+    };
+    let client = || "fab".to_string();
+    let mut corpus: Vec<(Json, Decodes)> = Vec::new();
+    for request in request_corpus() {
+        corpus.push((request, |j| TracedRequest::from_json(j).is_ok()));
     }
     for resp in [
         Response::Registered {
@@ -584,4 +596,59 @@ proptest! {
             prop_assert!(false, "{m:?} mutant was accepted: {mutant}");
         }
     }
+}
+
+/// Fuzz on into dispatch: every one-mutation mutant of every request
+/// frame is answered by a live server through [`FrameService::answer`],
+/// the path both transports take. Nothing panics, and a mutant the
+/// decoder refuses gets a `malformed` reply and leaves the logical clock
+/// and the journal exactly as they were.
+#[test]
+fn mutated_request_frames_are_refused_at_dispatch_without_side_effects() {
+    use hwm_metering::{Designer, LockOptions};
+    use hwm_service::{
+        ActivationServer, ErrorCode, FrameService, Response, ServerConfig, TracedRequest,
+    };
+
+    let designer = Designer::new(
+        hwm_fsm::Stg::ring_counter(5, 2),
+        LockOptions {
+            added_modules: 2,
+            black_holes: 1,
+            ..LockOptions::default()
+        },
+        2024,
+    )
+    .expect("designer");
+    let server = ActivationServer::new(designer, Registry::in_memory(), ServerConfig::default());
+    let (mut refused, mut dispatched) = (0, 0);
+    for valid in request_corpus() {
+        for m in mutate::MUTATIONS {
+            for (mutant, must_reject) in mutate::mutants(&valid, m) {
+                let state = || (server.clock(), server.with_registry(|r| r.journal_len()));
+                let before = state();
+                let reply = Response::from_json(&server.answer(&mutant))
+                    .unwrap_or_else(|e| panic!("reply to {mutant} does not decode: {e}"));
+                if TracedRequest::from_json(&mutant).is_ok() {
+                    assert!(!must_reject, "{m:?} mutant was accepted: {mutant}");
+                    dispatched += 1;
+                    continue;
+                }
+                refused += 1;
+                assert!(
+                    reply.has_code(ErrorCode::Malformed),
+                    "refused mutant {mutant} got {reply:?}"
+                );
+                assert_eq!(
+                    state(),
+                    before,
+                    "refused mutant {mutant} changed the server"
+                );
+            }
+        }
+    }
+    assert!(
+        refused > 0 && dispatched > 0,
+        "{refused} refused, {dispatched} dispatched"
+    );
 }

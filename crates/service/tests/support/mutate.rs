@@ -4,7 +4,7 @@
 //! to one field of one object anywhere in its tree. Decoders must never
 //! panic on the result, and a duplicated or unknown field in a
 //! fixed-schema object must always be an error. Shared by the service and
-//! cluster decoder fuzz tests.
+//! cluster fuzz tests, which also send every mutant on into dispatch.
 
 use hwm_jsonio::Json;
 
@@ -136,23 +136,32 @@ fn must_reject(m: Mutation, site: &Site) -> bool {
     }
 }
 
-/// Applies `m` to every field of every object in `valid`, one at a time,
-/// and decodes each mutant (a decoder panic fails the calling test).
-/// Returns the first mutant that decoded although it must be refused.
-pub fn first_wrongly_accepted(
-    valid: &Json,
-    m: Mutation,
-    decodes: impl Fn(&Json) -> bool,
-) -> Option<String> {
+/// Every mutant of `valid` under `m`, one per field of every object
+/// (one per object for an unknown field), each paired with whether a
+/// decoder must refuse it.
+pub fn mutants(valid: &Json, m: Mutation) -> Vec<(Json, bool)> {
+    let mut out = Vec::new();
     for site in sites(valid) {
         for pick in 0.. {
             let Some(mutant) = mutate(valid, &site, m, pick) else {
                 break;
             };
-            if decodes(&mutant) && must_reject(m, &site) {
-                return Some(mutant.to_string());
-            }
+            out.push((mutant, must_reject(m, &site)));
         }
     }
-    None
+    out
+}
+
+/// Decodes every mutant of `valid` under `m` (a decoder panic fails the
+/// calling test). Returns the first mutant that decoded although it must
+/// be refused.
+pub fn first_wrongly_accepted(
+    valid: &Json,
+    m: Mutation,
+    decodes: impl Fn(&Json) -> bool,
+) -> Option<String> {
+    mutants(valid, m)
+        .into_iter()
+        .find(|(mutant, reject)| decodes(mutant) && *reject)
+        .map(|(mutant, _)| mutant.to_string())
 }
