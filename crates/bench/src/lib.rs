@@ -1,8 +1,9 @@
 //! Evaluation harness: regenerates every table and figure of the paper.
 //!
-//! Each experiment is a library function here, driven by a binary (for the
-//! printed table) and by a Criterion bench (for timing). The mapping to the
-//! paper:
+//! Each experiment is a library function here, driven by a binary that
+//! prints its table. Timing lives in the separate `hwm_perf` package; the
+//! binaries' `--profile` spans break a run down by phase. The mapping to
+//! the paper:
 //!
 //! | Paper artifact | Function | Binary |
 //! |----------------|----------|--------|

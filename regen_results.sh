@@ -60,12 +60,12 @@ metrics_args() {
   fi
 }
 
-run_step serve_bench.txt ./target/release/serve_bench --clients 32 --overhead --jobs "$JOBS" $(trace_args serve_bench) $(metrics_args)
+run_step serve_bench.txt ./target/release/serve_bench --clients 32 --jobs "$JOBS" $(trace_args serve_bench) $(metrics_args)
 run_step monitor.txt ./target/release/hwm_monitor --once --jobs "$JOBS"
 run_step recovery.txt ./target/release/crash_sim --jobs "$JOBS" $(trace_args crash_sim)
 run_step alerts.txt ./target/release/crash_sim --campaign clone --jobs "$JOBS" $(trace_args alert_sim)
 mkdir -p results/trace
-run_step cluster.txt ./target/release/cluster_bench --jobs "$JOBS" --overhead --traces-out results/trace/cluster_traces.jsonl $(trace_args cluster_bench)
+run_step cluster.txt ./target/release/cluster_bench --jobs "$JOBS" --traces-out results/trace/cluster_traces.jsonl $(trace_args cluster_bench)
 # The slowest span trees of the cluster run above (the failover trace
 # ranks first by logical tick-duration). The JSONL dump is gitignored
 # intermediate state; the rendering is the golden.
