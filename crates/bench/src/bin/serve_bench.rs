@@ -1,16 +1,17 @@
 //! Load generator for the activation service (`hwm-service`).
 //!
 //! Drives a population of fab/test clients against an
-//! [`hwm_service::ActivationServer`] and reports throughput and latency
-//! percentiles. The workload itself lives in [`hwm_bench::serve`]: plans
-//! are generated in parallel (pure up to `(seed, client index)`), then
-//! submitted serially round-robin through the in-process transport, so
-//! stdout and the registry journal are byte-identical for any `--jobs`
-//! value. `--tcp` switches to real sockets with one thread per client —
-//! genuinely concurrent, so journal *order* then follows the scheduler.
+//! [`hwm_service::ActivationServer`] and reports the response tally, the
+//! registry state and the journal digest. The workload itself lives in
+//! [`hwm_bench::serve`]: plans are generated in parallel (pure up to
+//! `(seed, client index)`), then submitted serially round-robin through
+//! the in-process transport, so stdout and the registry journal are
+//! byte-identical for any `--jobs` value. `--tcp` switches to real
+//! sockets with one thread per client — genuinely concurrent, so journal
+//! *order* then follows the scheduler.
 //!
-//! Timings (throughput, p50/p99) are scheduling-dependent: they go to
-//! stderr and to `results/bench_meta.json` gauges, never stdout.
+//! It times nothing: throughput and latency come from `hwm_perf`, and
+//! per-phase time from `--profile`.
 //!
 //! Observability hooks: `--tcp` binds port 0 by default (override with
 //! `--port N`) and reports the chosen address on stderr so scripts can
@@ -37,37 +38,27 @@
 //! installs the stock alert rules — the `duplicate_readout_spike` rule
 //! fires at a deterministic tick over the in-process transport.
 //!
-//! Fault mode: `--faults KIND` (torn-write, disk-full, short-read,
-//! conn-drop) runs this workload through the crash/restart simulation
-//! ([`hwm_bench::sim`]) instead of the throughput benchmark — the server
-//! is killed `--crashes` times (default 3) at seeded ticks and recovered
-//! from its journal; the process exits 1 unless the recovered world
-//! matches the fault-free oracle exactly. `--compact-every N` turns on
-//! snapshot compaction during the simulated run.
+//! Crash/restart runs of this workload are `crash_sim`'s job.
 //!
 //! Usage: `serve_bench [--clients N] [--per-client N] [--smoke] [--tcp]
 //!     [--port N] [--hold SECS] [--json] [--metrics-out PATH]
 //!     [--alerts-out PATH] [--traces-out PATH] [--campaign clone]
-//!     [--pipeline N] [--journal PATH] [--flush POLICY] [--faults KIND]
-//!     [--crashes N] [--compact-every N] [--seed N] [--jobs N]
-//!     [--profile] [--trace-out P]`
+//!     [--pipeline N] [--journal PATH] [--flush POLICY] [--seed N]
+//!     [--jobs N] [--profile] [--trace-out P]`
 
 use hwm_bench::run::BenchRun;
 use hwm_bench::serve::{
     bench_designer, build_plans, clone_campaign_plans, fleet_rules, server_config, submit_local,
     submit_tcp, Tally,
 };
-use hwm_bench::sim::SimConfig;
 use hwm_jsonio::Json;
 use hwm_metering::Foundry;
-use hwm_metrics::latency::LatencySummary;
 use hwm_service::registry::{journal_digest, RecoverOptions};
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    ActivationServer, Client, FaultKind, FlushPolicy, LocalClient, Registry, Request, Response,
-    ServerConfig, TcpServer,
+    ActivationServer, Client, FlushPolicy, LocalClient, Registry, Request, Response, ServerConfig,
+    TcpServer,
 };
-use hwm_trace::GaugeAgg;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -228,7 +219,11 @@ fn main() {
     // --pipeline N submits N requests per wire burst (1 = one round
     // trip per request, the historical behavior). Dispatch order is
     // unchanged, so every deterministic byte is too.
-    let pipeline: usize = hwm_bench::num_arg("--pipeline").unwrap_or(1).max(1);
+    let pipeline: usize = hwm_bench::num_arg("--pipeline").unwrap_or(1);
+    if pipeline == 0 {
+        eprintln!("serve_bench: --pipeline wants at least 1 request per burst, got 0");
+        std::process::exit(2);
+    }
     // --flush picks the journal durability policy (per-event, sync,
     // buffered, group-commit[:N]); it only matters with --journal,
     // since the in-memory journal has no flush boundary.
@@ -257,49 +252,6 @@ fn main() {
         }
     }
     let journal_path = hwm_bench::arg_value("--journal");
-
-    // `--faults KIND [--crashes N]`: instead of the throughput benchmark,
-    // run this workload through the crash/restart simulation and report
-    // the oracle comparison (the full matrix lives in `crash_sim`).
-    if let Some(kind_str) = hwm_bench::arg_value("--faults") {
-        let Some(kind) = FaultKind::parse(&kind_str) else {
-            eprintln!("serve_bench: unknown fault kind {kind_str:?} (try torn-write, disk-full, short-read, conn-drop)");
-            std::process::exit(2);
-        };
-        if kind == FaultKind::DelayedAccept {
-            eprintln!(
-                "serve_bench: delayed-accept has no crash/recovery semantics; \
-                 it is exercised by the hwm-service TCP fault tests"
-            );
-            std::process::exit(2);
-        }
-        let config = SimConfig {
-            seed,
-            clients,
-            per_client,
-            kind,
-            crashes: hwm_bench::num_arg("--crashes").unwrap_or(3),
-            jobs: run.jobs(),
-            compact_every: hwm_bench::num_arg("--compact-every").unwrap_or(0),
-        };
-        let dir = std::env::temp_dir().join(format!("hwm-serve-faults-{}", std::process::id()));
-        let outcome = hwm_bench::sim::run_sim(&config, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        match outcome {
-            Ok(outcome) => {
-                print!("{}", outcome.report());
-                run.finish();
-                if !outcome.matches() {
-                    std::process::exit(1);
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("serve_bench: fault simulation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     let designer = bench_designer(seed);
     let plans = if campaign.is_some() {
@@ -358,8 +310,7 @@ fn main() {
         None
     };
 
-    let t0 = Instant::now();
-    let (tally, mut latencies) = if let Some(tcp_server) = &tcp_server {
+    let tally = if let Some(tcp_server) = &tcp_server {
         match submit_tcp(tcp_server.addr(), plans, pipeline) {
             Ok(r) => r,
             Err(e) => {
@@ -370,7 +321,6 @@ fn main() {
     } else {
         submit_local(&server, &plans, pipeline)
     };
-    let wall = t0.elapsed();
 
     // Journal identity: bytes live in memory, or on disk under
     // --journal — where any group-commit tail must cross the explicit
@@ -410,22 +360,6 @@ fn main() {
         hwm_bench::write_artifact(path, "traces", server.trace_dump());
     }
 
-    // Scheduling-dependent numbers: stderr + bench_meta.json gauges only.
-    let lat = LatencySummary::of(&mut latencies);
-    let throughput = tally.requests as f64 / wall.as_secs_f64().max(1e-9);
-    hwm_trace::record_gauge("serve_throughput_rps", GaugeAgg::Set, throughput as u64);
-    hwm_trace::record_gauge("serve_latency_p50_ns", GaugeAgg::Set, lat.p50_ns);
-    hwm_trace::record_gauge("serve_latency_p99_ns", GaugeAgg::Set, lat.p99_ns);
-    hwm_trace::record_gauge("serve_latency_max_ns", GaugeAgg::Set, lat.max_ns);
-    hwm_trace::record_gauge("serve_latency_mean_ns", GaugeAgg::Set, lat.mean_ns);
-    eprintln!(
-        "serve_bench: {:.0} req/s over {} requests; latency p50 {:.1} µs, p99 {:.1} µs, max {:.1} µs",
-        throughput,
-        lat.count,
-        lat.p50_ns as f64 / 1_000.0,
-        lat.p99_ns as f64 / 1_000.0,
-        lat.max_ns as f64 / 1_000.0,
-    );
     if let Some(tcp_server) = tcp_server {
         if let Some(secs) = hold_secs {
             // Sleep in short slices rather than one monolithic sleep, so

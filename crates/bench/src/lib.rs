@@ -26,7 +26,6 @@ pub mod cache;
 pub mod cluster;
 pub mod figures;
 pub mod fit;
-pub mod meta;
 pub mod monitor;
 pub mod parallel;
 pub mod passive_exp;
@@ -67,15 +66,17 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Parses a `--flag value` style option from `std::env::args`.
+/// The value after `--flag` in `std::env::args`; `None` when the flag is
+/// absent. A flag given as the last argument has no value: that is a
+/// usage error, so the binary names the flag on stderr and exits with
+/// status 2 instead of running as if the flag were absent.
 pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
+    let mut args = std::env::args().skip(1);
+    args.position(|a| a == name)?;
+    match args.next() {
+        Some(value) => Some(value),
+        None => usage_error(&format!("{name} wants a value, got nothing")),
     }
-    None
 }
 
 /// Parses the numeric value of a `--flag value` option from
@@ -84,18 +85,21 @@ pub fn arg_value(name: &str) -> Option<String> {
 /// the binary names the flag on stderr and exits with status 2 instead
 /// of falling back to a default.
 pub fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let mut args = std::env::args();
-    let program = args.next().unwrap_or_default();
-    args.position(|a| a == name)?;
-    let value = args.next();
-    if let Some(v) = value.as_deref().and_then(|s| s.parse().ok()) {
-        return Some(v);
+    let value = arg_value(name)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage_error(&format!("{name} wants a number, got {value:?}")),
     }
+}
+
+/// Prints `message` on stderr after the binary's name and exits with
+/// status 2, the usage-error status of every bench binary.
+fn usage_error(message: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
     let program = std::path::Path::new(&program)
         .file_name()
         .map_or(program.clone(), |p| p.to_string_lossy().into_owned());
-    let got = value.map_or("nothing".to_string(), |s| format!("{s:?}"));
-    eprintln!("{program}: {name} wants a number, got {got}");
+    eprintln!("{program}: {message}");
     std::process::exit(2);
 }
 

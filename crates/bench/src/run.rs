@@ -1,4 +1,4 @@
-//! Uniform per-binary run harness: flags, tracing, trace output, metadata.
+//! Uniform per-binary run harness: flags, tracing and trace output.
 //!
 //! Every bench binary wraps its work in a [`BenchRun`]:
 //!
@@ -12,14 +12,12 @@
 //! `--trace-out PATH`, `--cache-stats`; a malformed number exits 2), enables trace collection when
 //! profiling was requested and opens the run's root span (named after the
 //! experiment, so every span path in the trace is rooted at the binary
-//! name). `finish` closes the root span, folds the synthesis-cache
-//! counters into the trace summary as `set` gauges, records the
-//! `bench_meta.json` entry (a view over that summary), writes the JSONL
-//! trace to `--trace-out` and prints the per-phase breakdown to stderr
-//! under `--profile` — stderr so the table on stdout stays byte-identical.
+//! name). `finish` closes the root span, writes the JSONL trace to
+//! `--trace-out` and prints the per-phase breakdown to stderr under
+//! `--profile` — stderr so the table on stdout stays byte-identical. A
+//! run writes no file that no flag asked for.
 
-use crate::{cache, meta};
-use hwm_trace::{GaugeAgg, RunInfo, SpanGuard};
+use hwm_trace::{RunInfo, SpanGuard};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -36,8 +34,8 @@ pub struct BenchRun {
 
 impl BenchRun {
     /// Parses the uniform flags and starts the run clock. `experiment` is
-    /// the binary name; it becomes the root span and the key of the run's
-    /// `bench_meta.json` entry.
+    /// the binary name; it becomes the root span and the trace header's
+    /// experiment.
     pub fn start(experiment: &'static str) -> BenchRun {
         let seed: u64 = crate::num_arg("--seed").unwrap_or(2024);
         let jobs = crate::parallel::jobs_from_args();
@@ -70,30 +68,27 @@ impl BenchRun {
         self.jobs
     }
 
-    /// Closes the run: root span, cache-counter gauges, metadata entry,
-    /// JSONL trace and the `--profile` breakdown. Filesystem failures warn
-    /// to stderr but never abort — a read-only checkout must still print
-    /// its table.
+    /// Closes the run: root span, JSONL trace, the `--profile` breakdown
+    /// and the `--cache-stats` totals. A trace that cannot be written warns
+    /// to stderr but never aborts — the table on stdout still stands.
     pub fn finish(mut self) {
-        drop(self.root.take());
-        let wall_ns = self.start.elapsed().as_nanos() as u64;
-        let stats = cache::stats();
-        hwm_trace::record_gauge("cache_hits", GaugeAgg::Set, stats.hits);
-        hwm_trace::record_gauge("cache_misses", GaugeAgg::Set, stats.misses);
-        let summary = hwm_trace::summary();
-        hwm_trace::set_enabled(false);
-        let info = RunInfo {
-            experiment: self.experiment.to_string(),
-            seed: self.seed,
-            jobs: self.jobs as u64,
-            wall_ns,
-        };
-        meta::record(&info, &summary);
-        if let Some(path) = &self.trace_out {
-            crate::write_artifact(path, "trace", summary.to_jsonl(&info));
-        }
-        if self.profile {
-            eprint!("{}", summary.phase_table(&info));
+        if let Some(root) = self.root.take() {
+            drop(root);
+            let wall_ns = self.start.elapsed().as_nanos() as u64;
+            let summary = hwm_trace::summary();
+            hwm_trace::set_enabled(false);
+            let info = RunInfo {
+                experiment: self.experiment.to_string(),
+                seed: self.seed,
+                jobs: self.jobs as u64,
+                wall_ns,
+            };
+            if let Some(path) = &self.trace_out {
+                crate::write_artifact(path, "trace", summary.to_jsonl(&info));
+            }
+            if self.profile {
+                eprint!("{}", summary.phase_table(&info));
+            }
         }
         crate::report_cache_stats();
     }

@@ -26,7 +26,6 @@ use hwm_service::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One client's scripted session.
 #[derive(Debug, Clone)]
@@ -85,16 +84,6 @@ impl Tally {
                 ErrorCode::LockedOut => self.locked_out += 1,
                 _ => self.other_errors += 1,
             },
-        }
-    }
-
-    /// Counts one burst of responses sent at `t0`, attributing the
-    /// burst's latency evenly to its requests.
-    fn absorb_burst(&mut self, resps: &[Response], t0: Instant, latencies: &mut Vec<u64>) {
-        let per_req = t0.elapsed().as_nanos() as u64 / resps.len().max(1) as u64;
-        for resp in resps {
-            latencies.push(per_req);
-            self.absorb(resp);
         }
     }
 
@@ -334,27 +323,21 @@ pub fn round_robin(plans: &[ClientPlan]) -> Vec<Request> {
 /// requests per burst ([`LocalClient::call_pipelined`]; depth 1 is one
 /// round trip per request). Dispatch order is the flat schedule for any
 /// depth, so the journal, audit stream and det-class counters are
-/// byte-identical; latency is recorded per burst and attributed evenly
-/// to its requests.
+/// byte-identical.
 ///
 /// # Panics
 ///
 /// Panics if the in-process codec rejects one of its own frames.
-pub fn submit_local(
-    server: &Arc<ActivationServer>,
-    plans: &[ClientPlan],
-    depth: usize,
-) -> (Tally, Vec<u64>) {
+pub fn submit_local(server: &Arc<ActivationServer>, plans: &[ClientPlan], depth: usize) -> Tally {
     let _span = hwm_trace::span("serve_bench.submit");
     let mut client = LocalClient::new(Arc::clone(server));
     let mut tally = Tally::default();
-    let mut latencies = Vec::new();
     for window in round_robin(plans).chunks(depth.max(1)) {
-        let t0 = Instant::now();
-        let resps = client.call_pipelined(window).expect("in-process transport");
-        tally.absorb_burst(&resps, t0, &mut latencies);
+        for resp in &client.call_pipelined(window).expect("in-process transport") {
+            tally.absorb(resp);
+        }
     }
-    (tally, latencies)
+    tally
 }
 
 /// Concurrent submission over TCP: one connection per client, each
@@ -362,8 +345,7 @@ pub fn submit_local(
 /// depth 1 is one round trip per request), against an already-listening
 /// server (the caller owns the [`hwm_service::TcpServer`], so it can
 /// report the bound port and keep serving after the workload — e.g. for
-/// `serve_bench --hold` with an external monitor attached). Burst
-/// latency is attributed evenly to the burst's requests.
+/// `serve_bench --hold` with an external monitor attached).
 ///
 /// # Errors
 ///
@@ -376,24 +358,24 @@ pub fn submit_tcp(
     addr: std::net::SocketAddr,
     plans: Vec<ClientPlan>,
     depth: usize,
-) -> std::io::Result<(Tally, Vec<u64>)> {
+) -> std::io::Result<Tally> {
     let _span = hwm_trace::span("serve_bench.submit_tcp");
-    let results: Vec<std::io::Result<(Tally, Vec<u64>)>> = std::thread::scope(|scope| {
+    let results: Vec<std::io::Result<Tally>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plans
             .into_iter()
             .map(|plan| {
                 scope.spawn(move || {
                     let mut client = TcpClient::connect(addr)?;
                     let mut tally = Tally::default();
-                    let mut latencies = Vec::new();
                     for window in plan.requests.chunks(depth.max(1)) {
-                        let t0 = Instant::now();
                         let resps = client.call_pipelined(window).map_err(|e| {
                             std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
                         })?;
-                        tally.absorb_burst(&resps, t0, &mut latencies);
+                        for resp in &resps {
+                            tally.absorb(resp);
+                        }
                     }
-                    Ok((tally, latencies))
+                    Ok(tally)
                 })
             })
             .collect();
@@ -403,11 +385,8 @@ pub fn submit_tcp(
             .collect()
     });
     let mut tally = Tally::default();
-    let mut latencies = Vec::new();
     for r in results {
-        let (t, l) = r?;
-        tally.merge(&t);
-        latencies.extend(l);
+        tally.merge(&r?);
     }
-    Ok((tally, latencies))
+    Ok(tally)
 }

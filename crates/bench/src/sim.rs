@@ -556,7 +556,7 @@ fn run_alert_world(config: &AlertSimConfig, plans: &[ClientPlan]) -> AlertWorld 
         server_config(),
     ));
     server.set_alert_rules(fleet_rules());
-    let (tally, _) = submit_local(&server, plans, 1);
+    let tally = submit_local(&server, plans, 1);
     let mut client = LocalClient::new(Arc::clone(&server));
     let obs = observe(&mut client).expect("in-process monitor poll");
     let transitions = obs

@@ -21,7 +21,7 @@ fn run_pipeline(jobs: usize) -> (Tally, Vec<u8>, u64) {
         Registry::in_memory(),
         server_config(),
     ));
-    let (tally, _latencies) = submit_local(&server, &plans, 1);
+    let tally = submit_local(&server, &plans, 1);
     let journal = server
         .with_registry(|r| r.journal_bytes().map(<[u8]>::to_vec))
         .expect("in-memory registry retains journal bytes");

@@ -417,7 +417,6 @@ impl ClusterRouter {
         st.leader = Some(promoted);
         st.leader_seq = watermark;
         self.metrics.inc("cluster_failovers_total", &[], 1);
-        hwm_trace::counter("cluster_failovers", 1);
         inner.timeline.push(FailoverEvent {
             tick,
             shard,
@@ -786,7 +785,6 @@ impl Handler for ClusterRouter {
             }
         }
         inner.clock = now;
-        hwm_trace::counter("cluster_requests", 1);
         let dispatch_trace = ctx.as_ref().zip(dispatch_parent).map(|(c, parent)| {
             let id = scope.span(c.trace_id, parent, "dispatch");
             spans.push(SpanRecord {

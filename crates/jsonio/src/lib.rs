@@ -1,6 +1,6 @@
 //! Minimal lossless JSON for the metering stack.
 //!
-//! The designer's lock database and the benchmark harness's timing sidecar
+//! The designer's lock database and the benchmark harness's trace files
 //! both need a wire format in an environment without crates.io. This crate
 //! implements a small JSON value model with three properties the stack
 //! depends on:

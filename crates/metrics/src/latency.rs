@@ -1,11 +1,10 @@
 //! Latency aggregation: nearest-rank percentiles over nanosecond
-//! samples. Absorbed from `hwm-bench` so both the serving benchmark and
-//! the live registry share one percentile definition.
+//! samples, so the repository benchmark and the live registry share one
+//! percentile definition.
 //!
-//! Latencies are scheduling-dependent, so they feed *gauges* and
+//! Latencies are scheduling-dependent, so they feed
 //! [`crate::MetricClass::Timing`] histograms (excluded from the
-//! determinism contract) and stderr — never stdout, which must stay
-//! byte-identical across runs.
+//! determinism contract) — never a deterministic snapshot.
 
 /// Percentile summary of a latency population, in nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,23 +33,6 @@ pub fn percentile(samples: &mut [u64], p: f64) -> u64 {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set (consumed: sorting is in place).
-    pub fn of(samples: &mut [u64]) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let sum: u64 = samples.iter().sum();
-        let p50 = percentile(samples, 50.0);
-        let p99 = percentile(samples, 99.0);
-        LatencySummary {
-            count: samples.len() as u64,
-            p50_ns: p50,
-            p99_ns: p99,
-            max_ns: samples[samples.len() - 1],
-            mean_ns: sum / samples.len() as u64,
-        }
-    }
-
     /// Summarizes a [`crate::HistogramSnapshot`]: percentiles become
     /// bucket upper bounds (resolution-limited), the max the bound of the
     /// highest non-empty bucket.
@@ -88,28 +70,14 @@ mod tests {
         assert_eq!(percentile(&mut s, 99.0), 100);
         assert_eq!(percentile(&mut s, 100.0), 100);
         assert_eq!(percentile(&mut s, 1.0), 10);
+        let mut unsorted = vec![90, 10, 50, 30, 70];
+        assert_eq!(percentile(&mut unsorted, 50.0), 50);
+        assert_eq!(unsorted, [10, 30, 50, 70, 90], "sorted in place");
     }
 
     #[test]
     fn empty_population_is_all_zero() {
         assert_eq!(percentile(&mut [], 50.0), 0);
-        assert_eq!(LatencySummary::of(&mut []), LatencySummary::default());
-    }
-
-    #[test]
-    fn summary_of_a_single_sample() {
-        let s = LatencySummary::of(&mut [42]);
-        assert_eq!((s.count, s.p50_ns, s.p99_ns, s.max_ns, s.mean_ns), (1, 42, 42, 42, 42));
-    }
-
-    #[test]
-    fn summary_orders_unsorted_input() {
-        let mut raw = vec![90, 10, 50, 30, 70];
-        let s = LatencySummary::of(&mut raw);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.p50_ns, 50);
-        assert_eq!(s.max_ns, 90);
-        assert_eq!(s.mean_ns, 50);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   one JSON line per security-relevant event (clone evidence, lockouts,
 //!   remote disables), with the same strict parse-or-reject contract as
 //!   the registry journal.
-//! * [`latency`] — nearest-rank percentile summaries, absorbed from
-//!   `hwm-bench` so the serving benchmark and the live registry agree on
-//!   quantile semantics.
+//! * [`latency`] — nearest-rank percentile summaries, so the repository
+//!   benchmark and the live registry agree on quantile semantics.
 //! * [`timeseries`] — a fixed-capacity ring-buffer history of the
 //!   det-class series, sampled on the logical tick clock, with windowed
 //!   derivations (rate per 1k ticks, sliding max, per-mille EWMA).

@@ -483,7 +483,6 @@ impl Registry {
                         .write(true)
                         .open(path)?
                         .set_len((text.len() - t.bytes) as u64)?;
-                    hwm_trace::counter("journal_torn_tails", 1);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -808,7 +807,6 @@ impl Registry {
                 client: client.to_string(),
                 prior: prior.clone(),
             });
-            hwm_trace::counter("registry_duplicates", 1);
             self.maybe_compact();
             return Err(RegistryError::DuplicateReadout { prior });
         }
@@ -833,7 +831,6 @@ impl Registry {
         });
         self.by_ic.insert(ic.to_string(), index);
         self.by_readout.insert(readout.to_string(), index);
-        hwm_trace::counter("registry_registrations", 1);
         self.maybe_compact();
         Ok(())
     }
@@ -866,7 +863,6 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Unlocked;
-        hwm_trace::counter("registry_unlocks", 1);
         self.maybe_compact();
         Ok(())
     }
@@ -891,7 +887,6 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Disabled;
-        hwm_trace::counter("registry_disables", 1);
         self.maybe_compact();
         Ok(())
     }
@@ -947,7 +942,6 @@ impl Registry {
         if let Some(m) = &self.metrics {
             m.inc("journal_compactions_total", &[], 1);
         }
-        hwm_trace::counter("journal_compactions", 1);
         Ok(())
     }
 

@@ -24,9 +24,9 @@
 //!   sequence.
 //! * **Status** — registry counts and optional per-IC state.
 //!
-//! Every handler opens an `hwm-trace` span and bumps counters, so a
-//! `--profile` run of the serving benchmark breaks down exactly like the
-//! offline tables.
+//! Every handler opens an `hwm-trace` span, so a `--profile` run of the
+//! serving benchmark breaks down by request kind like the offline tables.
+//! Event counts live in one place, the `hwm-metrics` registry below.
 //!
 //! On top of the post-hoc trace, the server carries **live** telemetry
 //! (`hwm-metrics`): outcome-labelled request counters, per-op latency
@@ -198,7 +198,6 @@ impl ActivationServer {
             {
                 // This process inherited state from a prior incarnation.
                 metrics.inc("journal_recoveries_total", &[], 1);
-                hwm_trace::counter("journal_recoveries", 1);
             }
         }
         ActivationServer {
@@ -429,7 +428,6 @@ impl ActivationServer {
                 inner.clock
             }
         };
-        hwm_trace::counter("service_requests", 1);
         let op = match req {
             Request::Register { .. } => "register",
             Request::Unlock { .. } => "unlock",
@@ -481,22 +479,16 @@ impl ActivationServer {
                     unreachable!("admin handled above")
                 }
             },
-            Decision::Throttled { retry_at } => {
-                hwm_trace::counter("service_throttled", 1);
-                Response::Error {
-                    code: ErrorCode::Throttled,
-                    message: format!("rate limit: retry at tick {retry_at}"),
-                    retry_at: Some(retry_at),
-                }
-            }
-            Decision::LockedOut { until } => {
-                hwm_trace::counter("service_locked_out", 1);
-                Response::Error {
-                    code: ErrorCode::LockedOut,
-                    message: format!("locked out until tick {until}"),
-                    retry_at: Some(until),
-                }
-            }
+            Decision::Throttled { retry_at } => Response::Error {
+                code: ErrorCode::Throttled,
+                message: format!("rate limit: retry at tick {retry_at}"),
+                retry_at: Some(retry_at),
+            },
+            Decision::LockedOut { until } => Response::Error {
+                code: ErrorCode::LockedOut,
+                message: format!("locked out until tick {until}"),
+                retry_at: Some(until),
+            },
         };
         let outcome = match &resp {
             Response::Registered { .. } => "registered",
@@ -680,7 +672,6 @@ impl ActivationServer {
         let metrics = Arc::clone(&self.metrics);
         inner.registry.set_metrics(metrics);
         self.metrics.inc("journal_recoveries_total", &[], 1);
-        hwm_trace::counter("journal_recoveries", 1);
         Ok(())
     }
 
@@ -873,7 +864,6 @@ impl Inner {
     /// A wrong readout was submitted: count it and lock the client out
     /// past the threshold.
     fn wrong_readout(&mut self, client: &str, now: u64, code: ErrorCode, message: String) -> Response {
-        hwm_trace::counter("service_wrong_readouts", 1);
         self.metrics.inc("service_wrong_readouts_total", &[], 1);
         let retry_at = self.limiter.record_failure(client, now);
         if let Some(until) = retry_at {
@@ -1035,7 +1025,6 @@ impl Inner {
             };
         }
         self.limiter.record_success(client);
-        hwm_trace::counter("service_keys_issued", 1);
         Response::Key {
             ic,
             key: key.values,

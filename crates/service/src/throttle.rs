@@ -154,7 +154,6 @@ impl RateLimiter {
         s.lockouts += 1;
         s.consecutive_failures = 0;
         self.total_lockouts += 1;
-        hwm_trace::counter("throttle_lockouts", 1);
         Some(now + duration)
     }
 

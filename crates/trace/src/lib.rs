@@ -80,7 +80,6 @@ struct Store {
     counters: HashMap<(Path, &'static str), u64>,
     gauge_sums: HashMap<&'static str, u64>,
     gauge_maxes: HashMap<&'static str, u64>,
-    gauge_sets: HashMap<&'static str, u64>,
 }
 
 impl Store {
@@ -101,9 +100,6 @@ impl Store {
             let e = self.gauge_maxes.entry(name).or_insert(0);
             *e = (*e).max(v);
         }
-        for (name, v) in other.gauge_sets.drain() {
-            self.gauge_sets.insert(name, v);
-        }
     }
 
     fn is_empty(&self) -> bool {
@@ -111,7 +107,6 @@ impl Store {
             && self.counters.is_empty()
             && self.gauge_sums.is_empty()
             && self.gauge_maxes.is_empty()
-            && self.gauge_sets.is_empty()
     }
 }
 
@@ -295,10 +290,9 @@ pub fn gauge_max(name: &'static str, value: u64) {
     record_gauge(name, GaugeAgg::Max, value);
 }
 
-/// Records a gauge unconditionally (even while collection is disabled) —
-/// used by the harness to fold end-of-run totals such as the synthesis
-/// cache counters into the trace summary. [`GaugeAgg::Set`] overwrites.
-pub fn record_gauge(name: &'static str, agg: GaugeAgg, value: u64) {
+/// Folds one gauge record into this thread's pending buffer; callers have
+/// already checked that collection is enabled.
+fn record_gauge(name: &'static str, agg: GaugeAgg, value: u64) {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         match agg {
@@ -306,9 +300,6 @@ pub fn record_gauge(name: &'static str, agg: GaugeAgg, value: u64) {
             GaugeAgg::Max => {
                 let e = l.pending.gauge_maxes.entry(name).or_insert(0);
                 *e = (*e).max(value);
-            }
-            GaugeAgg::Set => {
-                l.pending.gauge_sets.insert(name, value);
             }
         }
         if l.stack.is_empty() {
@@ -397,11 +388,6 @@ pub fn summary() -> Summary {
         .chain(store.gauge_maxes.iter().map(|(n, v)| GaugeRow {
             name: n.to_string(),
             agg: GaugeAgg::Max,
-            value: *v,
-        }))
-        .chain(store.gauge_sets.iter().map(|(n, v)| GaugeRow {
-            name: n.to_string(),
-            agg: GaugeAgg::Set,
             value: *v,
         }))
         .collect();
@@ -536,13 +522,10 @@ mod tests {
         gauge_add("wait_ns", 7);
         gauge_max("peak", 3);
         gauge_max("peak", 2);
-        record_gauge("cache_hits", GaugeAgg::Set, 9);
-        record_gauge("cache_hits", GaugeAgg::Set, 11);
         set_enabled(false);
         let s = summary();
         assert_eq!(s.gauge("wait_ns"), Some(12));
         assert_eq!(s.gauge("peak"), Some(3));
-        assert_eq!(s.gauge("cache_hits"), Some(11));
     }
 
     #[test]

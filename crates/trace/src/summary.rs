@@ -11,17 +11,14 @@ pub enum GaugeAgg {
     Sum,
     /// The maximum value wins.
     Max,
-    /// The last recorded value wins (end-of-run totals).
-    Set,
 }
 
 impl GaugeAgg {
-    /// Wire name of the aggregation (`"sum"` / `"max"` / `"set"`).
+    /// Wire name of the aggregation (`"sum"` / `"max"`).
     pub fn as_str(self) -> &'static str {
         match self {
             GaugeAgg::Sum => "sum",
             GaugeAgg::Max => "max",
-            GaugeAgg::Set => "set",
         }
     }
 
@@ -30,7 +27,6 @@ impl GaugeAgg {
         match s {
             "sum" => Some(GaugeAgg::Sum),
             "max" => Some(GaugeAgg::Max),
-            "set" => Some(GaugeAgg::Set),
             _ => None,
         }
     }
@@ -73,8 +69,8 @@ pub struct GaugeRow {
     pub value: u64,
 }
 
-/// Identity of one benchmark run, folded into both the JSONL trace header
-/// and the `bench_meta.json` entry (one schema, two views).
+/// Identity of one benchmark run: the JSONL trace's `run` header and the
+/// heading of the per-phase breakdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunInfo {
     /// Experiment name (the binary name, e.g. `"table1"`).
@@ -188,26 +184,6 @@ impl Summary {
         out
     }
 
-    /// The run's `bench_meta.json` entry: the same schema fields as the
-    /// JSONL `run` header (seed, jobs, wall_ms) followed by every gauge as
-    /// a flat field — `bench_meta.json` is thereby a *view* over the trace
-    /// summary, not a parallel bookkeeping path. Counters and spans stay in
-    /// the JSONL trace (they are per-path and would not flatten losslessly).
-    pub fn meta_json(&self, info: &RunInfo) -> Json {
-        let mut fields = vec![
-            ("seed".to_string(), Json::U64(info.seed)),
-            ("jobs".to_string(), Json::U64(info.jobs)),
-            ("wall_ms".to_string(), Json::F64(info.wall_ms())),
-        ];
-        for g in &self.gauges {
-            fields.push((g.name.clone(), Json::U64(g.value)));
-        }
-        if !self.spans.is_empty() {
-            fields.push(("trace_spans".to_string(), Json::U64(self.spans.len() as u64)));
-        }
-        Json::Obj(fields)
-    }
-
     /// Renders the human-readable per-phase breakdown: one row per span
     /// path (indented by depth), with call counts, total/self time, the
     /// share of `wall_ns` each phase's total covers, and per-phase cache
@@ -298,7 +274,6 @@ impl Summary {
                 Some(x) => match g.agg {
                     GaugeAgg::Sum => x.value += g.value,
                     GaugeAgg::Max => x.value = x.value.max(g.value),
-                    GaugeAgg::Set => x.value = g.value,
                 },
                 None => self.gauges.push(g.clone()),
             }
@@ -391,16 +366,6 @@ mod tests {
         assert!(t.contains("  synth"), "child rows are indented leaf names: {t}");
         assert!(t.contains("100.0"), "root must cover the wall: {t}");
         assert!(t.contains("root spans account for 100.0%"), "{t}");
-    }
-
-    #[test]
-    fn meta_json_is_a_view_over_gauges() {
-        let (s, info) = sample();
-        let j = s.meta_json(&info);
-        assert_eq!(j.get("seed").and_then(Json::as_u64), Some(7));
-        assert_eq!(j.get("jobs").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("peak").and_then(Json::as_u64), Some(4));
-        assert!(j.get("wall_ms").and_then(Json::as_f64).is_some());
     }
 
     #[test]

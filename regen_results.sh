@@ -4,8 +4,8 @@
 #
 # JOBS controls the worker count (default: all cores). Every table is
 # byte-identical for any JOBS value — work items are seeded per index, so
-# the artifacts do not depend on the machine's parallelism. Timings land in
-# results/bench_meta.json (machine-readable, excluded from golden checks).
+# the artifacts do not depend on the machine's parallelism. Nothing here is
+# timed: run time is measured by hwm_perf (README "Benchmark").
 #
 # PROFILE=1 additionally captures a JSONL trace per binary under
 # results/trace/ (gitignored) and prints each binary's per-phase breakdown
