@@ -321,7 +321,7 @@ impl AddedStg {
     ) -> bool {
         let reaches_all = |take: usize| {
             let inputs = self.spread_inputs().filter(|&v| usable(v)).take(take);
-            self.distances_to_exit_where(group, inputs, &keep)
+            self.distances_to_exit_where(group, inputs, &keep, |_, _| {})
                 .iter()
                 .all(|&d| d != usize::MAX)
         };
@@ -469,7 +469,7 @@ impl AddedStg {
     /// group `group`. `usize::MAX` marks unreachable states (none exist for
     /// well-formed builds; asserted in tests).
     pub fn distances_to_exit(&self, group: u8) -> Vec<usize> {
-        self.distances_to_exit_where(group, 0..1u64 << self.input_bits, |_, _| true)
+        self.distances_to_exit_where(group, 0..1u64 << self.input_bits, |_, _| true, |_, _| {})
     }
 
     /// [`AddedStg::distances_to_exit`] over the edges `s → step(s, v)` with
@@ -477,11 +477,16 @@ impl AddedStg {
     /// reverse BFS from the exit: every per-input step is a bijection, so
     /// `step_inv(u, v)` is the only state that input `v` moves onto `u`,
     /// and no adjacency list is needed.
+    ///
+    /// `found(s, v)` is told each state as it is reached, with the input
+    /// of the edge that reached it. With `inputs` ascending, `v` is the
+    /// least input on any of `s`'s shortest paths to the exit.
     pub(crate) fn distances_to_exit_where(
         &self,
         group: u8,
         inputs: impl Iterator<Item = u64> + Clone,
         keep: impl Fn(u32, u64) -> bool,
+        mut found: impl FnMut(u32, u64),
     ) -> Vec<usize> {
         let exit = self.exit_state();
         let mut dist = vec![usize::MAX; self.state_count()];
@@ -499,6 +504,7 @@ impl AddedStg {
                     let p = self.step_inv(u, v, group);
                     if p != u && dist[p as usize] == usize::MAX && keep(p, v) {
                         dist[p as usize] = d;
+                        found(p, v);
                         next.push(p);
                     }
                 }
@@ -707,7 +713,8 @@ mod tests {
             for group in [0u8, 5] {
                 for usable in filters {
                     let every = (0..1u64 << b).filter(|&v| usable(v));
-                    let full = reaches(a.distances_to_exit_where(group, every, |_, _| true));
+                    let full =
+                        reaches(a.distances_to_exit_where(group, every, |_, _| true, |_, _| {}));
                     let quick_first = a.all_reach_exit(group, usable, |_, _| true);
                     assert_eq!(quick_first, full, "q {q} b {b}");
                 }
@@ -715,7 +722,7 @@ mod tests {
                 // fails, and the pass over every input must decide.
                 let quick: Vec<u64> = a.spread_inputs().take(QUICK_INPUTS).collect();
                 let keep = |_: u32, v: u64| !quick.contains(&v);
-                let full = reaches(a.distances_to_exit_where(group, 0..1u64 << b, keep));
+                let full = reaches(a.distances_to_exit_where(group, 0..1u64 << b, keep, |_, _| {}));
                 assert_eq!(a.all_reach_exit(group, |_| true, keep), full, "q {q} b {b}");
                 // With 3 input bits every input is vetoed.
                 assert_eq!(full, b > 3, "q {q} b {b}");

@@ -607,11 +607,22 @@ impl Bfsm {
     /// Distance from every composed state to the exit along *key-safe*
     /// edges (no black-hole triggers, no gate-matching input symbols).
     pub fn safe_distances_to_exit(&self, group: u8) -> Vec<usize> {
+        self.safe_bfs(group, |_, _| {})
+    }
+
+    /// The one reverse BFS over key-safe edges behind
+    /// [`Bfsm::safe_distances_to_exit`] and [`Bfsm::key_hops`], with inputs
+    /// ascending so that `found` learns each state's least first hop.
+    fn safe_bfs(&self, group: u8, found: impl FnMut(u32, u64)) -> Vec<usize> {
         // Gate symbols are unsafe from every state: skip them outright.
         let inputs =
             (0..1u64 << self.added.input_bits()).filter(|&v| !self.matches_unlock_gate(v));
-        self.added
-            .distances_to_exit_where(group, inputs, |s, v| self.triggered_hole(s, v).is_none())
+        self.added.distances_to_exit_where(
+            group,
+            inputs,
+            |s, v| self.triggered_hole(s, v).is_none(),
+            found,
+        )
     }
 
     /// Whether no state is left at `usize::MAX` by
@@ -627,7 +638,10 @@ impl Bfsm {
     /// Shortest *key-safe* input-value sequence from a composed state to
     /// the exit — the core of the designer's key computation. The sequence
     /// avoids black-hole triggers and gate-matching symbols; the caller
-    /// appends [`Bfsm::unlock_symbol`] as the final cycle.
+    /// appends [`Bfsm::unlock_symbol`] as the final cycle. A forward BFS
+    /// trying inputs in ascending order, it returns the lexicographically
+    /// least such sequence; the serving path reads the same one off
+    /// [`Bfsm::key_hops`] without a search.
     ///
     /// # Errors
     ///
@@ -667,91 +681,37 @@ impl Bfsm {
         Err(MeteringError::NoKeyExists)
     }
 
-    /// Precomputes the key-safe transition table for one group: for every
-    /// composed state, its outgoing `(input, target)` edges that avoid
-    /// black-hole triggers, gate-matching symbols and self-loops, in
-    /// ascending input order — exactly the edges (and the order)
-    /// [`Bfsm::safe_sequence_to_exit`] enumerates on the fly. One build
-    /// amortizes the per-edge black-hole evaluation across every key the
-    /// designer issues for the group.
-    pub fn safe_edges(&self, group: u8) -> SafeEdges {
-        let n = self.added.state_count();
-        let n_inputs = 1u64 << self.added.input_bits();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for s in 0..n as u32 {
-            for v in 0..n_inputs {
-                if !self.key_safe(s, v) {
-                    continue;
-                }
-                let t = self.added.step(s, v, group);
-                if t != s {
-                    inputs.push(v);
-                    targets.push(t);
-                }
-            }
-            offsets.push(inputs.len() as u32);
-        }
-        SafeEdges {
-            group,
-            exit: self.added.exit_state(),
-            offsets,
-            inputs,
-            targets,
-        }
+    /// The next-hop key table of one group: one reverse BFS from the exit
+    /// records, for every composed state, the least input that starts a
+    /// shortest key-safe path. Following it from any state spells that
+    /// state's lexicographically least shortest key-safe path — exactly the
+    /// sequence [`Bfsm::safe_sequence_to_exit`]'s forward search returns.
+    pub fn key_hops(&self, group: u8) -> KeyHops {
+        // The gate symbol is never key-safe, so it marks "no hop".
+        let mut hops = vec![self.unlock_gate as u8; self.added.state_count()];
+        self.safe_bfs(group, |s, v| hops[s as usize] = v as u8);
+        KeyHops { group, hops }
     }
 
-    /// [`Bfsm::safe_sequence_to_exit`] over a precomputed [`SafeEdges`]
-    /// table, with caller-owned search scratch. Explores edges in the
-    /// identical order, so the returned sequence is byte-for-byte the one
-    /// the table-free search finds.
+    /// [`Bfsm::safe_sequence_to_exit`] read off a [`KeyHops`] table: one
+    /// table lookup and one step per key symbol, no search.
     ///
     /// # Errors
     ///
     /// Returns [`MeteringError::NoKeyExists`] when no safe path exists.
-    pub fn safe_sequence_to_exit_via(
-        &self,
-        edges: &SafeEdges,
-        start: u32,
-        scratch: &mut SafeSearch,
-    ) -> Result<Vec<u64>, MeteringError> {
-        if self.added.is_exit(start) {
-            return Ok(Vec::new());
-        }
-        let n = self.added.state_count();
-        debug_assert_eq!(edges.offsets.len(), n + 1, "edge table built for this machine");
-        let pred = &mut scratch.pred;
-        pred.clear();
-        pred.resize(n, None);
-        pred[start as usize] = Some((start, 0));
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.push_back(start);
-        while let Some(s) = queue.pop_front() {
-            let lo = edges.offsets[s as usize] as usize;
-            let hi = edges.offsets[s as usize + 1] as usize;
-            for e in lo..hi {
-                let t = edges.targets[e];
-                if pred[t as usize].is_none() {
-                    pred[t as usize] = Some((s, edges.inputs[e]));
-                    if t == edges.exit {
-                        let mut seq = Vec::new();
-                        let mut cur = t;
-                        while cur != start {
-                            let (p, val) = pred[cur as usize].expect("on BFS tree");
-                            seq.push(val);
-                            cur = p;
-                        }
-                        seq.reverse();
-                        return Ok(seq);
-                    }
-                    queue.push_back(t);
-                }
+    pub fn follow_hops(&self, hops: &KeyHops, start: u32) -> Result<Vec<u64>, MeteringError> {
+        debug_assert_eq!(hops.hops.len(), self.added.state_count(), "table built for this machine");
+        let mut key = Vec::new();
+        let mut s = start;
+        while !self.added.is_exit(s) {
+            let v = u64::from(hops.hops[s as usize]);
+            if self.matches_unlock_gate(v) {
+                return Err(MeteringError::NoKeyExists);
             }
+            key.push(v);
+            s = self.added.step(s, v, hops.group);
         }
-        Err(MeteringError::NoKeyExists)
+        Ok(key)
     }
 
     /// The first black hole whose trigger fires on input value `v` from
@@ -836,34 +796,14 @@ impl Bfsm {
     }
 }
 
-/// A precomputed key-safe transition table for one SFFSM group (CSR
-/// layout): state `s`'s edges live at `offsets[s]..offsets[s+1]` in
-/// `inputs`/`targets`, in ascending input order. Built by
-/// [`Bfsm::safe_edges`], consumed by [`Bfsm::safe_sequence_to_exit_via`].
-#[derive(Debug, Clone)]
-pub struct SafeEdges {
-    /// The group the table was built for.
-    pub group: u8,
-    exit: u32,
-    offsets: Vec<u32>,
-    inputs: Vec<u64>,
-    targets: Vec<u32>,
-}
-
-impl SafeEdges {
-    /// Total key-safe edges in the table.
-    pub fn edge_count(&self) -> usize {
-        self.inputs.len()
-    }
-}
-
-/// Reusable scratch for [`Bfsm::safe_sequence_to_exit_via`]: holds the
-/// BFS predecessor array and queue so repeated key computations allocate
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SafeSearch {
-    pred: Vec<Option<(u32, u64)>>,
-    queue: VecDeque<u32>,
+/// One SFFSM group's next-hop key table: for every composed state, the
+/// first input of its lexicographically least shortest key-safe path to
+/// the exit, one byte each (inputs are at most 8 bits wide). Built by
+/// [`Bfsm::key_hops`], walked by [`Bfsm::follow_hops`].
+#[derive(Debug)]
+pub struct KeyHops {
+    group: u8,
+    hops: Vec<u8>,
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! and Alice's royalty stream is exactly the activation log.
 
 use crate::added::AddedStg;
-use crate::bfsm::{Bfsm, SafeEdges, SafeSearch};
+use crate::bfsm::{Bfsm, KeyHops};
 use crate::chip::{Chip, ScanReadout, UnlockKey};
 use crate::MeteringError;
 use hwm_jsonio::{Json, StrictObj};
@@ -156,12 +156,10 @@ pub struct Designer {
     bfsm: Arc<Bfsm>,
     log: Vec<ActivationRecord>,
     origin: DesignerOrigin,
-    /// Per-group key-safe edge tables, built lazily on the first key
-    /// issued for a group. Pure caches of the BFSM: they never enter the
-    /// lock database and a clone may rebuild them.
-    key_tables: std::collections::HashMap<u8, Arc<SafeEdges>>,
-    /// Reusable BFS scratch for the serving hot path.
-    search: SafeSearch,
+    /// Per-group next-hop key tables ([`Bfsm::key_hops`]), built lazily
+    /// on the first key issued for a group. Pure caches of the BFSM: they
+    /// never enter the lock database and a clone may rebuild them.
+    key_tables: std::collections::HashMap<u8, Arc<KeyHops>>,
 }
 
 /// The construction inputs of a designer. [`Designer::new`] is
@@ -244,7 +242,6 @@ impl Designer {
             log: Vec::new(),
             origin,
             key_tables: std::collections::HashMap::new(),
-            search: SafeSearch::default(),
         })
     }
 
@@ -274,26 +271,24 @@ impl Designer {
 
     /// Computes the key and records the activation in the royalty ledger.
     ///
+    /// The serving hot path: the first key of a group builds the group's
+    /// next-hop table ([`Bfsm::key_hops`], one reverse BFS); every key
+    /// after that is a walk down the table, one lookup and one step per
+    /// symbol. The table spells the same lexicographically least shortest
+    /// key-safe path that [`Designer::compute_key`]'s table-free search
+    /// finds, so the two return the same key and the same errors.
+    ///
     /// # Errors
     ///
     /// As [`Designer::compute_key`].
     pub fn issue_key(&mut self, readout: &ScanReadout) -> Result<UnlockKey, MeteringError> {
-        // The serving hot path: one readout parse, then a BFS over the
-        // group's cached key-safe edge table — same exploration order as
-        // [`Designer::compute_key`]'s table-free search, so the issued
-        // key is byte-identical.
         let (composed, group) = self.bfsm.parse_readout(&readout.0)?;
-        let edges = match self.key_tables.get(&group) {
-            Some(e) => Arc::clone(e),
-            None => {
-                let e = Arc::new(self.bfsm.safe_edges(group));
-                self.key_tables.insert(group, Arc::clone(&e));
-                e
-            }
-        };
-        let mut values = self
-            .bfsm
-            .safe_sequence_to_exit_via(&edges, composed, &mut self.search)?;
+        let bfsm = &self.bfsm;
+        let hops = self
+            .key_tables
+            .entry(group)
+            .or_insert_with(|| Arc::new(bfsm.key_hops(group)));
+        let mut values = bfsm.follow_hops(hops, composed)?;
         values.push(self.bfsm.unlock_symbol());
         let key = UnlockKey { values };
         self.log.push(ActivationRecord {

@@ -3,7 +3,7 @@
 
 use hwm_fsm::Stg;
 use hwm_logic::Bits;
-use hwm_metering::{protocol, Chip, Designer, Foundry, LockOptions, MeteringError};
+use hwm_metering::{protocol, Chip, Designer, Foundry, LockOptions, MeteringError, ScanReadout};
 
 fn setup(options: LockOptions, seed: u64) -> (Designer, Foundry) {
     let designer = Designer::new(Stg::ring_counter(6, 2), options, seed).expect("lock");
@@ -15,6 +15,15 @@ fn fabricate_locked(foundry: &mut Foundry) -> Chip {
     let chip = foundry.fabricate_one();
     assert!(!chip.is_unlocked());
     chip
+}
+
+/// Both key paths refuse `readout` with `error`, and the refusal leaves
+/// the royalty ledger as it was.
+fn assert_key_refused(designer: &mut Designer, readout: &ScanReadout, error: MeteringError) {
+    let before = designer.activations();
+    assert_eq!(designer.compute_key(readout), Err(error.clone()));
+    assert_eq!(designer.issue_key(readout), Err(error));
+    assert_eq!(designer.activations(), before);
 }
 
 #[test]
@@ -41,7 +50,7 @@ fn boot_with_wrong_stored_key_fails() {
 
 #[test]
 fn trapped_chip_readout_yields_no_key() {
-    let (designer, mut foundry) = setup(
+    let (mut designer, mut foundry) = setup(
         LockOptions {
             black_holes: 1,
             ..LockOptions::default()
@@ -61,10 +70,7 @@ fn trapped_chip_readout_yields_no_key() {
     }
     assert!(chip.is_trapped(), "hole should have caught the walk");
     let readout = chip.scan_flip_flops();
-    assert!(matches!(
-        designer.compute_key(&readout),
-        Err(MeteringError::NoKeyExists)
-    ));
+    assert_key_refused(&mut designer, &readout, MeteringError::NoKeyExists);
 }
 
 #[test]
@@ -73,20 +79,14 @@ fn unlocked_chip_readout_is_rejected_for_key_computation() {
     let mut chip = fabricate_locked(&mut foundry);
     protocol::activate(&mut designer, &mut chip).unwrap();
     let readout = chip.scan_flip_flops();
-    assert!(matches!(
-        designer.compute_key(&readout),
-        Err(MeteringError::UnrecognizedReadout)
-    ));
+    assert_key_refused(&mut designer, &readout, MeteringError::UnrecognizedReadout);
 }
 
 #[test]
 fn malformed_readout_rejected() {
-    let (designer, _) = setup(LockOptions::default(), 305);
-    let bogus = hwm_metering::ScanReadout(Bits::zeros(3));
-    assert!(matches!(
-        designer.compute_key(&bogus),
-        Err(MeteringError::UnrecognizedReadout)
-    ));
+    let (mut designer, _) = setup(LockOptions::default(), 305);
+    let bogus = ScanReadout(Bits::zeros(3));
+    assert_key_refused(&mut designer, &bogus, MeteringError::UnrecognizedReadout);
 }
 
 #[test]
