@@ -20,14 +20,14 @@
 //! over the in-process and TCP replication transports.
 
 use crate::serve::{bench_designer, build_plans, round_robin, server_config, Tally};
-use crate::sim::{absorb_counters, CounterSums};
 use hwm_cluster::{
     ClusterRouter, FailoverEvent, LocalLink, NodeLink, RepHost, ShardGroup, ShardNode, TcpLink,
 };
 use hwm_metrics::{MetricKind, SeriesValue, Snapshot};
 use hwm_service::{
-    ActivationServer, Client, FaultKind, FaultPlan, IcState, LocalClient, Registry, RegistryCounts,
-    Request, Response, ServerConfig, ServerRole, TcpClient, TcpServer,
+    absorb_counters, ActivationServer, Client, CounterSums, FaultKind, FaultPlan, IcState,
+    LocalClient, Registry, RegistryCounts, Request, Response, ServerConfig, ServerRole, TcpClient,
+    TcpServer,
 };
 use std::fmt::Write as _;
 use std::io;

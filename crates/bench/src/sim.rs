@@ -36,13 +36,12 @@ use crate::serve::{
     bench_designer, build_plans, clone_campaign_plans, fleet_rules, round_robin, server_config,
     submit_local, ClientPlan, Tally,
 };
-use hwm_metrics::{AuditLog, MetricKind, SeriesValue, Snapshot};
+use hwm_metrics::AuditLog;
 use hwm_service::registry::journal_digest;
 use hwm_service::{
-    ActivationServer, ArmedFault, Client, ErrorCode, FaultInjector, FaultKind, FaultPlan,
-    LocalClient, RecoverOptions, Registry, RegistryCounts, Response,
+    absorb_counters, ActivationServer, ArmedFault, Client, CounterSums, ErrorCode, FaultInjector,
+    FaultKind, FaultPlan, LocalClient, RecoverOptions, Registry, RegistryCounts, Response,
 };
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -82,48 +81,6 @@ impl SimConfig {
             compact_every: 0,
         }
     }
-}
-
-/// Deterministic metrics counters summed per `(name, labels)`.
-pub type CounterSums = BTreeMap<(String, Vec<(String, String)>), u64>;
-
-/// Counters describing the recovery machinery itself — a fault-free
-/// oracle never exercises it (a promotion counts one recovery), so they
-/// are excluded from every oracle comparison.
-const RECOVERY_ONLY: &[&str] = &["journal_recoveries_total", "journal_compactions_total"];
-
-/// Adds a snapshot's det-class counters into `sums`, skipping the
-/// recovery-only names and the router's `cluster_*` families (no
-/// single-node snapshot has one, so they have no oracle counterpart).
-pub fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot) {
-    for f in &snapshot.deterministic().families {
-        if f.kind != MetricKind::Counter
-            || RECOVERY_ONLY.contains(&f.name.as_str())
-            || f.name.starts_with("cluster_")
-        {
-            continue;
-        }
-        for s in &f.series {
-            if let SeriesValue::Int(v) = s.value {
-                *sums.entry((f.name.clone(), s.labels.clone())).or_insert(0) += v;
-            }
-        }
-    }
-}
-
-/// Whether a response proves the request appended a journal line — the
-/// eligibility condition for storage faults.
-fn journaled(resp: &Response) -> bool {
-    matches!(
-        resp,
-        Response::Registered { .. }
-            | Response::Key { .. }
-            | Response::Disabled { .. }
-            | Response::Error {
-                code: ErrorCode::DuplicateReadout,
-                ..
-            }
-    )
 }
 
 /// One world's final state, reduced to the fields the comparison pins.
@@ -312,7 +269,7 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
         let resp = oracle_client
             .call(req)
             .map_err(|e| io::Error::other(format!("oracle transport: {e}")))?;
-        if journaled(&resp) {
+        if resp.journaled() {
             storage_ticks.push(tick as u64);
         }
         oracle_responses.push(resp);

@@ -1,12 +1,15 @@
 //! Cluster simulation tests: the golden routing/failover report
 //! (`results/cluster.txt`), jobs-invariance, the failover-equals-oracle
-//! matrix over seeds and replication transports, and the snapshot
-//! catch-up path for a follower that joined late.
+//! matrix over seeds and replication transports, the snapshot
+//! catch-up path for a follower that joined late, and pinned digests of
+//! every traced run's span dump and det-class exposition.
 
 use hwm_bench::cluster::{run_cluster_sim, ClusterSimConfig};
-use hwm_bench::serve::{bench_designer, build_plans, round_robin, server_config};
-use hwm_cluster::{RepFrame, ShardNode};
-use hwm_service::{ActivationServer, Registry, ServerConfig, ServerRole};
+use hwm_bench::serve::{bench_designer, build_plans, round_robin, server_config, submit_local};
+use hwm_cluster::{ClusterRouter, LocalLink, NodeLink, RepFrame, ShardGroup, ShardNode};
+use hwm_service::{
+    ActivationServer, Client, FaultKind, FaultPlan, LocalClient, Registry, ServerConfig, ServerRole,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -191,4 +194,130 @@ fn snapshot_catchup_then_promotion() {
     let leader_records = leader_server.with_registry(|r| r.records().to_vec());
     let follower_records = follower_server.with_registry(|r| r.records().to_vec());
     assert_eq!(follower_records, leader_records);
+}
+
+// --- Pinned trace and exposition bytes ---------------------------------
+//
+// FNV-1a digests of the artifacts a traced run emits: full span dumps
+// and det-class expositions (whose `*_request_units` histograms carry
+// trace-id exemplars). `results/traces.txt` pins only the five slowest
+// trees of one dump; these pin every byte of every dump, so a change to
+// how spans, root contexts, op/outcome labels or fleet gauges are built
+// cannot move a byte unnoticed.
+
+fn digest(text: &str) -> u64 {
+    hwm_jsonio::fnv1a(hwm_jsonio::FNV1A_BASIS, text.as_bytes())
+}
+
+/// The default traced cluster (`cluster_bench --traces-out`): 3 shards,
+/// one leader kill, in-process links.
+#[test]
+fn default_cluster_trace_dump_is_pinned() {
+    let outcome = run_cluster_sim(&ClusterSimConfig::new(GOLDEN_SEED)).expect("sim runs");
+    assert!(outcome.matches(), "mismatch:\n{}", outcome.report());
+    assert_eq!(
+        digest(&outcome.trace_jsonl),
+        0xb5d84e593d479014,
+        "full cluster trace dump moved"
+    );
+}
+
+/// `cluster_bench --smoke --tcp --rep-window 4 --traces-out`.
+#[test]
+fn smoke_tcp_windowed_trace_dump_is_pinned() {
+    let config = ClusterSimConfig {
+        clients: 6,
+        per_client: 4,
+        tcp: true,
+        rep_window: 4,
+        ..ClusterSimConfig::new(GOLDEN_SEED)
+    };
+    let outcome = run_cluster_sim(&config).expect("sim runs");
+    assert!(outcome.matches(), "mismatch:\n{}", outcome.report());
+    assert_eq!(
+        digest(&outcome.trace_jsonl),
+        0xdfd1bfb7980117b5,
+        "smoke TCP trace dump moved"
+    );
+}
+
+/// A traced single server on the `serve_bench` workload
+/// (`serve_bench --traces-out`): its span dump and det exposition.
+#[test]
+fn traced_server_dump_and_exposition_are_pinned() {
+    let designer = bench_designer(GOLDEN_SEED);
+    let plans = build_plans(&designer, 8, 16, GOLDEN_SEED, 1);
+    let server = Arc::new(ActivationServer::new(
+        designer,
+        Registry::in_memory(),
+        ServerConfig {
+            trace_seed: Some(GOLDEN_SEED),
+            ..server_config()
+        },
+    ));
+    submit_local(&server, &plans, 1);
+    let exposition = server.snapshot().deterministic().to_prometheus();
+    assert!(exposition.contains("service_request_units"), "{exposition}");
+    assert_eq!(
+        digest(&server.trace_dump()),
+        0xbcbcf12464cfb41d,
+        "server trace dump moved"
+    );
+    assert_eq!(
+        digest(&exposition),
+        0xa5ecdb4ff5131bd0,
+        "server det exposition moved"
+    );
+}
+
+/// The default traced cluster's router exposition, built the way
+/// `run_cluster_sim` builds its faulted cluster.
+#[test]
+fn traced_cluster_exposition_is_pinned() {
+    let config = ClusterSimConfig::new(GOLDEN_SEED);
+    let schedule = round_robin(&build_plans(
+        &bench_designer(GOLDEN_SEED),
+        config.clients,
+        config.per_client,
+        GOLDEN_SEED,
+        1,
+    ));
+    let mut groups = Vec::new();
+    for shard in 0..config.shards {
+        let leader = replica(GOLDEN_SEED, ServerRole::Leader);
+        leader.enable_replication();
+        leader.set_node_name(&format!("shard{shard}/leader"));
+        let mut followers: Vec<Box<dyn NodeLink>> = Vec::new();
+        for i in 0..config.replicas {
+            let follower = replica(GOLDEN_SEED, ServerRole::Follower);
+            follower.set_node_name(&format!("shard{shard}/f{i}"));
+            followers.push(Box::new(LocalLink::new(Arc::new(ShardNode::new(
+                shard as u64,
+                follower,
+            )))));
+        }
+        groups.push(ShardGroup {
+            leader: Box::new(LocalLink::new(Arc::new(ShardNode::new(
+                shard as u64,
+                leader,
+            )))),
+            followers,
+        });
+    }
+    let eligible: Vec<u64> = (1..=schedule.len() as u64).collect();
+    let plan = FaultPlan::new(GOLDEN_SEED, FaultKind::ConnDrop, &eligible, config.crashes);
+    let router = Arc::new(ClusterRouter::new(groups, config.vnodes, Some(plan)));
+    router.set_trace_seed(Some(GOLDEN_SEED));
+    let mut client = LocalClient::new(Arc::clone(&router));
+    for req in &schedule {
+        client.call(req).expect("routed call");
+    }
+    assert_eq!(router.timeline().len(), 1, "the scheduled kill must fire");
+    let exposition = router.snapshot().deterministic().to_prometheus();
+    assert!(exposition.contains("cluster_request_units"), "{exposition}");
+    assert_eq!(
+        digest(&exposition),
+        0x4772786731b54f25,
+        "cluster det exposition moved"
+    );
 }

@@ -3,7 +3,7 @@
 
 use crate::frame::RepFrame;
 use hwm_service::{ActivationServer, RegistrySnapshot};
-use hwm_trace::{span_id, SpanRecord};
+use hwm_trace::TraceScope;
 use std::sync::{Arc, Mutex};
 
 /// A shard replica — leader or follower, depending on the wrapped
@@ -102,23 +102,14 @@ impl ShardNode {
                         // per-follower ship span.
                         let spans = match trace {
                             Some(ctx) => {
-                                let span = SpanRecord {
-                                    trace_id: ctx.trace_id,
-                                    span_id: span_id(
-                                        ctx.trace_id,
-                                        ctx.parent_span,
-                                        "replicate/apply",
-                                        0,
-                                    ),
-                                    parent: ctx.parent_span,
-                                    name: "replicate/apply".into(),
-                                    node: self.server.node_name(),
-                                    tick: ctx.tick,
-                                    units: entries.len() as u64,
-                                    attrs: Vec::new(),
-                                };
-                                self.server.record_spans(std::slice::from_ref(&span));
-                                vec![span]
+                                let mut scope =
+                                    TraceScope::new(ctx.trace_id, &self.server.node_name());
+                                scope
+                                    .span(ctx.parent_span, "replicate/apply", ctx.tick)
+                                    .units = entries.len() as u64;
+                                let spans = scope.into_spans();
+                                self.server.record_spans(&spans);
+                                spans
                             }
                             None => Vec::new(),
                         };

@@ -21,7 +21,15 @@
 //!   det-class counters itself (requests by op/outcome, audit kinds,
 //!   journal events, lifecycle gauges) — a dead leader takes nothing
 //!   with it, because the authoritative aggregates never lived on a
-//!   shard.
+//!   shard. It names and publishes them through the single-node
+//!   server's own vocabulary, not a copy of it: [`Request::op`],
+//!   [`Response::outcome`], [`publish_state_gauges`] over its own
+//!   [`RegistryCounts`] and [`StatusReport::new`] for `Status` replies.
+//! * **Tracing.** A traced request's root context comes from
+//!   [`Request::trace_context`] and its `request` span's attributes from
+//!   [`Request::root_span_attrs`], exactly as on a single server; every
+//!   router span is made by one [`TraceScope`] per request, which the
+//!   failover, dispatch and replication steps record into.
 //! * **Failover.** On a plan-scheduled crash tick the doomed shard's
 //!   leader link is dropped *before* dispatch, follower watermarks are
 //!   checkpointed, the most-caught-up follower (ties: lowest index) is
@@ -34,14 +42,13 @@ use crate::ring::HashRing;
 use crate::ClusterError;
 use hwm_jsonio::Json;
 use hwm_metrics::{AuditEvent, AuditLog, History, HistoryConfig, MetricClass, MetricsRegistry, Snapshot};
-use hwm_service::{ErrorCode, FaultPlan, Handler, Request, Response};
+use hwm_service::{
+    publish_state_gauges, ErrorCode, FaultPlan, Handler, RegistryCounts, Request, Response,
+    StatusReport, REQUEST_UNITS_BOUNDS,
+};
 use hwm_trace::{spans_to_jsonl, SpanRecord, TraceContext, TraceRing, TraceScope};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Bucket bounds for the det-class `cluster_request_units` histogram:
-/// span-tree size per traced routed request.
-const REQUEST_UNITS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
 /// One shard's replica set, as links.
 ///
@@ -94,21 +101,34 @@ enum Life {
     Disabled,
 }
 
-/// The lifecycle mirror: the router's own copy of the fleet aggregates
-/// a single-node registry would hold. Updated from responses and
-/// shipped entries, never read back from a shard — so a leader crash
-/// cannot lose them. `unlocked` and `disabled` count *current states*
-/// (a disabled die leaves `unlocked`), matching
-/// [`hwm_service::RegistryCounts`]; `registered` counts records, which
-/// never leave the registry.
-#[derive(Default)]
-struct Mirror {
-    registered: u64,
-    unlocked: u64,
-    disabled: u64,
-    duplicates: u64,
-    lockouts: u64,
+/// Where one traced request's router spans go: the scope recording
+/// them, and the span the next attempt hangs under (the root, or the
+/// `retry` marker after a failover).
+struct RequestTrace {
+    ctx: TraceContext,
+    parent: u64,
+    scope: TraceScope,
 }
+
+impl RequestTrace {
+    /// Records a `name` span for `shard` under the current parent at
+    /// `tick`, and returns the context that carries it to the shard's
+    /// nodes together with the scope the callee records into.
+    fn step(&mut self, name: &str, tick: u64, shard: usize) -> (TraceContext, &mut TraceScope) {
+        let span = self.scope.span(self.parent, name, tick);
+        span.attrs = vec![("shard".into(), shard.to_string())];
+        let ctx = TraceContext {
+            tick,
+            ..self.ctx.child(span.span_id)
+        };
+        (ctx, &mut self.scope)
+    }
+}
+
+/// A traced call's place in its request's tree: the context its frames
+/// carry (parented on the router span that made the call) and the scope
+/// recording the router's spans. `None` when the request is untraced.
+type Traced<'a> = Option<(TraceContext, &'a mut TraceScope)>;
 
 struct RouterInner {
     ring: HashRing,
@@ -119,7 +139,15 @@ struct RouterInner {
     /// Merged audit stream, seqs renumbered densely on ingest; ticks
     /// already increase monotonically because the router serializes.
     audit: AuditLog,
-    mirror: Mirror,
+    /// The router's own copy of the fleet aggregates a single-node
+    /// registry would hold. Updated from responses and shipped audit
+    /// events, never read back from a shard — so a leader crash cannot
+    /// lose them. `unlocked` and `disabled` count *current states* (a
+    /// disabled die leaves `unlocked`); `registered` counts records,
+    /// which never leave the registry.
+    counts: RegistryCounts,
+    /// Client lockouts, counted from the merged audit stream.
+    lockouts: u64,
     plan: Option<FaultPlan>,
     timeline: Vec<FailoverEvent>,
     /// Replication window: how many requests' journal entries may
@@ -170,7 +198,8 @@ impl ClusterRouter {
                 ic_to_shard: HashMap::new(),
                 ic_states: HashMap::new(),
                 audit: AuditLog::new(),
-                mirror: Mirror::default(),
+                counts: RegistryCounts::default(),
+                lockouts: 0,
                 plan,
                 timeline: Vec::new(),
                 rep_window: 1,
@@ -187,12 +216,6 @@ impl ClusterRouter {
     /// nodes.
     pub fn set_trace_seed(&self, seed: Option<u64>) {
         self.lock().trace_seed = seed;
-    }
-
-    /// The newest `limit` spans in the router's ring (all of them when
-    /// `limit` is `None`).
-    pub fn trace_records(&self, limit: Option<usize>) -> Vec<SpanRecord> {
-        self.lock().traces.records(limit)
     }
 
     /// The router's span ring as JSONL — what `--traces-out` writes.
@@ -269,19 +292,12 @@ impl ClusterRouter {
         self.lock().timeline.clone()
     }
 
-    /// Publishes the fleet gauges from the mirror — the same families,
-    /// labels and values a single-node server's `refresh_gauges` would
-    /// publish, plus per-shard replication lag.
+    /// Publishes the fleet state gauges from the router's aggregates
+    /// through the single-node server's own publisher
+    /// ([`publish_state_gauges`]), plus per-shard replication lag.
     fn refresh_gauges(&self, inner: &RouterInner) {
         let m = &self.metrics;
-        let mir = &inner.mirror;
-        let awaiting = mir.registered - mir.unlocked - mir.disabled;
-        m.set_gauge("registry_ics", &[("state", "registered")], MetricClass::Det, awaiting);
-        m.set_gauge("registry_ics", &[("state", "unlocked")], MetricClass::Det, mir.unlocked);
-        m.set_gauge("registry_ics", &[("state", "disabled")], MetricClass::Det, mir.disabled);
-        m.set_gauge("registry_duplicates", &[], MetricClass::Det, mir.duplicates);
-        m.set_gauge("service_clock_ticks", &[], MetricClass::Det, inner.clock);
-        m.set_gauge("throttle_lockouts_total", &[], MetricClass::Det, mir.lockouts);
+        publish_state_gauges(m, inner.counts, inner.clock, inner.lockouts);
         for (i, st) in inner.shards.iter().enumerate() {
             let lag = match st.acks.iter().min() {
                 Some(&slowest) => st.leader_seq.saturating_sub(slowest),
@@ -303,12 +319,7 @@ impl ClusterRouter {
             Request::Register { readout, .. } | Request::Unlock { readout, .. } => {
                 inner.ring.route(readout)
             }
-            Request::RemoteDisable { ic, .. } => inner
-                .ic_to_shard
-                .get(ic)
-                .copied()
-                .unwrap_or_else(|| inner.ring.route(ic)),
-            Request::Status { ic: Some(ic), .. } => inner
+            Request::RemoteDisable { ic, .. } | Request::Status { ic: Some(ic), .. } => inner
                 .ic_to_shard
                 .get(ic)
                 .copied()
@@ -329,16 +340,15 @@ impl ClusterRouter {
     /// most-caught-up follower (ties: lowest index), and records the
     /// failover. When `trace` is set (its parent is the request's
     /// `failover` span) the checkpoint and promotion steps land as spans
-    /// and the contexts propagate in the frames.
+    /// and the context propagates in the frames.
     fn failover(
         &self,
         inner: &mut RouterInner,
         shard: usize,
         tick: u64,
-        trace: Option<&TraceContext>,
-        spans: &mut Vec<SpanRecord>,
-        scope: &mut TraceScope,
+        mut trace: Traced<'_>,
     ) -> Result<(), ClusterError> {
+        let ctx = trace.as_ref().map(|(ctx, _)| *ctx);
         let st = &mut inner.shards[shard];
         // The dead leader's link is dropped first: nothing may reach it
         // again, and over TCP this closes the connection.
@@ -347,7 +357,7 @@ impl ClusterRouter {
         for (i, follower) in st.followers.iter().enumerate() {
             let seq = match follower.call(&RepFrame::Checkpoint {
                 shard: shard as u64,
-                trace: trace.cloned(),
+                trace: ctx,
             })? {
                 RepFrame::Ack { seq, .. } => seq,
                 RepFrame::Error { message } => {
@@ -361,18 +371,10 @@ impl ClusterRouter {
                     )))
                 }
             };
-            if let Some(ctx) = trace {
-                let id = scope.span(ctx.trace_id, ctx.parent_span, "checkpoint");
-                spans.push(SpanRecord {
-                    trace_id: ctx.trace_id,
-                    span_id: id,
-                    parent: ctx.parent_span,
-                    name: "checkpoint".into(),
-                    node: "router".into(),
-                    tick: ctx.tick,
-                    units: seq,
-                    attrs: vec![("follower".into(), i.to_string())],
-                });
+            if let Some((ctx, scope)) = trace.as_mut() {
+                let span = scope.span(ctx.parent_span, "checkpoint", ctx.tick);
+                span.units = seq;
+                span.attrs = vec![("follower".into(), i.to_string())];
             }
             // Strictly greater keeps the lowest index on ties.
             if best.is_none_or(|(_, s)| seq > s) {
@@ -387,7 +389,7 @@ impl ClusterRouter {
         match promoted.call(&RepFrame::Promote {
             shard: shard as u64,
             clock: tick.saturating_sub(1),
-            trace: trace.cloned(),
+            trace: ctx,
         })? {
             RepFrame::Ack { .. } => {}
             RepFrame::Error { message } => {
@@ -401,18 +403,10 @@ impl ClusterRouter {
                 )))
             }
         }
-        if let Some(ctx) = trace {
-            let id = scope.span(ctx.trace_id, ctx.parent_span, "promote");
-            spans.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: id,
-                parent: ctx.parent_span,
-                name: "promote".into(),
-                node: "router".into(),
-                tick: ctx.tick,
-                units: watermark,
-                attrs: vec![("follower".into(), idx.to_string())],
-            });
+        if let Some((ctx, scope)) = trace {
+            let span = scope.span(ctx.parent_span, "promote", ctx.tick);
+            span.units = watermark;
+            span.attrs = vec![("follower".into(), idx.to_string())];
         }
         st.leader = Some(promoted);
         st.leader_seq = watermark;
@@ -428,55 +422,44 @@ impl ClusterRouter {
 
     /// One parallel fan-out: every follower receives the batch
     /// concurrently and the acks reassemble in follower index order.
-    /// Ship spans are created up front, also in index order — span ids
+    /// Ship spans are opened up front, also in index order — span ids
     /// come from the router's scope counters, so they must not depend
-    /// on completion order — which keeps traced dumps byte-identical to
-    /// the old sequential fan-out (follower apply spans never touch the
-    /// router's scope, so pre-creation changes no id).
+    /// on completion order — and recorded as each ack is reassembled,
+    /// which keeps traced dumps byte-identical to a sequential fan-out
+    /// (follower apply spans never touch the router's scope, so opening
+    /// early changes no id).
     fn ship_batch(
         shard: usize,
         st: &mut ShardState,
         entries: &[String],
         audit: &[AuditEvent],
-        trace: Option<&TraceContext>,
-        spans: &mut Vec<SpanRecord>,
-        scope: &mut TraceScope,
+        mut trace: Traced<'_>,
     ) -> Result<(), ClusterError> {
         if st.followers.is_empty() || (entries.is_empty() && audit.is_empty()) {
             return Ok(());
         }
-        let mut ships: Vec<(Option<SpanRecord>, Option<TraceContext>)> =
-            Vec::with_capacity(st.followers.len());
-        for i in 0..st.followers.len() {
-            match trace {
-                Some(ctx) => {
-                    let id = scope.span(ctx.trace_id, ctx.parent_span, "replicate/ship");
-                    let record = SpanRecord {
-                        trace_id: ctx.trace_id,
-                        span_id: id,
-                        parent: ctx.parent_span,
-                        name: "replicate/ship".into(),
-                        node: "router".into(),
-                        tick: ctx.tick,
-                        units: entries.len() as u64,
-                        attrs: vec![("follower".into(), i.to_string())],
-                    };
-                    ships.push((Some(record), Some(ctx.child(id))));
-                }
-                None => ships.push((None, None)),
-            }
-        }
+        let ships: Vec<Option<(SpanRecord, TraceContext)>> = (0..st.followers.len())
+            .map(|i| {
+                trace.as_mut().map(|(ctx, scope)| {
+                    let mut span = scope.open(ctx.parent_span, "replicate/ship", ctx.tick);
+                    span.units = entries.len() as u64;
+                    span.attrs = vec![("follower".into(), i.to_string())];
+                    let ship_ctx = ctx.child(span.span_id);
+                    (span, ship_ctx)
+                })
+            })
+            .collect();
         let followers = &st.followers;
         let results: Vec<Result<RepFrame, ClusterError>> = std::thread::scope(|s| {
             let handles = followers
                 .iter()
                 .zip(&ships)
-                .map(|(follower, (_, ship_trace))| {
+                .map(|(follower, ship)| {
                     let frame = RepFrame::Append {
                         shard: shard as u64,
                         entries: entries.to_vec(),
                         audit: audit.to_vec(),
-                        trace: *ship_trace,
+                        trace: ship.as_ref().map(|(_, ctx)| *ctx),
                     };
                     s.spawn(move || follower.call(&frame))
                 })
@@ -487,19 +470,17 @@ impl ClusterRouter {
                 .collect()
         });
         // Reassemble in follower index order — [ship_i, applies_i] per
-        // follower, exactly the sequence the sequential loop pushed.
-        for (i, (result, (record, _))) in results.into_iter().zip(ships).enumerate() {
-            if let Some(r) = record {
-                spans.push(r);
+        // follower, exactly the sequence a sequential loop records.
+        for (i, (result, ship)) in results.into_iter().zip(ships).enumerate() {
+            if let (Some((_, scope)), Some((span, _))) = (trace.as_mut(), ship) {
+                scope.extend([span]);
             }
             match result? {
-                RepFrame::Ack {
-                    seq,
-                    spans: apply_spans,
-                    ..
-                } => {
+                RepFrame::Ack { seq, spans, .. } => {
                     st.acks[i] = seq;
-                    spans.extend(apply_spans);
+                    if let Some((_, scope)) = trace.as_mut() {
+                        scope.extend(spans);
+                    }
                 }
                 RepFrame::Error { message } => {
                     return Err(ClusterError::new(format!(
@@ -527,9 +508,7 @@ impl ClusterRouter {
         }
         let entries = std::mem::take(&mut st.pending_entries);
         let audit = std::mem::take(&mut st.pending_audit);
-        let mut spans = Vec::new();
-        let mut scope = TraceScope::new();
-        Self::ship_batch(shard, st, &entries, &audit, None, &mut spans, &mut scope)
+        Self::ship_batch(shard, st, &entries, &audit, None)
     }
 
     /// Drains every shard's queued shipments.
@@ -547,16 +526,13 @@ impl ClusterRouter {
     /// spans come back in the reply, each follower shipment gets a
     /// `replicate/ship` span, and the follower's `replicate/apply` spans
     /// come back in the acks.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
         inner: &mut RouterInner,
         shard: usize,
         tick: u64,
         req: &Request,
-        trace: Option<&TraceContext>,
-        spans: &mut Vec<SpanRecord>,
-        scope: &mut TraceScope,
+        mut trace: Traced<'_>,
     ) -> Result<Response, ClusterError> {
         let st = &inner.shards[shard];
         let leader = st
@@ -567,7 +543,7 @@ impl ClusterRouter {
             shard: shard as u64,
             tick,
             req: req.clone(),
-            trace: trace.cloned(),
+            trace: trace.as_ref().map(|(ctx, _)| *ctx),
         })?;
         let (resp, seq, entries, audit, leader_spans) = match reply {
             RepFrame::Reply {
@@ -589,7 +565,9 @@ impl ClusterRouter {
                 )))
             }
         };
-        spans.extend(leader_spans);
+        if let Some((_, scope)) = trace.as_mut() {
+            scope.extend(leader_spans);
+        }
         // Ship to the followers. With the default window of 1 every
         // request ships synchronously: no follower may lag past one
         // request, so any follower is promotable with at most the
@@ -609,7 +587,7 @@ impl ClusterRouter {
                 // an earlier untraced request left a queue behind,
                 // drain it first to preserve entry order.
                 Self::drain_shard(shard, st)?;
-                Self::ship_batch(shard, st, &entries, &audit, trace, spans, scope)?;
+                Self::ship_batch(shard, st, &entries, &audit, trace)?;
             } else {
                 st.pending_entries.extend(entries.iter().cloned());
                 st.pending_audit.extend(audit.iter().cloned());
@@ -639,7 +617,7 @@ impl ClusterRouter {
             self.metrics
                 .inc("audit_events_total", &[("kind", &e.kind)], 1);
             if e.kind == "lockout" {
-                inner.mirror.lockouts += 1;
+                inner.lockouts += 1;
             }
             inner.audit.replicate(e);
         }
@@ -691,37 +669,22 @@ impl Handler for ClusterRouter {
         }
         let now = inner.clock + 1;
         let shard = self.route_for(&inner, req);
-        let op = match req {
-            Request::Register { .. } => "register",
-            Request::Unlock { .. } => "unlock",
-            Request::RemoteDisable { .. } => "disable",
-            Request::Status { .. } => "status",
-            _ => unreachable!("admin handled above"),
-        };
-        // A supplied context is always honored; otherwise derive a root
-        // context only when tracing is armed. The failover and the
-        // retry below reuse the same trace id: one tree per request,
-        // crash or not.
-        let ctx = match trace {
-            Some(c) => Some(*c),
-            None => inner
-                .trace_seed
-                .map(|seed| TraceContext::root(seed, now, req.client(), op)),
-        };
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        let mut scope = TraceScope::new();
-        let root_id = ctx.as_ref().map(|c| {
-            if c.parent_span == 0 {
-                scope.span(c.trace_id, 0, "request")
-            } else {
-                c.parent_span
-            }
+        // The failover and the retry below reuse the same trace id: one
+        // tree per request, crash or not. A router that roots the tree
+        // records the `request` span first and fills in its attributes
+        // once the outcome is known.
+        let mut traced = req.trace_context(trace, inner.trace_seed, now).map(|ctx| {
+            let mut scope = TraceScope::new(ctx.trace_id, "router");
+            let parent = match ctx.parent_span {
+                0 => scope.span(0, "request", now).span_id,
+                parent => parent,
+            };
+            RequestTrace { ctx, parent, scope }
         });
         // A scheduled leader crash fires pre-dispatch on the shard the
         // doomed request routes to; the request then re-dispatches to
         // the promoted follower at the same tick.
         let crash_due = inner.plan.as_ref().is_some_and(|plan| plan.is_crash(now));
-        let mut dispatch_parent = root_id;
         if crash_due {
             // The doomed shard's queued shipments drain before the
             // checkpoint: the dead leader already produced them and the
@@ -737,30 +700,10 @@ impl Handler for ClusterRouter {
             // The failover subtree sits at the previous tick: the doomed
             // dispatch never happened, and the tick spread deterministically
             // surfaces failover traces under `--slowest`.
-            let failover_trace = ctx.as_ref().zip(root_id).map(|(c, root)| {
-                let id = scope.span(c.trace_id, root, "failover");
-                spans.push(SpanRecord {
-                    trace_id: c.trace_id,
-                    span_id: id,
-                    parent: root,
-                    name: "failover".into(),
-                    node: "router".into(),
-                    tick: now.saturating_sub(1),
-                    units: 0,
-                    attrs: vec![("shard".into(), shard.to_string())],
-                });
-                let mut child = c.child(id);
-                child.tick = now.saturating_sub(1);
-                child
-            });
-            if let Err(e) = self.failover(
-                &mut inner,
-                shard,
-                now,
-                failover_trace.as_ref(),
-                &mut spans,
-                &mut scope,
-            ) {
+            let failover_trace = traced
+                .as_mut()
+                .map(|t| t.step("failover", now.saturating_sub(1), shard));
+            if let Err(e) = self.failover(&mut inner, shard, now, failover_trace) {
                 return Response::Error {
                     code: ErrorCode::Malformed,
                     message: e.message,
@@ -769,47 +712,13 @@ impl Handler for ClusterRouter {
             }
             // The re-dispatch keeps the trace id; the `retry` span marks
             // it as the second attempt of the same request.
-            if let (Some(c), Some(root)) = (ctx.as_ref(), root_id) {
-                let id = scope.span(c.trace_id, root, "retry");
-                spans.push(SpanRecord {
-                    trace_id: c.trace_id,
-                    span_id: id,
-                    parent: root,
-                    name: "retry".into(),
-                    node: "router".into(),
-                    tick: now,
-                    units: 0,
-                    attrs: Vec::new(),
-                });
-                dispatch_parent = Some(id);
+            if let Some(t) = traced.as_mut() {
+                t.parent = t.scope.span(t.parent, "retry", now).span_id;
             }
         }
         inner.clock = now;
-        let dispatch_trace = ctx.as_ref().zip(dispatch_parent).map(|(c, parent)| {
-            let id = scope.span(c.trace_id, parent, "dispatch");
-            spans.push(SpanRecord {
-                trace_id: c.trace_id,
-                span_id: id,
-                parent,
-                name: "dispatch".into(),
-                node: "router".into(),
-                tick: now,
-                units: 0,
-                attrs: vec![("shard".into(), shard.to_string())],
-            });
-            let mut child = c.child(id);
-            child.tick = now;
-            child
-        });
-        let resp = match self.dispatch(
-            &mut inner,
-            shard,
-            now,
-            req,
-            dispatch_trace.as_ref(),
-            &mut spans,
-            &mut scope,
-        ) {
+        let dispatch_trace = traced.as_mut().map(|t| t.step("dispatch", now, shard));
+        let resp = match self.dispatch(&mut inner, shard, now, req, dispatch_trace) {
             Ok(resp) => resp,
             Err(e) => Response::Error {
                 code: ErrorCode::Malformed,
@@ -821,51 +730,13 @@ impl Handler for ClusterRouter {
         let shard_label = shard.to_string();
         self.metrics
             .inc("cluster_requests_total", &[("shard", &shard_label)], 1);
-        let outcome = match &resp {
-            Response::Registered { .. } => "registered",
-            Response::Key { .. } => "key",
-            Response::Disabled { .. } => "disabled",
-            Response::Status(_) => "status",
-            Response::Metrics { .. }
-            | Response::Audit { .. }
-            | Response::History { .. }
-            | Response::Traces { .. } => {
-                unreachable!("admin handled above")
-            }
-            Response::Error { code, .. } => code.as_str(),
-        };
-        if let Some(c) = &ctx {
-            if c.parent_span == 0 {
+        let (op, outcome) = (req.op(), resp.outcome());
+        if let Some(t) = traced {
+            let mut spans = t.scope.into_spans();
+            if t.ctx.parent_span == 0 {
                 // This router roots the tree: the `request` span carries
                 // the client-facing attributes, outcome included.
-                let mut attrs = vec![
-                    ("client".to_string(), req.client().to_string()),
-                    ("kind".to_string(), op.to_string()),
-                ];
-                let ic = match req {
-                    Request::Register { ic, .. } | Request::RemoteDisable { ic, .. } => {
-                        Some(ic.clone())
-                    }
-                    Request::Status { ic, .. } => ic.clone(),
-                    _ => None,
-                };
-                if let Some(ic) = ic {
-                    attrs.push(("ic".to_string(), ic));
-                }
-                attrs.push(("outcome".to_string(), outcome.to_string()));
-                spans.insert(
-                    0,
-                    SpanRecord {
-                        trace_id: c.trace_id,
-                        span_id: root_id.expect("traced request has a root id"),
-                        parent: 0,
-                        name: "request".into(),
-                        node: "router".into(),
-                        tick: now,
-                        units: 0,
-                        attrs,
-                    },
-                );
+                spans[0].attrs = req.root_span_attrs(outcome);
             }
             self.metrics.observe_exemplar(
                 "cluster_request_units",
@@ -873,7 +744,7 @@ impl Handler for ClusterRouter {
                 MetricClass::Det,
                 REQUEST_UNITS_BOUNDS,
                 spans.len() as u64,
-                c.trace_id,
+                t.ctx.trace_id,
             );
             for s in spans {
                 inner.traces.push(s);
@@ -884,26 +755,26 @@ impl Handler for ClusterRouter {
         if outcome == "unknown_readout" {
             self.metrics.inc("service_wrong_readouts_total", &[], 1);
         }
-        // Mirror the lifecycle transition and learn IC placement.
+        // Track the lifecycle transition and learn IC placement.
         match (&resp, req) {
             (Response::Registered { .. }, Request::Register { ic, .. }) => {
-                inner.mirror.registered += 1;
+                inner.counts.registered += 1;
                 inner.ic_to_shard.insert(ic.clone(), shard);
                 inner.ic_states.insert(ic.clone(), Life::Registered);
             }
             (Response::Key { ic, .. }, _) => {
-                inner.mirror.unlocked += 1;
+                inner.counts.unlocked += 1;
                 inner.ic_states.insert(ic.clone(), Life::Unlocked);
             }
             (Response::Disabled { ic, .. }, _) => {
                 // A disabled die leaves the unlocked state count.
                 if inner.ic_states.insert(ic.clone(), Life::Disabled) == Some(Life::Unlocked) {
-                    inner.mirror.unlocked -= 1;
+                    inner.counts.unlocked -= 1;
                 }
-                inner.mirror.disabled += 1;
+                inner.counts.disabled += 1;
             }
             (Response::Error { code, .. }, _) if *code == ErrorCode::DuplicateReadout => {
-                inner.mirror.duplicates += 1;
+                inner.counts.duplicates += 1;
             }
             _ => {}
         }
@@ -911,15 +782,10 @@ impl Handler for ClusterRouter {
         match resp {
             Response::Registered { ic, .. } => Response::Registered {
                 ic,
-                total: inner.mirror.registered,
+                total: inner.counts.registered,
             },
-            Response::Status(mut s) => {
-                s.registered = inner.mirror.registered;
-                s.unlocked = inner.mirror.unlocked;
-                s.disabled = inner.mirror.disabled;
-                s.duplicates = inner.mirror.duplicates;
-                s.lockouts = inner.mirror.lockouts;
-                Response::Status(s)
+            Response::Status(s) => {
+                Response::Status(StatusReport::new(inner.counts, inner.lockouts, s.ic_state))
             }
             other => other,
         }

@@ -24,9 +24,15 @@
 //! The [`FaultInjector`] is the arming channel: the simulation arms
 //! exactly one fault, the doomed operation consumes it, everything else
 //! passes through untouched.
+//!
+//! [`absorb_counters`] is the oracle's counter fold: every simulation
+//! (crash/restart and cluster failover alike) sums det-class counters
+//! with it before comparing against the fault-free run.
 
 use crate::storage::JournalStore;
+use hwm_metrics::{MetricKind, SeriesValue, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io;
@@ -150,6 +156,35 @@ impl FaultPlan {
     /// connection number `conn` (bounded so tests stay fast).
     pub fn accept_delay_ms(&self, conn: u64) -> u64 {
         1 + self.byte_salt(conn) % 20
+    }
+}
+
+/// Deterministic metrics counters summed per `(name, labels)` — what a
+/// faulted run (or a cluster) must match against its fault-free
+/// single-node oracle.
+pub type CounterSums = BTreeMap<(String, Vec<(String, String)>), u64>;
+
+/// Counters describing the recovery machinery itself — a fault-free
+/// oracle never exercises it (a promotion counts one recovery), so they
+/// are excluded from every oracle comparison.
+const RECOVERY_ONLY: &[&str] = &["journal_recoveries_total", "journal_compactions_total"];
+
+/// Adds a snapshot's det-class counters into `sums`, skipping the
+/// recovery-only names and the router's `cluster_*` families (no
+/// single-node snapshot has one, so they have no oracle counterpart).
+pub fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot) {
+    for f in &snapshot.deterministic().families {
+        if f.kind != MetricKind::Counter
+            || RECOVERY_ONLY.contains(&f.name.as_str())
+            || f.name.starts_with("cluster_")
+        {
+            continue;
+        }
+        for s in &f.series {
+            if let SeriesValue::Int(v) = s.value {
+                *sums.entry((f.name.clone(), s.labels.clone())).or_insert(0) += v;
+            }
+        }
     }
 }
 

@@ -27,7 +27,7 @@
 //!   snapshot format;
 //! * [`fault`] — seeded, tick-driven fault injection (torn writes,
 //!   disk-full, short reads, dropped connections, delayed accepts) for
-//!   the crash simulation;
+//!   the crash simulation, and the oracle's det-counter fold;
 //! * [`throttle`] — per-client token bucket plus exponential lockout on
 //!   wrong readouts, driven by a logical clock (one tick per request) so
 //!   admission decisions are deterministic;
@@ -52,12 +52,14 @@ pub mod throttle;
 pub mod transport;
 pub mod wire;
 
-pub use fault::{ArmedFault, FaultInjector, FaultKind, FaultPlan};
+pub use fault::{absorb_counters, ArmedFault, CounterSums, FaultInjector, FaultKind, FaultPlan};
 pub use registry::{
     CloneEvidence, IcRecord, IcState, RecoverError, RecoverOptions, Registry, RegistryCounts,
     RegistryError, TornTail,
 };
-pub use server::{ActivationServer, ServerConfig, ServerRole};
+pub use server::{
+    publish_state_gauges, ActivationServer, ServerConfig, ServerRole, REQUEST_UNITS_BOUNDS,
+};
 pub use snapshot::{snapshot_path, RegistrySnapshot};
 pub use storage::FlushPolicy;
 pub use throttle::{Decision, RateLimiter, ThrottleConfig};

@@ -40,7 +40,7 @@
 //! excluded from the determinism contract, mirroring the trace crate's
 //! counter/gauge split.
 
-use crate::registry::{Registry, RegistryError};
+use crate::registry::{Registry, RegistryCounts, RegistryError};
 use crate::snapshot::RegistrySnapshot;
 use crate::storage::FlushPolicy;
 use crate::throttle::{Decision, RateLimiter, ThrottleConfig};
@@ -48,16 +48,36 @@ use crate::wire::{parse_readout_bits, ErrorCode, Request, Response, StatusReport
 use hwm_metering::{Designer, MeteringError, ScanReadout};
 use hwm_metrics::{
     AlertEngine, AlertRuleSet, AuditEvent, AuditLog, AuditValue, History, HistoryConfig,
-    HistoryDump, MetricClass, MetricsRegistry, RuleStatus, Snapshot, ALERT_FIRE_KIND,
-    ALERT_RESOLVE_KIND, LATENCY_BUCKETS_NS,
+    MetricClass, MetricsRegistry, Snapshot, ALERT_FIRE_KIND, ALERT_RESOLVE_KIND,
+    LATENCY_BUCKETS_NS,
 };
 use hwm_trace::{spans_to_jsonl, SpanRecord, TraceContext, TraceRing, TraceScope};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Bucket bounds for the det-class `service_request_units` histogram:
-/// span-tree size plus journal work per traced request.
-const REQUEST_UNITS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
+/// Bucket bounds for the det-class per-traced-request work histograms:
+/// a server's `service_request_units` (span-tree size plus journal
+/// work) and a router's `cluster_request_units` (span-tree size).
+pub const REQUEST_UNITS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
+
+/// Publishes the six det-class fleet state gauges (IC counts by state,
+/// duplicates, logical clock, lockouts). A single server and a cluster
+/// router both publish through this one function, so the families,
+/// labels and values cannot drift apart.
+pub fn publish_state_gauges(
+    m: &MetricsRegistry,
+    counts: RegistryCounts,
+    clock: u64,
+    lockouts: u64,
+) {
+    let awaiting = counts.registered - counts.unlocked - counts.disabled;
+    m.set_gauge("registry_ics", &[("state", "registered")], MetricClass::Det, awaiting);
+    m.set_gauge("registry_ics", &[("state", "unlocked")], MetricClass::Det, counts.unlocked);
+    m.set_gauge("registry_ics", &[("state", "disabled")], MetricClass::Det, counts.disabled);
+    m.set_gauge("registry_duplicates", &[], MetricClass::Det, counts.duplicates);
+    m.set_gauge("service_clock_ticks", &[], MetricClass::Det, clock);
+    m.set_gauge("throttle_lockouts_total", &[], MetricClass::Det, lockouts);
+}
 
 /// The role a server plays in a replicated shard group.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,12 +257,6 @@ impl ActivationServer {
         self.lock().trace_seed = seed;
     }
 
-    /// The newest `limit` spans in this node's ring (all of them when
-    /// `limit` is `None`) — what the `Traces` wire request returns.
-    pub fn trace_records(&self, limit: Option<usize>) -> Vec<SpanRecord> {
-        self.lock().traces.records(limit)
-    }
-
     /// This node's span ring as JSONL — what `--traces-out` writes.
     pub fn trace_dump(&self) -> String {
         spans_to_jsonl(&self.lock().traces.records(None))
@@ -282,19 +296,6 @@ impl ActivationServer {
             }
         }
         inner.engine = engine;
-    }
-
-    /// The current standing of every installed alert rule, evaluated
-    /// against the sampled history (read-only: no transitions fire).
-    pub fn alert_statuses(&self) -> Vec<RuleStatus> {
-        let inner = self.lock();
-        inner.engine.statuses(inner.clock, &inner.history)
-    }
-
-    /// The sampled time-series history, optionally trimmed to the last
-    /// `window` ticks — what the `History` wire request returns.
-    pub fn history_dump(&self, window: Option<u64>) -> HistoryDump {
-        self.lock().history.dump(window)
     }
 
     /// The alert transitions recorded so far (audit kinds `alert_fire` /
@@ -428,27 +429,9 @@ impl ActivationServer {
                 inner.clock
             }
         };
-        let op = match req {
-            Request::Register { .. } => "register",
-            Request::Unlock { .. } => "unlock",
-            Request::RemoteDisable { .. } => "disable",
-            Request::Status { .. } => "status",
-            Request::Metrics { .. }
-            | Request::Audit { .. }
-            | Request::History { .. }
-            | Request::Traces { .. } => {
-                unreachable!("admin handled above")
-            }
-        };
-        // A supplied context is always honored; otherwise derive a root
-        // context only when tracing is armed. Done before dispatch so the
-        // journal length delta below is attributable to this request.
-        let ctx = match trace {
-            Some(c) => Some(*c),
-            None => inner
-                .trace_seed
-                .map(|seed| TraceContext::root(seed, now, req.client(), op)),
-        };
+        // Derived before dispatch so the journal length delta below is
+        // attributable to this request.
+        let ctx = req.trace_context(trace, inner.trace_seed, now);
         let journal_before = inner.registry.journal_len();
         let resp = match inner.limiter.check(req.client(), now) {
             Decision::Allowed => match req {
@@ -490,21 +473,9 @@ impl ActivationServer {
                 retry_at: Some(until),
             },
         };
-        let outcome = match &resp {
-            Response::Registered { .. } => "registered",
-            Response::Key { .. } => "key",
-            Response::Disabled { .. } => "disabled",
-            Response::Status(_) => "status",
-            Response::Metrics { .. }
-            | Response::Audit { .. }
-            | Response::History { .. }
-            | Response::Traces { .. } => {
-                unreachable!("admin handled above")
-            }
-            Response::Error { code, .. } => code.as_str(),
-        };
+        let (op, outcome) = (req.op(), resp.outcome());
         if let Some(ctx) = ctx {
-            inner.record_request_trace(&ctx, req, op, outcome, now, journal_before);
+            inner.record_request_trace(&ctx, req, outcome, now, journal_before);
         }
         inner
             .metrics
@@ -692,18 +663,10 @@ impl Inner {
     /// Publishes the state gauges: all are pure functions of the accepted
     /// request sequence, so they carry [`MetricClass::Det`].
     fn refresh_gauges(&self) {
-        let c = self.registry.counts();
-        let m = &self.metrics;
-        let awaiting = c.registered - c.unlocked - c.disabled;
-        m.set_gauge("registry_ics", &[("state", "registered")], MetricClass::Det, awaiting);
-        m.set_gauge("registry_ics", &[("state", "unlocked")], MetricClass::Det, c.unlocked);
-        m.set_gauge("registry_ics", &[("state", "disabled")], MetricClass::Det, c.disabled);
-        m.set_gauge("registry_duplicates", &[], MetricClass::Det, c.duplicates);
-        m.set_gauge("service_clock_ticks", &[], MetricClass::Det, self.clock);
-        m.set_gauge(
-            "throttle_lockouts_total",
-            &[],
-            MetricClass::Det,
+        publish_state_gauges(
+            &self.metrics,
+            self.registry.counts(),
+            self.clock,
             self.limiter.total_lockouts(),
         );
     }
@@ -718,74 +681,30 @@ impl Inner {
         &mut self,
         ctx: &TraceContext,
         req: &Request,
-        op: &str,
         outcome: &str,
         now: u64,
         journal_before: u64,
     ) {
-        let mut scope = TraceScope::new();
-        let mut spans = Vec::new();
+        let mut scope = TraceScope::new(ctx.trace_id, &self.node);
         let parent = if ctx.parent_span == 0 {
-            let mut attrs = vec![
-                ("client".to_string(), req.client().to_string()),
-                ("kind".to_string(), op.to_string()),
-            ];
-            let ic = match req {
-                Request::Register { ic, .. } | Request::RemoteDisable { ic, .. } => {
-                    Some(ic.clone())
-                }
-                Request::Status { ic, .. } => ic.clone(),
-                _ => None,
-            };
-            if let Some(ic) = ic {
-                attrs.push(("ic".to_string(), ic));
-            }
-            attrs.push(("outcome".to_string(), outcome.to_string()));
-            let root_id = scope.span(ctx.trace_id, 0, "request");
-            spans.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: root_id,
-                parent: 0,
-                name: "request".to_string(),
-                node: self.node.clone(),
-                tick: now,
-                units: 0,
-                attrs,
-            });
-            root_id
+            let root = scope.span(0, "request", now);
+            root.attrs = req.root_span_attrs(outcome);
+            root.span_id
         } else {
             ctx.parent_span
         };
-        let handle_name = format!("handle/{op}");
-        let handle_id = scope.span(ctx.trace_id, parent, &handle_name);
-        spans.push(SpanRecord {
-            trace_id: ctx.trace_id,
-            span_id: handle_id,
-            parent,
-            name: handle_name,
-            node: self.node.clone(),
-            tick: now,
-            units: 0,
-            attrs: vec![("outcome".to_string(), outcome.to_string())],
-        });
+        let handle = scope.span(parent, &format!("handle/{}", req.op()), now);
+        handle.attrs = vec![("outcome".to_string(), outcome.to_string())];
+        let handle_id = handle.span_id;
         let appended = self.registry.journal_len().saturating_sub(journal_before);
         if appended > 0 {
-            let id = scope.span(ctx.trace_id, handle_id, "journal/append");
-            spans.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: id,
-                parent: handle_id,
-                name: "journal/append".to_string(),
-                node: self.node.clone(),
-                tick: now,
-                units: appended,
-                attrs: Vec::new(),
-            });
+            scope.span(handle_id, "journal/append", now).units = appended;
         }
+        let spans = scope.into_spans();
         let units = spans.len() as u64 + appended;
         self.metrics.observe_exemplar(
             "service_request_units",
-            &[("op", op)],
+            &[("op", req.op())],
             MetricClass::Det,
             REQUEST_UNITS_BOUNDS,
             units,
@@ -846,19 +765,14 @@ impl Inner {
     }
 
     fn status_report(&self, ic: Option<&str>) -> StatusReport {
-        let c = self.registry.counts();
-        StatusReport {
-            registered: c.registered,
-            unlocked: c.unlocked,
-            disabled: c.disabled,
-            duplicates: c.duplicates,
-            lockouts: self.limiter.total_lockouts(),
-            ic_state: ic.and_then(|ic| {
-                self.registry
-                    .by_ic(ic)
-                    .map(|r| r.state.as_str().to_string())
-            }),
-        }
+        let ic_state = ic
+            .and_then(|ic| self.registry.by_ic(ic))
+            .map(|r| r.state.as_str().to_string());
+        StatusReport::new(
+            self.registry.counts(),
+            self.limiter.total_lockouts(),
+            ic_state,
+        )
     }
 
     /// A wrong readout was submitted: count it and lock the client out

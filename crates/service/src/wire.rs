@@ -14,6 +14,7 @@
 //! `hwm_metering::ScanReadout`'s `Bits` prints; [`parse_readout_bits`]
 //! inverts that rendering.
 
+use crate::registry::RegistryCounts;
 use hwm_jsonio::{FieldError, Json, StrictObj};
 use hwm_logic::Bits;
 use hwm_trace::{SpanRecord, TraceContext};
@@ -149,6 +150,56 @@ impl Request {
                 | Request::History { .. }
                 | Request::Traces { .. }
         )
+    }
+
+    /// The request's name in metric labels, trace ids and span names:
+    /// its wire type, except that `remote_disable` is `disable`.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Register { .. } => "register",
+            Request::Unlock { .. } => "unlock",
+            Request::RemoteDisable { .. } => "disable",
+            Request::Status { .. } => "status",
+            Request::Metrics { .. } => "metrics",
+            Request::Audit { .. } => "audit",
+            Request::History { .. } => "history",
+            Request::Traces { .. } => "traces",
+        }
+    }
+
+    /// The trace context a node handles this request under at `tick`: a
+    /// supplied context is always honoured; otherwise one is rooted
+    /// only when tracing is armed (`seed`).
+    pub fn trace_context(
+        &self,
+        supplied: Option<&TraceContext>,
+        seed: Option<u64>,
+        tick: u64,
+    ) -> Option<TraceContext> {
+        match supplied {
+            Some(ctx) => Some(*ctx),
+            None => seed.map(|seed| TraceContext::root(seed, tick, self.client(), self.op())),
+        }
+    }
+
+    /// The attributes of the `request` span a node records when it roots
+    /// this request's trace: client, kind, the IC when the request names
+    /// one, and the outcome.
+    pub fn root_span_attrs(&self, outcome: &str) -> Vec<(String, String)> {
+        let mut attrs = vec![
+            ("client".to_string(), self.client().to_string()),
+            ("kind".to_string(), self.op().to_string()),
+        ];
+        let ic = match self {
+            Request::Register { ic, .. } | Request::RemoteDisable { ic, .. } => Some(ic),
+            Request::Status { ic, .. } => ic.as_ref(),
+            _ => None,
+        };
+        if let Some(ic) = ic {
+            attrs.push(("ic".to_string(), ic.clone()));
+        }
+        attrs.push(("outcome".to_string(), outcome.to_string()));
+        attrs
     }
 
     /// Serializes the request to a JSON value.
@@ -417,6 +468,21 @@ pub struct StatusReport {
     pub ic_state: Option<String>,
 }
 
+impl StatusReport {
+    /// The report for fleet `counts` and `lockouts`, plus the queried
+    /// IC's state.
+    pub fn new(counts: RegistryCounts, lockouts: u64, ic_state: Option<String>) -> StatusReport {
+        StatusReport {
+            registered: counts.registered,
+            unlocked: counts.unlocked,
+            disabled: counts.disabled,
+            duplicates: counts.duplicates,
+            lockouts,
+            ic_state,
+        }
+    }
+}
+
 /// The server's answer to one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -487,6 +553,38 @@ impl Response {
     /// Whether this is an error response with the given code.
     pub fn has_code(&self, code: ErrorCode) -> bool {
         matches!(self, Response::Error { code: c, .. } if *c == code)
+    }
+
+    /// The response's `outcome` label: its wire type, or for a refusal
+    /// its error code.
+    pub fn outcome(&self) -> &'static str {
+        match self {
+            Response::Registered { .. } => "registered",
+            Response::Key { .. } => "key",
+            Response::Disabled { .. } => "disabled",
+            Response::Status(_) => "status",
+            Response::Metrics { .. } => "metrics",
+            Response::Audit { .. } => "audit",
+            Response::History { .. } => "history",
+            Response::Traces { .. } => "traces",
+            Response::Error { code, .. } => code.as_str(),
+        }
+    }
+
+    /// Whether the response proves its request appended a journal line:
+    /// an accepted mutation, or a duplicate readout (recorded as clone
+    /// evidence).
+    pub fn journaled(&self) -> bool {
+        matches!(
+            self,
+            Response::Registered { .. }
+                | Response::Key { .. }
+                | Response::Disabled { .. }
+                | Response::Error {
+                    code: ErrorCode::DuplicateReadout,
+                    ..
+                }
+        )
     }
 
     /// Serializes the response to a JSON value.
@@ -827,10 +925,27 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    fn wire_type(j: &Json) -> String {
+        StrictObj::new(j, "message")
+            .unwrap()
+            .string("type")
+            .unwrap()
+    }
+
     fn round_trip_request(req: &Request) {
         let j = req.to_json();
         let back = Request::from_json(&j).expect("request parses");
         assert_eq!(&back, req);
+        // The op name is the wire type, except for `remote_disable`.
+        let kind = wire_type(&j);
+        assert_eq!(
+            req.op(),
+            if kind == "remote_disable" {
+                "disable"
+            } else {
+                &kind
+            }
+        );
     }
 
     #[test]
@@ -1031,10 +1146,52 @@ mod tests {
                     h.dump(None)
                 },
             },
+            Response::Error {
+                code: ErrorCode::DuplicateReadout,
+                message: "clone suspected".into(),
+                retry_at: None,
+            },
         ] {
             let j = resp.to_json();
             assert_eq!(Response::from_json(&j).expect("parses"), resp);
+            // The outcome is the wire type, or a refusal's code.
+            let kind = match &resp {
+                Response::Error { code, .. } => code.as_str().to_string(),
+                _ => wire_type(&j),
+            };
+            assert_eq!(resp.outcome(), kind);
+            let appends = ["registered", "key", "disabled", "duplicate_readout"];
+            assert_eq!(resp.journaled(), appends.contains(&kind.as_str()));
         }
+    }
+
+    #[test]
+    fn root_span_attrs_and_trace_context() {
+        let status = Request::Status {
+            client: "fab".into(),
+            ic: Some("die-3".into()),
+        };
+        let attrs: Vec<String> = status
+            .root_span_attrs("status")
+            .into_iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        assert_eq!(
+            attrs,
+            ["client=fab", "kind=status", "ic=die-3", "outcome=status"]
+        );
+        assert_eq!(
+            status.trace_context(None, None, 5),
+            None,
+            "untraced unless armed"
+        );
+        let rooted = status.trace_context(None, Some(7), 5).expect("armed");
+        assert_eq!(rooted, TraceContext::root(7, 5, "fab", "status"));
+        let supplied = rooted.child(42);
+        assert_eq!(
+            status.trace_context(Some(&supplied), Some(7), 9),
+            Some(supplied)
+        );
     }
 
     #[test]

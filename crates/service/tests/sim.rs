@@ -17,13 +17,12 @@
 //! small handcrafted schedule.
 
 use hwm_metering::{Designer, Foundry, LockOptions};
-use hwm_metrics::{AuditLog, MetricKind, Snapshot};
+use hwm_metrics::AuditLog;
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    ActivationServer, ArmedFault, Client, ErrorCode, FaultInjector, FaultKind, FaultPlan,
-    LocalClient, RecoverOptions, Registry, Request, Response, ServerConfig,
+    absorb_counters, ActivationServer, ArmedFault, Client, CounterSums, ErrorCode, FaultInjector,
+    FaultKind, FaultPlan, LocalClient, RecoverOptions, Registry, Request, Response, ServerConfig,
 };
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -100,42 +99,6 @@ fn schedule() -> Vec<Request> {
     reqs
 }
 
-/// Whether a response proves the request appended a journal line — the
-/// eligibility condition for storage faults (there must be a write to
-/// tear).
-fn journaled(resp: &Response) -> bool {
-    matches!(
-        resp,
-        Response::Registered { .. }
-            | Response::Key { .. }
-            | Response::Disabled { .. }
-            | Response::Error {
-                code: ErrorCode::DuplicateReadout,
-                ..
-            }
-    )
-}
-
-type CounterSums = BTreeMap<(String, Vec<(String, String)>), u64>;
-
-/// Deterministic counters excluded from the oracle comparison: they
-/// describe the *recovery machinery itself*, which the fault-free oracle
-/// never exercises.
-const RECOVERY_ONLY: &[&str] = &["journal_recoveries_total", "journal_compactions_total"];
-
-fn absorb_counters(sums: &mut CounterSums, snapshot: &Snapshot) {
-    for f in &snapshot.deterministic().families {
-        if f.kind != MetricKind::Counter || RECOVERY_ONLY.contains(&f.name.as_str()) {
-            continue;
-        }
-        for s in &f.series {
-            if let hwm_metrics::SeriesValue::Int(v) = s.value {
-                *sums.entry((f.name.clone(), s.labels.clone())).or_insert(0) += v;
-            }
-        }
-    }
-}
-
 struct OracleRun {
     responses: Vec<Response>,
     journal: Vec<u8>,
@@ -159,7 +122,7 @@ fn oracle() -> OracleRun {
     let mut storage_ticks = Vec::new();
     for (tick, req) in schedule().iter().enumerate() {
         let resp = client.call(req).expect("oracle transport");
-        if journaled(&resp) {
+        if resp.journaled() {
             storage_ticks.push(tick as u64);
         }
         responses.push(resp);

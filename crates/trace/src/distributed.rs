@@ -12,9 +12,10 @@
 //!   clock, no RNG — so the same workload produces byte-identical trace
 //!   ids for any `--jobs` value and either transport.
 //! * Span ids are parent-indexed: [`span_id`] hashes
-//!   `{trace_id, parent, name, child index}`, and [`TraceScope`] hands
-//!   out child indices deterministically, so a span tree's shape fully
-//!   determines its ids.
+//!   `{trace_id, parent, name, child index}`. [`TraceScope`] is the one
+//!   way spans are made: it hands out child indices deterministically
+//!   and fills in every field but `units` and `attrs`, so a span tree's
+//!   shape fully determines its ids.
 //! * [`SpanRecord`]s are plain data with a strict JSON codec (unknown
 //!   fields rejected, same contract as the wire protocol) and a JSONL
 //!   dump format, collected per node into a fixed-capacity
@@ -158,26 +159,69 @@ pub fn span_id(trace_id: u64, parent: u64, name: &str, index: u64) -> u64 {
     }
 }
 
-/// Deterministic child-index allocator for one trace: the n-th span
-/// opened under a given parent gets index n, so re-running the same
-/// request produces the same span ids.
-#[derive(Debug, Default)]
+/// The one span constructor for one trace on one node: allocates each
+/// span's id from its position (the n-th span opened under a parent,
+/// whatever its name, gets child index n) and fills in the trace id,
+/// parent, name, node and tick, so callers set only `units` and
+/// `attrs`. It also owns the node's span list for the trace, so
+/// re-running the same request produces the same spans in the same
+/// order.
+#[derive(Debug)]
 pub struct TraceScope {
+    trace_id: u64,
+    node: String,
     next_index: HashMap<u64, u64>,
+    spans: Vec<SpanRecord>,
 }
 
 impl TraceScope {
-    /// A fresh scope (per request).
-    pub fn new() -> TraceScope {
-        TraceScope::default()
+    /// A fresh scope (per request) for `trace_id`, recording as `node`.
+    pub fn new(trace_id: u64, node: &str) -> TraceScope {
+        TraceScope {
+            trace_id,
+            node: node.to_string(),
+            next_index: HashMap::new(),
+            spans: Vec::new(),
+        }
     }
 
-    /// Allocates the next span id under `parent`.
-    pub fn span(&mut self, trace_id: u64, parent: u64, name: &str) -> u64 {
+    /// Opens the next span under `parent` without recording it — for a
+    /// span whose place in the list is decided later
+    /// ([`TraceScope::extend`]).
+    pub fn open(&mut self, parent: u64, name: &str, tick: u64) -> SpanRecord {
         let idx = self.next_index.entry(parent).or_insert(0);
-        let id = span_id(trace_id, parent, name, *idx);
+        let span_id = span_id(self.trace_id, parent, name, *idx);
         *idx += 1;
-        id
+        SpanRecord {
+            trace_id: self.trace_id,
+            span_id,
+            parent,
+            name: name.to_string(),
+            node: self.node.clone(),
+            tick,
+            units: 0,
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Opens the next span under `parent` and records it; the caller
+    /// fills in `units` and `attrs` through the returned reference.
+    pub fn span(&mut self, parent: u64, name: &str, tick: u64) -> &mut SpanRecord {
+        let span = self.open(parent, name, tick);
+        let at = self.spans.len();
+        self.spans.push(span);
+        &mut self.spans[at]
+    }
+
+    /// Records spans opened earlier or by another node (a shard's
+    /// handler spans, a follower's apply spans), in order.
+    pub fn extend(&mut self, spans: impl IntoIterator<Item = SpanRecord>) {
+        self.spans.extend(spans);
+    }
+
+    /// The recorded spans, in order.
+    pub fn into_spans(self) -> Vec<SpanRecord> {
+        self.spans
     }
 }
 
@@ -544,14 +588,24 @@ mod tests {
 
     #[test]
     fn scope_hands_out_sibling_indices() {
-        let mut scope = TraceScope::new();
-        let a = scope.span(9, 0, "x");
-        let b = scope.span(9, 0, "x");
-        let c = scope.span(9, a, "x");
+        let mut scope = TraceScope::new(9, "n");
+        let a = scope.span(0, "x", 3).span_id;
+        let b = scope.open(0, "x", 3).span_id;
+        let c = scope.span(a, "x", 4).span_id;
+        let d = scope.span(0, "y", 3).span_id;
         assert_ne!(a, b, "siblings get distinct ids");
         assert_ne!(a, c, "children under different parents differ");
         assert_eq!(a, span_id(9, 0, "x", 0));
         assert_eq!(b, span_id(9, 0, "x", 1));
+        assert_eq!(
+            d,
+            span_id(9, 0, "y", 2),
+            "the index counts every prior sibling"
+        );
+        let spans = scope.into_spans();
+        assert_eq!(spans.len(), 3, "an opened span is not recorded");
+        assert_eq!((spans[1].parent, spans[1].tick), (a, 4));
+        assert_eq!((spans[2].trace_id, spans[2].node.as_str()), (9, "n"));
     }
 
     #[test]
