@@ -12,9 +12,11 @@
 //!    print via Rust's shortest-roundtrip formatter, so equal values always
 //!    produce byte-identical text — the determinism contract of the
 //!    evaluation harness extends to its JSON artifacts.
-//! 3. **Strict, total parsing.** The parser accepts exactly the JSON this
-//!    crate writes (plus standard whitespace), never panics on malformed
-//!    input, and reports positioned errors.
+//! 3. **Strict, total parsing.** The parser accepts the JSON this crate
+//!    writes (plus standard whitespace) and holds numbers to JSON's
+//!    grammar, so an integer has one spelling: no leading zeros, no
+//!    `-0`. It never panics on malformed input and reports positioned
+//!    errors.
 //!
 //! On top of the value model, [`StrictObj`] is the one reader every
 //! fixed-schema decoder in the workspace uses: unknown, missing,
@@ -150,12 +152,21 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text (what `to_string()` returns) to
+    /// `out`. Rendering allocates nothing beyond `out`'s own growth, so a
+    /// caller that reuses one buffer renders in steady state without
+    /// touching the heap.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::U64(v) => write_u64(*v, out),
+            Json::I64(v) => {
+                if *v < 0 {
+                    out.push('-');
+                }
+                write_u64(v.unsigned_abs(), out);
+            }
             Json::F64(v) => write_f64(*v, out),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
@@ -164,7 +175,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_compact(out);
                 }
                 out.push(']');
             }
@@ -176,7 +187,7 @@ impl Json {
                     }
                     write_string(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_compact(out);
                 }
                 out.push('}');
             }
@@ -209,7 +220,7 @@ impl Json {
                 out.push_str(&"  ".repeat(indent));
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.write_compact(out),
         }
     }
 
@@ -238,36 +249,64 @@ impl fmt::Display for Json {
     /// Compact JSON text (so `to_string()` serializes).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }
 
+/// Renders `v` in decimal from a stack buffer (`u64::MAX` has 20 digits).
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 fn write_f64(v: f64, out: &mut String) {
+    use fmt::Write as _;
     assert!(v.is_finite(), "JSON cannot represent non-finite floats");
-    let s = format!("{v}");
-    out.push_str(&s);
+    let start = out.len();
+    let _ = write!(out, "{v}");
     // Keep floats distinguishable from integers on re-parse.
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
+/// Writes `s` as a JSON string literal. Unescaped runs are copied whole;
+/// every byte that needs an escape is ASCII, so the run boundaries are
+/// always char boundaries.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -316,6 +355,11 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b'[') => {
                 self.pos += 1;
+                // Key and kill arrays are hundreds of unsigned integers.
+                // A leading run of them is read into `uints` and becomes
+                // `Json` elements in one pass: moving each element through
+                // a `Result` into the `Vec` costs more than its digits.
+                let mut uints = Vec::new();
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
@@ -324,12 +368,23 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.parse_value(depth + 1)?);
+                    let leading_uint = if items.is_empty() { self.parse_u64() } else { None };
+                    match leading_uint {
+                        Some(v) => uints.push(v),
+                        None => {
+                            let item = self.parse_value(depth + 1)?;
+                            items.extend(uints.drain(..).map(Json::U64));
+                            items.push(item);
+                        }
+                    }
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
+                            if items.is_empty() {
+                                items = uints.into_iter().map(Json::U64).collect();
+                            }
                             return Ok(Json::Arr(items));
                         }
                         _ => return Err(self.error("expected ',' or ']'")),
@@ -431,21 +486,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Json, ParseError> {
+    /// An unsigned integer token, `0|[1-9][0-9]*`, that fits `u64` and is
+    /// not followed by a fraction or an exponent. Its digits are
+    /// accumulated with checked arithmetic as they are scanned. For any
+    /// other token the position is left unchanged and `None` returned.
+    fn parse_u64(&mut self) -> Option<u64> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let mut value = Some(0u64);
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+                    self.pos += 1;
+                }
+            }
+            _ => return None,
+        }
+        if matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            value = None;
+        }
+        if value.is_none() {
+            self.pos = start;
+        }
+        value
+    }
+
+    /// Parses a number in JSON's grammar: `-?(0|[1-9][0-9]*)`, then an
+    /// optional `.` with at least one digit and an optional exponent with
+    /// at least one digit. So one value has one integer spelling: leading
+    /// zeros and the integer `-0` are refused (`-0.0` is a float). An
+    /// integer that overflows `u64` or `i64` falls back to `F64`.
+    fn parse_number(&mut self) -> Result<Json, ParseError> {
+        if let Some(v) = self.parse_u64() {
+            return Ok(Json::U64(v));
+        }
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.error("leading zeros are not allowed"));
+            }
+        } else {
+            self.digits()?;
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -453,19 +546,19 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("ASCII digits are valid UTF-8");
-        if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if stripped.parse::<i64>().is_ok() {
-                    return Ok(Json::I64(text.parse().expect("checked")));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::U64(v));
+        if negative && !is_float {
+            if text == "-0" {
+                return Err(ParseError {
+                    offset: start,
+                    message: "negative zero must be written -0.0".to_string(),
+                });
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Json::I64(v));
             }
         }
         text.parse::<f64>()
@@ -474,6 +567,17 @@ impl<'a> Parser<'a> {
                 offset: start,
                 message: format!("invalid number '{text}'"),
             })
+    }
+
+    /// Consumes one or more digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.error("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 }
 
@@ -738,9 +842,154 @@ mod tests {
         for bad in [
             "", "{", "}", "[1,", "{\"a\":}", "nul", "01x", "\"unterminated",
             "{\"a\":1,}", "[1 2]", "1 2", "\"bad \\q escape\"",
+            // One spelling per number: no leading zeros, no digitless
+            // fraction or exponent, no integer minus zero.
+            "01", "007", "-01", "00", "[1,02]", "1.", "1.e3", "-0", "[-0]", "-", "-.5", "1e",
+            "1e+", "0.e1",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        assert_eq!(Json::parse("[7,01]").unwrap_err().message, "leading zeros are not allowed");
+        // What the writer emits for the same values still parses.
+        for (good, value) in [
+            ("0", Json::U64(0)),
+            ("-0.0", Json::F64(-0.0)),
+            ("0.5", Json::F64(0.5)),
+            ("-1", Json::I64(-1)),
+            ("10", Json::U64(10)),
+            ("1e3", Json::F64(1000.0)),
+            ("1.5E-2", Json::F64(0.015)),
+        ] {
+            assert_eq!(Json::parse(good), Ok(value), "{good:?}");
+        }
+    }
+
+    /// The `str::parse` chain the number parser used before it
+    /// accumulated digits itself, kept as the reference it must agree
+    /// with.
+    fn parsed_by_std(text: &str) -> Json {
+        if let Some(magnitude) = text.strip_prefix('-') {
+            if magnitude.parse::<i64>().is_ok() {
+                return Json::I64(text.parse().unwrap());
+            }
+        } else if let Ok(v) = text.parse::<u64>() {
+            return Json::U64(v);
+        }
+        Json::F64(text.parse().expect("a JSON number"))
+    }
+
+    #[test]
+    fn integers_render_as_their_decimal_digits() {
+        let mut unsigned = vec![u64::MAX];
+        let mut signed = vec![i64::MIN, i64::MAX];
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            unsigned.extend([p - 1, p, p + 1]);
+            if let Ok(p) = i64::try_from(p) {
+                signed.extend([-p, 1 - p, -1 - p, p - 1, p]);
+            }
+        }
+        for v in unsigned {
+            assert_eq!(Json::U64(v).to_string(), v.to_string());
+            assert_eq!(Json::parse(&v.to_string()), Ok(Json::U64(v)));
+        }
+        for v in signed {
+            assert_eq!(Json::I64(v).to_string(), v.to_string());
+            let back = Json::parse(&v.to_string()).unwrap();
+            assert_eq!(back.as_f64(), Some(v as f64), "{v}");
+            if v < 0 {
+                assert_eq!(back, Json::I64(v));
+            }
+        }
+    }
+
+    #[test]
+    fn long_numbers_parse_as_the_std_chain_did() {
+        let mut texts = Vec::new();
+        for center in [u128::from(u64::MAX), 1u128 << 63, 10u128.pow(19), 10u128.pow(20)] {
+            for m in center - 3..=center + 3 {
+                texts.push(m.to_string());
+                texts.push(format!("-{m}"));
+            }
+        }
+        texts.push("9".repeat(21));
+        texts.push(format!("-{}", "9".repeat(21)));
+        for text in &texts {
+            let parsed = Json::parse(text).unwrap();
+            // The std chain parsed "-9223372036854775808" as a float: it
+            // read the magnitude as an i64 first. `i64::MIN` is an
+            // integer the writer emits, so it now reads back as one.
+            if text == &i64::MIN.to_string() {
+                assert_eq!(parsed, Json::I64(i64::MIN));
+            } else {
+                assert_eq!(parsed, parsed_by_std(text), "{text}");
+            }
+            // In an array, through the leading run of unsigned integers.
+            assert_eq!(Json::parse(&format!("[{text}]")), Ok(Json::Arr(vec![parsed])), "{text}");
+        }
+        // Overflow still falls back to a float.
+        assert_eq!(Json::parse("18446744073709551616"), Ok(Json::F64(18446744073709551616.0)));
+    }
+
+    /// The escape table, one char at a time.
+    fn escaped_char_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_render_to_the_escape_table_and_round_trip() {
+        let mut samples: Vec<String> = (0u8..=0x7f).map(|b| char::from(b).to_string()).collect();
+        samples.push((0u8..=0x7f).map(char::from).collect());
+        samples.extend(["é", "€", "𝄞", "a\u{0}é\"€\n𝄞\\", ""].map(str::to_string));
+        for s in &samples {
+            let text = Json::Str(s.clone()).to_string();
+            assert_eq!(text, escaped_char_by_char(s), "{s:?}");
+            assert_eq!(Json::parse(&text), Ok(Json::Str(s.clone())), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn arrays_keep_order_around_a_run_of_unsigned_integers() {
+        let j = Json::parse("[ 7 , 0,18446744073709551615,\"a\",3,-1,4.5,[5,6],18446744073709551616,8]")
+            .unwrap();
+        let expected = Json::Arr(vec![
+            Json::U64(7),
+            Json::U64(0),
+            Json::U64(u64::MAX),
+            Json::Str("a".into()),
+            Json::U64(3),
+            Json::I64(-1),
+            Json::F64(4.5),
+            Json::Arr(vec![Json::U64(5), Json::U64(6)]),
+            Json::F64(18446744073709551616.0),
+            Json::U64(8),
+        ]);
+        assert_eq!(j, expected);
+        assert_eq!(Json::parse("[1.5,2]"), Ok(Json::Arr(vec![Json::F64(1.5), Json::U64(2)])));
+        for bad in ["[1,,2]", "[1,2", "[1,2,]", "[01]", "[1,-0]"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn write_compact_appends_the_display_text() {
+        let j = Json::parse("{\"k\":[1,-2,3.5,\"\\u0001\"],\"n\":null}").unwrap();
+        let mut out = String::from("prefix ");
+        j.write_compact(&mut out);
+        assert_eq!(out, format!("prefix {j}"));
     }
 
     #[test]

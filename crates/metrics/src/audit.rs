@@ -307,7 +307,7 @@ impl AuditLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.to_json().to_string());
+            e.to_json().write_compact(&mut out);
             out.push('\n');
         }
         out

@@ -314,8 +314,8 @@ pub struct Registry {
     gc_pending: u32,
     /// Group-commit barrier flushes performed so far.
     gc_flushes: u64,
-    /// Reusable scratch for rendering journal lines (one allocation for
-    /// the life of the registry instead of one per event).
+    /// Reusable scratch for rendering journal lines: once it has grown to
+    /// the longest line, rendering one allocates nothing.
     line_buf: String,
 }
 
@@ -642,12 +642,11 @@ impl Registry {
     }
 
     fn append(&mut self, event: &'static str, line: Json) -> Result<(), RegistryError> {
-        use std::fmt::Write as _;
         // Render into the reusable scratch (taken and put back so the
         // journal borrow below stays disjoint).
         let mut text = std::mem::take(&mut self.line_buf);
         text.clear();
-        let _ = write!(text, "{line}");
+        line.write_compact(&mut text);
         text.push('\n');
         let started = Instant::now();
         let mut gc_flushed = false;

@@ -305,7 +305,7 @@ impl ActivationServer {
         let mut out = String::new();
         for e in inner.audit.events() {
             if e.kind == ALERT_FIRE_KIND || e.kind == ALERT_RESOLVE_KIND {
-                out.push_str(&e.to_json().to_string());
+                e.to_json().write_compact(&mut out);
                 out.push('\n');
             }
         }

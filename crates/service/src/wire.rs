@@ -764,9 +764,10 @@ pub fn parse_readout_bits(s: &str) -> Result<Bits, WireError> {
 }
 
 /// Reusable per-connection encode buffers: the JSON rendering and the
-/// assembled frame live in caller-owned storage, so a connection's
-/// steady-state frame encoding allocates nothing. One scratch serves one
-/// connection (or one thread); it is deliberately cheap to construct.
+/// assembled frame live in caller-owned storage. Once both have grown to
+/// the connection's largest frame, [`encode_frame`] allocates nothing
+/// (`tests/alloc.rs` counts). One scratch serves one connection (or one
+/// thread); it is deliberately cheap to construct.
 #[derive(Debug, Default)]
 pub struct FrameScratch {
     text: String,
@@ -789,9 +790,8 @@ impl FrameScratch {
 ///
 /// Refuses payloads above [`MAX_FRAME`].
 pub fn encode_frame<'a>(scratch: &'a mut FrameScratch, payload: &Json) -> io::Result<&'a [u8]> {
-    use std::fmt::Write as _;
     scratch.text.clear();
-    let _ = write!(scratch.text, "{payload}");
+    payload.write_compact(&mut scratch.text);
     let bytes = scratch.text.as_bytes();
     if bytes.len() > MAX_FRAME {
         return Err(io::Error::new(

@@ -316,7 +316,7 @@ impl SpanRecord {
 pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
     for s in spans {
-        out.push_str(&s.to_json().to_string());
+        s.to_json().write_compact(&mut out);
         out.push('\n');
     }
     out
