@@ -10,6 +10,9 @@
 //! activation front end's own [`TcpServer`] serving a [`ShardNode`], so
 //! replication shares its accept loop, pipelined frame decoder, accept
 //! poll and fault hooks.
+//!
+//! The router owns its links and calls them under its own lock, one
+//! round trip at a time, so a link needs no lock of its own.
 
 use crate::frame::RepFrame;
 use crate::node::ShardNode;
@@ -18,13 +21,12 @@ use hwm_jsonio::Json;
 use hwm_service::{FrameConn, FrameService, FrameTransport, LocalWire, TcpServer};
 use std::io;
 use std::net::ToSocketAddrs;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// A channel to one replica. `Sync` is part of the contract: the
-/// router's windowed fan-out calls followers from scoped threads, so a
-/// link must tolerate being shared (both built-in links serialize on
-/// their transport's mutex).
-pub trait NodeLink: Send + Sync {
+/// A channel to one replica, owned by the router. `call` takes
+/// `&mut self`: the router calls each link from under its own lock, so
+/// a link is never shared and needs only to be `Send`.
+pub trait NodeLink: Send {
     /// Sends one frame, blocking for the reply.
     ///
     /// # Errors
@@ -32,16 +34,14 @@ pub trait NodeLink: Send + Sync {
     /// [`ClusterError`] for codec or transport failures (a
     /// [`RepFrame::Error`] reply is *not* a link error — the caller
     /// decides what a refusal means).
-    fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError>;
+    fn call(&mut self, frame: &RepFrame) -> Result<RepFrame, ClusterError>;
 }
 
-/// The replication protocol over a frame transport. One round trip at a
-/// time, serialized on an internal mutex (the router already serializes
-/// dispatch, so this is belt-and-braces, not a bottleneck). The
-/// transport's buffers sit under the same mutex, so a round trip
+/// The replication protocol over a frame transport, one round trip at a
+/// time. The link owns the transport and its buffers, so a round trip
 /// allocates no buffers.
 pub struct FrameLink<T> {
-    conn: Mutex<T>,
+    conn: T,
 }
 
 /// In-process link: a [`FrameLink`] over a [`LocalWire`] into the
@@ -55,7 +55,7 @@ impl FrameLink<LocalWire<ShardNode>> {
     /// A link bound to the given replica.
     pub fn new(node: Arc<ShardNode>) -> LocalLink {
         FrameLink {
-            conn: Mutex::new(LocalWire::new(node, None)),
+            conn: LocalWire::new(node, None),
         }
     }
 }
@@ -68,18 +68,14 @@ impl FrameLink<FrameConn> {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpLink> {
         Ok(FrameLink {
-            conn: Mutex::new(FrameConn::connect(addr)?),
+            conn: FrameConn::connect(addr)?,
         })
     }
 }
 
 impl<T: FrameTransport + Send> NodeLink for FrameLink<T> {
-    fn call(&self, frame: &RepFrame) -> Result<RepFrame, ClusterError> {
-        let mut conn = self
-            .conn
-            .lock()
-            .map_err(|_| ClusterError::new("link poisoned by a panicked caller"))?;
-        RepFrame::from_json(&conn.call(frame.to_json())?)
+    fn call(&mut self, frame: &RepFrame) -> Result<RepFrame, ClusterError> {
+        RepFrame::from_json(&self.conn.call(frame.to_json())?)
     }
 }
 

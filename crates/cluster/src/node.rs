@@ -4,7 +4,7 @@
 use crate::frame::RepFrame;
 use hwm_service::{ActivationServer, RegistrySnapshot};
 use hwm_trace::TraceScope;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A shard replica — leader or follower, depending on the wrapped
 /// server's [`hwm_service::ServerRole`]. The node owns the replication
@@ -38,6 +38,13 @@ impl ShardNode {
     /// simulation's oracle comparisons read through this).
     pub fn server(&self) -> &Arc<ActivationServer> {
         &self.server
+    }
+
+    fn cursor(&self) -> MutexGuard<'_, u64> {
+        // Poisoned only if another thread panicked while holding it. The
+        // guarded sections only move an integer cursor, so no frame bytes
+        // can make this fire.
+        self.audit_cursor.lock().expect("audit cursor poisoned")
     }
 
     /// Handles one replication frame. A frame addressed to a different
@@ -74,7 +81,7 @@ impl ShardNode {
                 } else {
                     Vec::new()
                 };
-                let mut cursor = self.audit_cursor.lock().expect("audit cursor poisoned");
+                let mut cursor = self.cursor();
                 let (audit, next) = self.server.audit_events_since(*cursor);
                 *cursor = next;
                 RepFrame::Reply {
@@ -95,7 +102,7 @@ impl ShardNode {
                 match self.server.apply_replicated(entries) {
                     Ok(seq) => {
                         self.server.apply_replicated_audit(audit);
-                        let mut cursor = self.audit_cursor.lock().expect("audit cursor poisoned");
+                        let mut cursor = self.cursor();
                         *cursor += audit.len() as u64;
                         // A traced append answers with a
                         // `replicate/apply` span under the router's
@@ -133,7 +140,7 @@ impl ShardNode {
                 };
                 match self.server.install_snapshot(snap, audit) {
                     Ok(seq) => {
-                        let mut cursor = self.audit_cursor.lock().expect("audit cursor poisoned");
+                        let mut cursor = self.cursor();
                         *cursor = audit.len() as u64;
                         RepFrame::Ack {
                             shard: self.shard,

@@ -15,8 +15,11 @@
 //!   shipped register entries, falling back to the ring.
 //! * **Replication.** The leader's reply carries the journal entries
 //!   and audit events the request produced; the router ships them to
-//!   every follower synchronously ([`RepFrame::Append`]) and tracks
-//!   acks as a replicated-seq watermark before the next dispatch.
+//!   every follower synchronously ([`RepFrame::Append`]), one follower
+//!   at a time in index order, and tracks acks as a replicated-seq
+//!   watermark before the next dispatch. The router's lock already
+//!   serializes every request, so the loop runs on the calling thread
+//!   and the router owns its links outright.
 //! * **Fleet counters.** The router maintains the oracle-equivalent
 //!   det-class counters itself (requests by op/outcome, audit kinds,
 //!   journal events, lifecycle gauges) — a dead leader takes nothing
@@ -46,7 +49,7 @@ use hwm_service::{
     publish_state_gauges, ErrorCode, FaultPlan, Handler, RegistryCounts, Request, Response,
     StatusReport, REQUEST_UNITS_BOUNDS,
 };
-use hwm_trace::{spans_to_jsonl, SpanRecord, TraceContext, TraceRing, TraceScope};
+use hwm_trace::{spans_to_jsonl, TraceContext, TraceRing, TraceScope};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -224,6 +227,9 @@ impl ClusterRouter {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RouterInner> {
+        // Poisoned only if another thread panicked while holding the
+        // lock, which no request bytes can cause: decode and link errors
+        // come back as values, never as panics under the lock.
         self.inner.lock().expect("router state poisoned")
     }
 
@@ -354,7 +360,7 @@ impl ClusterRouter {
         // again, and over TCP this closes the connection.
         st.leader = None;
         let mut best: Option<(usize, u64)> = None;
-        for (i, follower) in st.followers.iter().enumerate() {
+        for (i, follower) in st.followers.iter_mut().enumerate() {
             let seq = match follower.call(&RepFrame::Checkpoint {
                 shard: shard as u64,
                 trace: ctx,
@@ -384,7 +390,7 @@ impl ClusterRouter {
         let (idx, watermark) = best.ok_or_else(|| {
             ClusterError::new(format!("shard {shard} has no follower to promote"))
         })?;
-        let promoted = st.followers.remove(idx);
+        let mut promoted = st.followers.remove(idx);
         st.acks.remove(idx);
         match promoted.call(&RepFrame::Promote {
             shard: shard as u64,
@@ -420,14 +426,12 @@ impl ClusterRouter {
         Ok(())
     }
 
-    /// One parallel fan-out: every follower receives the batch
-    /// concurrently and the acks reassemble in follower index order.
-    /// Ship spans are opened up front, also in index order — span ids
-    /// come from the router's scope counters, so they must not depend
-    /// on completion order — and recorded as each ack is reassembled,
-    /// which keeps traced dumps byte-identical to a sequential fan-out
-    /// (follower apply spans never touch the router's scope, so opening
-    /// early changes no id).
+    /// Ships one batch to every follower in index order. Each follower's
+    /// `replicate/ship` span is recorded, its context set on the frame,
+    /// and the ack (with the follower's `replicate/apply` spans) folded
+    /// before the next follower is called, so a traced dump lists
+    /// `[ship_i, applies_i]` per follower. A refusal or link error ends
+    /// the batch at that follower: later followers are not sent it.
     fn ship_batch(
         shard: usize,
         st: &mut ShardState,
@@ -438,44 +442,22 @@ impl ClusterRouter {
         if st.followers.is_empty() || (entries.is_empty() && audit.is_empty()) {
             return Ok(());
         }
-        let ships: Vec<Option<(SpanRecord, TraceContext)>> = (0..st.followers.len())
-            .map(|i| {
-                trace.as_mut().map(|(ctx, scope)| {
-                    let mut span = scope.open(ctx.parent_span, "replicate/ship", ctx.tick);
-                    span.units = entries.len() as u64;
-                    span.attrs = vec![("follower".into(), i.to_string())];
-                    let ship_ctx = ctx.child(span.span_id);
-                    (span, ship_ctx)
-                })
-            })
-            .collect();
-        let followers = &st.followers;
-        let results: Vec<Result<RepFrame, ClusterError>> = std::thread::scope(|s| {
-            let handles = followers
-                .iter()
-                .zip(&ships)
-                .map(|(follower, ship)| {
-                    let frame = RepFrame::Append {
-                        shard: shard as u64,
-                        entries: entries.to_vec(),
-                        audit: audit.to_vec(),
-                        trace: ship.as_ref().map(|(_, ctx)| *ctx),
-                    };
-                    s.spawn(move || follower.call(&frame))
-                })
-                .collect::<Vec<_>>();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replication fan-out thread panicked"))
-                .collect()
-        });
-        // Reassemble in follower index order — [ship_i, applies_i] per
-        // follower, exactly the sequence a sequential loop records.
-        for (i, (result, ship)) in results.into_iter().zip(ships).enumerate() {
-            if let (Some((_, scope)), Some((span, _))) = (trace.as_mut(), ship) {
-                scope.extend([span]);
+        let mut frame = RepFrame::Append {
+            shard: shard as u64,
+            entries: entries.to_vec(),
+            audit: audit.to_vec(),
+            trace: None,
+        };
+        for (i, follower) in st.followers.iter_mut().enumerate() {
+            if let (Some((ctx, scope)), RepFrame::Append { trace: ship, .. }) =
+                (trace.as_mut(), &mut frame)
+            {
+                let span = scope.span(ctx.parent_span, "replicate/ship", ctx.tick);
+                span.units = entries.len() as u64;
+                span.attrs = vec![("follower".into(), i.to_string())];
+                *ship = Some(ctx.child(span.span_id));
             }
-            match result? {
+            match follower.call(&frame)? {
                 RepFrame::Ack { seq, spans, .. } => {
                     st.acks[i] = seq;
                     if let Some((_, scope)) = trace.as_mut() {
@@ -534,10 +516,9 @@ impl ClusterRouter {
         req: &Request,
         mut trace: Traced<'_>,
     ) -> Result<Response, ClusterError> {
-        let st = &inner.shards[shard];
-        let leader = st
+        let leader = inner.shards[shard]
             .leader
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| ClusterError::new(format!("shard {shard} has no leader")))?;
         let reply = leader.call(&RepFrame::Forward {
             shard: shard as u64,
@@ -576,7 +557,7 @@ impl ClusterRouter {
         // entries and ships them as one coalesced batch per follower;
         // the queue drains before any failover, metrics read, or
         // explicit sync, so every observable byte matches a window-1
-        // run. Either way the fan-out itself is parallel.
+        // run.
         let window = inner.rep_window.max(1);
         let st = &mut inner.shards[shard];
         st.leader_seq = seq;

@@ -17,7 +17,7 @@ use hostile::Reply;
 fn link_refuses_hostile_replies() {
     for reply in [Reply::HalfFrame, Reply::OversizedPrefix] {
         let (addr, peer) = hostile::spawn(reply);
-        let link = TcpLink::connect(addr).expect("connect");
+        let mut link = TcpLink::connect(addr).expect("connect");
         let t0 = Instant::now();
         let result = link.call(&RepFrame::Checkpoint {
             shard: 0,

@@ -3,14 +3,19 @@
 //! frame that is JSON but not a [`RepFrame`] with an error and keep the
 //! connection, answer a pipelined burst in order, and shut down promptly
 //! with an idle [`TcpLink`] attached (the front end's own case is
-//! `tcp_shutdown_joins_promptly` in `hwm-service`'s pipeline tests).
+//! `tcp_shutdown_joins_promptly` in `hwm-service`'s pipeline tests). The
+//! router's side of a refusal is pinned here too: a follower that
+//! refuses a batch ends the shipment there.
 
-use hwm_cluster::{NodeLink, RepFrame, RepHost, ShardNode, TcpLink};
+use hwm_cluster::{
+    ClusterRouter, LocalLink, NodeLink, RepFrame, RepHost, ShardGroup, ShardNode, TcpLink,
+};
 use hwm_jsonio::Json;
 use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    read_frame, write_frame, ActivationServer, FrameService, Registry, Request, ServerConfig,
+    read_frame, write_frame, ActivationServer, FrameService, Handler, Registry, Request, Response,
+    ServerConfig,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -30,14 +35,14 @@ fn designer(seed: u64) -> Designer {
     .expect("designer")
 }
 
-/// Shard 0's leader replica over a fresh in-memory server.
-fn node(seed: u64) -> Arc<ShardNode> {
+/// Shard `shard`'s replica over a fresh in-memory server.
+fn node(shard: u64, seed: u64) -> Arc<ShardNode> {
     let server = ActivationServer::new(
         designer(seed),
         Registry::in_memory(),
         ServerConfig::default(),
     );
-    Arc::new(ShardNode::new(0, Arc::new(server)))
+    Arc::new(ShardNode::new(shard, Arc::new(server)))
 }
 
 /// A frame that parses as JSON but is no replication frame.
@@ -60,7 +65,7 @@ fn reply(stream: &mut TcpStream) -> RepFrame {
 
 #[test]
 fn bad_frame_gets_error_and_connection_stays_open() {
-    let host = RepHost::spawn("127.0.0.1:0", node(3)).expect("bind");
+    let host = RepHost::spawn("127.0.0.1:0", node(0, 3)).expect("bind");
     let mut stream = TcpStream::connect(host.addr()).expect("connect");
     write_frame(&mut stream, &not_a_frame()).expect("send");
     assert!(
@@ -111,7 +116,7 @@ fn burst_in_one_write_is_answered_in_order() {
     frames.push(checkpoint());
 
     // The oracle: a twin replica answering the same frames one by one.
-    let twin = node(seed);
+    let twin = node(0, seed);
     let expected: Vec<RepFrame> = frames
         .iter()
         .map(|f| RepFrame::from_json(&twin.answer(f)).expect("oracle reply"))
@@ -126,7 +131,7 @@ fn burst_in_one_write_is_answered_in_order() {
         .collect();
     assert_eq!(seqs, [0, 1, 2, 3, 3]);
 
-    let host = RepHost::spawn("127.0.0.1:0", node(seed)).expect("bind");
+    let host = RepHost::spawn("127.0.0.1:0", node(0, seed)).expect("bind");
     let mut stream = TcpStream::connect(host.addr()).expect("connect");
     let mut burst = Vec::new();
     for f in &frames {
@@ -139,8 +144,8 @@ fn burst_in_one_write_is_answered_in_order() {
 
 #[test]
 fn drop_with_idle_link_returns_promptly() {
-    let host = RepHost::spawn("127.0.0.1:0", node(5)).expect("bind");
-    let link = TcpLink::connect(host.addr()).expect("connect");
+    let host = RepHost::spawn("127.0.0.1:0", node(0, 5)).expect("bind");
+    let mut link = TcpLink::connect(host.addr()).expect("connect");
     let ack = link
         .call(&RepFrame::Checkpoint {
             shard: 0,
@@ -158,4 +163,44 @@ fn drop_with_idle_link_returns_promptly() {
         t0.elapsed()
     );
     drop(link);
+}
+
+#[test]
+fn refusing_follower_ends_the_shipment() {
+    let seed = 13;
+    let leader = node(0, seed);
+    leader.server().enable_replication();
+    // Follower 0 belongs to shard 1, so it refuses every shard-0 batch.
+    let misplaced = node(1, seed);
+    let healthy = node(0, seed);
+    let router = ClusterRouter::new(
+        vec![ShardGroup {
+            leader: Box::new(LocalLink::new(leader)),
+            followers: vec![
+                Box::new(LocalLink::new(misplaced)) as Box<dyn NodeLink>,
+                Box::new(LocalLink::new(Arc::clone(&healthy))),
+            ],
+        }],
+        8,
+        None,
+    );
+    let designer = designer(seed);
+    let chip = Foundry::new(designer.blueprint().clone(), seed).fabricate_one();
+    let resp = router.handle(&Request::Register {
+        client: "fab".into(),
+        ic: "die-0".into(),
+        readout: readout_to_bits_string(&chip.scan_flip_flops().0),
+    });
+    match resp {
+        Response::Error { message, .. } => assert!(
+            message.contains("follower 0 of shard 0 refused entries"),
+            "{message}"
+        ),
+        other => panic!("a refused batch must fail the request, got {other:?}"),
+    }
+    assert_eq!(
+        healthy.server().with_registry(|r| r.journal_len()),
+        0,
+        "the follower after a refusal must not be sent the batch"
+    );
 }

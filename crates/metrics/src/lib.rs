@@ -7,13 +7,13 @@
 //! the server is up, without killing it to read the journal. This crate
 //! provides that substrate:
 //!
-//! * [`MetricsRegistry`] — a lock-sharded store of monotonic counters,
-//!   gauges and fixed-bucket histograms. Series are keyed by
-//!   `(name, sorted label set)` and hashed onto shards, so concurrent
-//!   writers rarely contend on the same mutex; a [`Snapshot`] locks the
-//!   shards in index order and merges them into one sorted view, the same
-//!   "merge per-worker state in a fixed order" move `hwm-trace` uses to
-//!   make span trees `--jobs`-invariant.
+//! * [`MetricsRegistry`] — one map of monotonic counters, gauges and
+//!   fixed-bucket histograms under one mutex, keyed by
+//!   `(name, label set)`. Every writer in the serving stack already holds
+//!   its node's own lock, so the registry's lock is never contended; a
+//!   [`Snapshot`] sorts the series into one deterministic view, the same
+//!   "merge in a fixed order" move `hwm-trace` uses to make span trees
+//!   `--jobs`-invariant.
 //! * [`Snapshot`] — the deterministic read side: families sorted by name,
 //!   series sorted by label set, rendered as Prometheus-style text
 //!   ([`Snapshot::to_prometheus`]) or strict JSON for the wire.
@@ -69,10 +69,9 @@ pub use timeseries::{
     HISTORY_SCHEMA_VERSION,
 };
 
-use hwm_jsonio::{fnv1a, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Version of the snapshot JSON schema ([`Snapshot::to_json`]) and of the
 /// text exposition's `# SCHEMA` header. Bump on incompatible change.
@@ -196,42 +195,25 @@ struct StoredSeries {
     data: SeriesData,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    series: HashMap<SeriesKey, StoredSeries>,
-}
-
-/// The lock-sharded metric store.
-///
-/// Writers hash `(name, labels)` onto one of the shards and lock only
-/// that shard; [`MetricsRegistry::snapshot`] locks the shards in index
-/// order and merges them into one deterministic, sorted [`Snapshot`].
+/// The metric store: every series in one map under one mutex.
+/// [`MetricsRegistry::snapshot`] sorts it into one deterministic
+/// [`Snapshot`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    shards: Vec<Mutex<Shard>>,
+    series: Mutex<HashMap<SeriesKey, StoredSeries>>,
     enabled: AtomicBool,
 }
 
-/// Default shard count: enough that the per-connection handler threads of
-/// the TCP transport rarely collide, small enough that a snapshot's
-/// lock-all sweep stays cheap.
-pub const DEFAULT_SHARDS: usize = 8;
-
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        MetricsRegistry::new(DEFAULT_SHARDS)
+        MetricsRegistry {
+            series: Mutex::new(HashMap::new()),
+            enabled: AtomicBool::new(true),
+        }
     }
 }
 
 impl MetricsRegistry {
-    /// A registry with `shards` independent locks (at least 1).
-    pub fn new(shards: usize) -> MetricsRegistry {
-        MetricsRegistry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
     /// Whether the registry is currently recording.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -245,13 +227,12 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    fn shard_for(&self, name: &str, labels: LabelRefs<'_>) -> &Mutex<Shard> {
-        let mut h = fnv1a(FNV1A_BASIS, name.as_bytes());
-        for (k, v) in labels {
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, v.as_bytes());
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    fn lock(&self) -> MutexGuard<'_, HashMap<SeriesKey, StoredSeries>> {
+        // Poisoned only if another thread panicked while holding the
+        // lock. The only panics under it are a kind conflict and a
+        // changed histogram bound: call-site programming errors, since
+        // every metric name and bound slice is a `'static` in the code.
+        self.series.lock().expect("metrics registry poisoned")
     }
 
     fn key(name: &'static str, labels: LabelRefs<'_>) -> SeriesKey {
@@ -268,9 +249,8 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        match &mut shard
-            .series
+        match &mut self
+            .lock()
             .entry(Self::key(name, labels))
             .or_insert(StoredSeries {
                 class: MetricClass::Det,
@@ -288,9 +268,8 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        let stored = shard
-            .series
+        let mut series = self.lock();
+        let stored = series
             .entry(Self::key(name, labels))
             .or_insert(StoredSeries {
                 class,
@@ -345,9 +324,8 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        let stored = shard
-            .series
+        let mut series = self.lock();
+        let stored = series
             .entry(Self::key(name, labels))
             .or_insert(StoredSeries {
                 class,
@@ -375,41 +353,34 @@ impl MetricsRegistry {
     }
 
     /// Visits every det-class counter and gauge series without building
-    /// a [`Snapshot`]: no histogram-bucket clones, no global sort, no
-    /// per-series allocation. Shards are locked in index order; *within*
-    /// a shard the visit order is the hash map's and therefore
-    /// unspecified — callers that need a deterministic view must sort,
-    /// or land the values in an ordered container the way
+    /// a [`Snapshot`]: no histogram-bucket clones, no sort, no
+    /// per-series allocation. The visit order is the hash map's and
+    /// therefore unspecified — callers that need a deterministic view
+    /// must sort, or land the values in an ordered container the way
     /// [`History::sample_registry`] does.
     pub fn visit_det_ints(
         &self,
         mut f: impl FnMut(&'static str, &[(&'static str, String)], MetricKind, u64),
     ) {
-        for shard in &self.shards {
-            let shard = shard.lock().expect("metrics shard poisoned");
-            for (k, v) in &shard.series {
-                if v.class != MetricClass::Det {
-                    continue;
-                }
-                match v.data {
-                    SeriesData::Counter(val) => f(k.name, &k.labels, MetricKind::Counter, val),
-                    SeriesData::Gauge(val) => f(k.name, &k.labels, MetricKind::Gauge, val),
-                    SeriesData::Histogram(_) => {}
-                }
+        for (k, v) in self.lock().iter() {
+            if v.class != MetricClass::Det {
+                continue;
+            }
+            match v.data {
+                SeriesData::Counter(val) => f(k.name, &k.labels, MetricKind::Counter, val),
+                SeriesData::Gauge(val) => f(k.name, &k.labels, MetricKind::Gauge, val),
+                SeriesData::Histogram(_) => {}
             }
         }
     }
 
-    /// Merges every shard (locked in index order) into one sorted,
-    /// deterministic [`Snapshot`].
+    /// Every series, sorted into one deterministic [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
-        let mut merged: Vec<(SeriesKey, StoredSeries)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("metrics shard poisoned");
-            for (k, v) in &shard.series {
-                merged.push((k.clone(), v.clone()));
-            }
-        }
+        let mut merged: Vec<(SeriesKey, StoredSeries)> = self
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         merged.sort_by(|a, b| a.0.cmp(&b.0));
         snapshot::build(merged.into_iter().map(|(k, v)| {
             (
@@ -499,7 +470,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_produce_the_serial_snapshot() {
-        let m = MetricsRegistry::new(4);
+        let m = MetricsRegistry::default();
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let m = &m;

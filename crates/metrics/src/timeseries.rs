@@ -259,7 +259,7 @@ impl History {
     /// [`History::record`] would take from a full
     /// [`crate::MetricsRegistry::snapshot`], without materializing the
     /// snapshot (no histogram clones, no global sort). The BTreeMap
-    /// orders series by key, so the unspecified shard-visit order never
+    /// orders series by key, so the unspecified visit order never
     /// shows: the resulting history is byte-identical to the
     /// snapshot-fed path. This is the serving hot path's sampler.
     pub fn sample_registry(&mut self, tick: u64, registry: &crate::MetricsRegistry) {

@@ -116,7 +116,7 @@ fn requests() -> Vec<(&'static str, Request)> {
 
 fn metrics_snapshot() -> hwm_metrics::Snapshot {
     static BOUNDS: [u64; 4] = [1, 10, 100, 1000];
-    let m = MetricsRegistry::new(2);
+    let m = MetricsRegistry::default();
     m.inc("requests_total", &[("op", "unlock"), ("outcome", "key")], 3);
     m.inc(
         "requests_total",

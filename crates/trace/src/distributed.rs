@@ -185,14 +185,14 @@ impl TraceScope {
         }
     }
 
-    /// Opens the next span under `parent` without recording it — for a
-    /// span whose place in the list is decided later
-    /// ([`TraceScope::extend`]).
-    pub fn open(&mut self, parent: u64, name: &str, tick: u64) -> SpanRecord {
+    /// Opens the next span under `parent` and records it; the caller
+    /// fills in `units` and `attrs` through the returned reference.
+    pub fn span(&mut self, parent: u64, name: &str, tick: u64) -> &mut SpanRecord {
         let idx = self.next_index.entry(parent).or_insert(0);
         let span_id = span_id(self.trace_id, parent, name, *idx);
         *idx += 1;
-        SpanRecord {
+        let at = self.spans.len();
+        self.spans.push(SpanRecord {
             trace_id: self.trace_id,
             span_id,
             parent,
@@ -201,20 +201,12 @@ impl TraceScope {
             tick,
             units: 0,
             attrs: Vec::new(),
-        }
-    }
-
-    /// Opens the next span under `parent` and records it; the caller
-    /// fills in `units` and `attrs` through the returned reference.
-    pub fn span(&mut self, parent: u64, name: &str, tick: u64) -> &mut SpanRecord {
-        let span = self.open(parent, name, tick);
-        let at = self.spans.len();
-        self.spans.push(span);
+        });
         &mut self.spans[at]
     }
 
-    /// Records spans opened earlier or by another node (a shard's
-    /// handler spans, a follower's apply spans), in order.
+    /// Records spans another node recorded (a shard's handler spans, a
+    /// follower's apply spans), in order.
     pub fn extend(&mut self, spans: impl IntoIterator<Item = SpanRecord>) {
         self.spans.extend(spans);
     }
@@ -590,7 +582,7 @@ mod tests {
     fn scope_hands_out_sibling_indices() {
         let mut scope = TraceScope::new(9, "n");
         let a = scope.span(0, "x", 3).span_id;
-        let b = scope.open(0, "x", 3).span_id;
+        let b = scope.span(0, "x", 3).span_id;
         let c = scope.span(a, "x", 4).span_id;
         let d = scope.span(0, "y", 3).span_id;
         assert_ne!(a, b, "siblings get distinct ids");
@@ -603,9 +595,8 @@ mod tests {
             "the index counts every prior sibling"
         );
         let spans = scope.into_spans();
-        assert_eq!(spans.len(), 3, "an opened span is not recorded");
-        assert_eq!((spans[1].parent, spans[1].tick), (a, 4));
-        assert_eq!((spans[2].trace_id, spans[2].node.as_str()), (9, "n"));
+        assert_eq!((spans[2].parent, spans[2].tick), (a, 4));
+        assert_eq!((spans[3].trace_id, spans[3].node.as_str()), (9, "n"));
     }
 
     #[test]
