@@ -22,7 +22,9 @@
 //! one JSON object.
 //!
 //! Levers: `--pipeline N` submits N requests per wire burst and `--flush
-//! POLICY` picks the journal durability policy under `--journal PATH`.
+//! POLICY` picks the journal durability policy under `--journal PATH`:
+//! `per-event` (the default) or `group-commit[:N]` (one flush + fsync
+//! per N events, N >= 1, default 32).
 //! Neither changes a deterministic byte (pinned by
 //! `crates/service/tests/pipeline.rs`); the benchmark is `hwm_perf`.
 //!
@@ -224,16 +226,16 @@ fn main() {
         eprintln!("serve_bench: --pipeline wants at least 1 request per burst, got 0");
         std::process::exit(2);
     }
-    // --flush picks the journal durability policy (per-event, sync,
-    // buffered, group-commit[:N]); it only matters with --journal,
-    // since the in-memory journal has no flush boundary.
+    // --flush picks the journal durability policy (per-event or
+    // group-commit[:N]); it only matters with --journal, since the
+    // in-memory journal has no flush boundary.
     let flush = match hwm_bench::arg_value("--flush") {
         None => FlushPolicy::default(),
         Some(s) => match FlushPolicy::parse(&s) {
             Some(p) => p,
             None => {
                 eprintln!(
-                    "serve_bench: unknown flush policy {s:?} (try per-event, sync, buffered, group-commit[:N])"
+                    "serve_bench: --flush: unknown policy {s:?} (try per-event, group-commit or group-commit:N with N >= 1)"
                 );
                 std::process::exit(2);
             }

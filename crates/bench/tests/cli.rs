@@ -9,13 +9,15 @@ use std::process::Command;
 fn malformed_numeric_flags_exit_2() {
     let table1 = env!("CARGO_BIN_EXE_table1");
     let serve_bench = env!("CARGO_BIN_EXE_serve_bench");
-    let cases: [(&str, &[&str]); 6] = [
+    let cases: [(&str, &[&str]); 8] = [
         (table1, &["--small", "--seed", "abc"]),
         (table1, &["--small", "--jobs", "abc"]),
         (table1, &["--small", "--jobs"]),
         (table1, &["--small", "--trace-out"]),
         (serve_bench, &["--journal"]),
         (serve_bench, &["--pipeline", "0"]),
+        (serve_bench, &["--flush", "sync"]),
+        (serve_bench, &["--flush", "group-commit:0"]),
     ];
     for (binary, args) in cases {
         let out = Command::new(binary).args(args).output().expect("spawn");

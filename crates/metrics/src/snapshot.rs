@@ -500,6 +500,12 @@ fn help_text(name: &str) -> &'static str {
         "journal_torn_tail_bytes" => "Bytes discarded as a torn tail by the last recovery.",
         "journal_append_ns" => "Wall-clock journal append latency in nanoseconds.",
         "journal_replay_ns" => "Wall-clock journal replay duration in nanoseconds.",
+        "journal_group_commit_flushes" => {
+            "Group-commit durability barriers (flush plus fdatasync) issued by the journal."
+        }
+        "journal_group_commit_pending" => {
+            "Journal events appended since the last group-commit barrier."
+        }
         "cluster_requests_total" => "Requests routed to each shard by the cluster router.",
         "cluster_replication_lag" => {
             "Leader journal entries not yet acknowledged by the slowest follower, per shard."
@@ -645,6 +651,8 @@ requests_total{op=\"unlock\",outcome=\"key\"} 7
         // fallback stub — the monitor's exposition test asserts the
         // same over a real cluster snapshot.
         for name in [
+            "journal_group_commit_flushes",
+            "journal_group_commit_pending",
             "cluster_requests_total",
             "cluster_replication_lag",
             "cluster_failovers_total",

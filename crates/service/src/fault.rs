@@ -29,14 +29,12 @@
 //! (crash/restart and cluster failover alike) sums det-class counters
 //! with it before comparing against the fault-free run.
 
-use crate::storage::JournalStore;
 use hwm_metrics::{MetricKind, SeriesValue, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A category of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +221,7 @@ pub enum ArmedFault {
 }
 
 /// The one-shot arming channel between the simulation driver and the
-/// storage/transport shims. Cloning shares the slot.
+/// journal writer and transport. Cloning shares the slot.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     armed: Arc<Mutex<Option<ArmedFault>>>,
@@ -235,101 +233,67 @@ impl FaultInjector {
         FaultInjector::default()
     }
 
+    fn slot(&self) -> MutexGuard<'_, Option<ArmedFault>> {
+        // Poisoned only if another thread panicked while holding it. The
+        // guarded sections only store or take one `Copy` value, so no
+        // journal or frame bytes can make this fire.
+        self.armed.lock().expect("fault injector poisoned")
+    }
+
     /// Arms `fault`; the next operation that can honor it consumes it.
     /// Replaces any previously armed fault.
     pub fn arm(&self, fault: ArmedFault) {
-        *self.armed.lock().expect("fault injector poisoned") = Some(fault);
+        *self.slot() = Some(fault);
     }
 
     /// Takes the armed fault, if any (one-shot consumption).
     pub fn take(&self) -> Option<ArmedFault> {
-        self.armed.lock().expect("fault injector poisoned").take()
+        self.slot().take()
     }
 
     /// Whether a fault is currently armed.
     pub fn is_armed(&self) -> bool {
-        self.armed.lock().expect("fault injector poisoned").is_some()
+        self.slot().is_some()
     }
-}
 
-/// A [`JournalStore`] that interposes injected storage faults in front of
-/// an inner store. Transport faults armed on the shared injector pass
-/// through untouched (the transport consumes those).
-pub struct FaultyStore {
-    inner: Box<dyn JournalStore>,
-    injector: FaultInjector,
-}
-
-impl FaultyStore {
-    /// Wraps `inner`, consuming storage faults armed on `injector`.
-    pub fn new(inner: Box<dyn JournalStore>, injector: FaultInjector) -> FaultyStore {
-        FaultyStore { inner, injector }
-    }
-}
-
-impl fmt::Debug for FaultyStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultyStore").finish_non_exhaustive()
-    }
-}
-
-impl JournalStore for FaultyStore {
-    fn append(&mut self, line: &[u8]) -> io::Result<()> {
-        // Only storage faults are consumed here; peek-and-put-back keeps
-        // transport faults armed for the transport layer.
-        let armed = self.injector.take();
-        match armed {
-            Some(ArmedFault::DiskFull) => Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected disk-full (ENOSPC) on journal append",
-            )),
-            Some(ArmedFault::TornWrite { salt }) => {
-                // A journal line is always at least "{}\n" — tear it so at
-                // least one byte lands and at least one byte is lost.
-                let keep = if line.len() < 2 {
-                    line.len().saturating_sub(1)
+    /// Consumes an armed storage fault for a journal append of `len`
+    /// bytes: how many bytes of the line to write before failing, and
+    /// the error to fail with. A torn write keeps at least one byte and
+    /// loses at least one; a full disk keeps none. Transport faults stay
+    /// armed for the transport layer (`None`).
+    pub(crate) fn strike_append(&self, len: usize) -> Option<(usize, io::Error)> {
+        let mut slot = self.slot();
+        let (keep, err) = match (*slot)? {
+            ArmedFault::DiskFull => (
+                0,
+                io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "injected disk-full (ENOSPC) on journal append",
+                ),
+            ),
+            ArmedFault::TornWrite { salt } => {
+                // A journal line is always at least "{}\n".
+                let keep = if len < 2 {
+                    len.saturating_sub(1)
                 } else {
-                    1 + (salt % (line.len() as u64 - 1)) as usize
+                    1 + (salt % (len as u64 - 1)) as usize
                 };
-                self.inner.append(&line[..keep])?;
-                // Push the torn prefix all the way to the file so the
-                // crashed journal really ends mid-line on disk.
-                self.inner.flush()?;
-                Err(io::Error::new(
+                let err = io::Error::new(
                     io::ErrorKind::Interrupted,
-                    format!("injected torn write: {keep} of {} bytes", line.len()),
-                ))
+                    format!("injected torn write: {keep} of {len} bytes"),
+                );
+                (keep, err)
             }
-            other => {
-                if let Some(f) = other {
-                    self.injector.arm(f);
-                }
-                self.inner.append(line)
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-
-    fn commit(&mut self) -> io::Result<()> {
-        self.inner.commit()
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()
-    }
-
-    fn reopen(&mut self, file: File) -> io::Result<()> {
-        self.inner.reopen(file)
+            ArmedFault::ShortRead { .. } | ArmedFault::ConnDrop => return None,
+        };
+        *slot = None;
+        Some((keep, err))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::FileStore;
 
     #[test]
     fn kind_names_round_trip() {
@@ -375,45 +339,5 @@ mod tests {
         assert!(inj.is_armed());
         assert_eq!(inj.take(), Some(ArmedFault::DiskFull));
         assert_eq!(inj.take(), None);
-    }
-
-    #[test]
-    fn faulty_store_tears_and_fails() {
-        let dir = std::env::temp_dir().join(format!("hwm-fault-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap();
-        let inj = FaultInjector::new();
-        let mut store = FaultyStore::new(Box::new(FileStore::new(file)), inj.clone());
-
-        store.append(b"{\"seq\":1}\n").unwrap();
-        inj.arm(ArmedFault::DiskFull);
-        let err = store.append(b"{\"seq\":2}\n").unwrap_err();
-        assert!(err.to_string().contains("disk-full"), "{err}");
-        store.flush().unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"seq\":1}\n",
-            "disk-full writes nothing"
-        );
-
-        inj.arm(ArmedFault::TornWrite { salt: 3 });
-        let err = store.append(b"{\"seq\":2}\n").unwrap_err();
-        assert!(err.to_string().contains("torn write"), "{err}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"seq\":1}\n"), "good prefix intact");
-        let torn = &text["{\"seq\":1}\n".len()..];
-        assert!(!torn.is_empty() && !torn.ends_with('\n'), "tail is torn: {torn:?}");
-
-        // A transport fault passes through the store untouched.
-        inj.arm(ArmedFault::ConnDrop);
-        store.append(b"{\"seq\":2}\n").unwrap();
-        assert_eq!(inj.take(), Some(ArmedFault::ConnDrop), "still armed");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,9 +22,9 @@
 //! * [`registry`] — the persistent IC registry: a write-ahead JSONL
 //!   journal replayed on startup, with duplicate-readout detection,
 //!   atomic snapshot + compaction, and torn-tail crash recovery;
-//! * [`storage`] / [`snapshot`] — the journal store shim (with the
-//!   [`storage::FlushPolicy`] durability knob) and the schema-v1
-//!   snapshot format;
+//! * [`storage`] / [`snapshot`] — the journal writer (memory or file,
+//!   the [`storage::FlushPolicy`] durability knob, and one commit rule)
+//!   and the schema-v1 snapshot format;
 //! * [`fault`] — seeded, tick-driven fault injection (torn writes,
 //!   disk-full, short reads, dropped connections, delayed accepts) for
 //!   the crash simulation, and the oracle's det-counter fold;

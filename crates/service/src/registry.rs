@@ -49,9 +49,8 @@
 //! determinism and crash-simulation tests compare against a fault-free
 //! oracle.
 
-use crate::fault::FaultyStore;
 use crate::snapshot::{snapshot_path, RegistrySnapshot};
-use crate::storage::{FileStore, FlushPolicy, JournalStore};
+use crate::storage::{FlushPolicy, Journal};
 use crate::wire::WireError;
 use hwm_jsonio::{FieldError, Json, StrictObj};
 use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
@@ -217,29 +216,6 @@ impl LineError {
     }
 }
 
-/// Where journal lines go.
-enum Journal {
-    /// In-memory buffer (tests, benches, ephemeral servers).
-    Memory(Vec<u8>),
-    /// A [`JournalStore`] (file, possibly fault-wrapped) plus the
-    /// durability policy applied after each append.
-    Store {
-        store: Box<dyn JournalStore>,
-        policy: FlushPolicy,
-    },
-}
-
-impl fmt::Debug for Journal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Journal::Memory(buf) => f.debug_tuple("Memory").field(&buf.len()).finish(),
-            Journal::Store { policy, .. } => {
-                f.debug_struct("Store").field("policy", policy).finish_non_exhaustive()
-            }
-        }
-    }
-}
-
 /// A discarded torn journal tail (crash artifact found at open time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TornTail {
@@ -257,7 +233,7 @@ pub struct RecoverOptions {
     /// Auto-compact once this many events accumulate past the last
     /// snapshot (`0` = never; call [`Registry::compact`] manually).
     pub compact_every: u64,
-    /// Fault-injection channel wrapped around the file store (crash
+    /// Fault-injection channel for the journal's storage faults (crash
     /// simulation only).
     pub injector: Option<crate::fault::FaultInjector>,
 }
@@ -309,11 +285,6 @@ pub struct Registry {
     rep_capture: bool,
     /// Appended lines not yet drained by the replication layer.
     rep_tail: Vec<String>,
-    /// Events appended since the last flush under
-    /// [`FlushPolicy::GroupCommit`] (0 under every other policy).
-    gc_pending: u32,
-    /// Group-commit barrier flushes performed so far.
-    gc_flushes: u64,
     /// Reusable scratch for rendering journal lines: once it has grown to
     /// the longest line, rendering one allocates nothing.
     line_buf: String,
@@ -326,7 +297,7 @@ impl Registry {
             records: Vec::new(),
             by_ic: HashMap::new(),
             by_readout: HashMap::new(),
-            journal: Journal::Memory(Vec::new()),
+            journal: Journal::memory(),
             seq: 0,
             duplicates: 0,
             clones: Vec::new(),
@@ -341,8 +312,6 @@ impl Registry {
             torn_tail: None,
             rep_capture: false,
             rep_tail: Vec::new(),
-            gc_pending: 0,
-            gc_flushes: 0,
             line_buf: String::new(),
         }
     }
@@ -493,14 +462,7 @@ impl Registry {
         registry.replay_ns = started.elapsed().as_nanos() as u64;
         registry.torn_tail = torn;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let store: Box<dyn JournalStore> = match opts.injector {
-            Some(injector) => Box::new(FaultyStore::new(Box::new(FileStore::new(file)), injector)),
-            None => Box::new(FileStore::new(file)),
-        };
-        registry.journal = Journal::Store {
-            store,
-            policy: opts.flush,
-        };
+        registry.journal = Journal::file(file, opts.flush, opts.injector);
         registry.path = Some(path.to_path_buf());
         registry.snapshot_seq = snapshot_seq;
         registry.compact_every = opts.compact_every;
@@ -649,36 +611,10 @@ impl Registry {
         line.write_compact(&mut text);
         text.push('\n');
         let started = Instant::now();
-        let mut gc_flushed = false;
-        let appended = match &mut self.journal {
-            Journal::Memory(buf) => {
-                buf.extend_from_slice(text.as_bytes());
-                Ok(())
-            }
-            Journal::Store { store, policy } => {
-                let mut result = store.append(text.as_bytes());
-                if result.is_ok() {
-                    match *policy {
-                        FlushPolicy::Buffered => {}
-                        FlushPolicy::PerEvent => result = store.flush(),
-                        FlushPolicy::Sync => result = store.sync(),
-                        FlushPolicy::GroupCommit { max_batch } => {
-                            // Count-driven barrier: one flush covers the
-                            // whole batch. Never wall-time-driven, so the
-                            // on-disk byte stream matches per-event mode.
-                            self.gc_pending += 1;
-                            if self.gc_pending >= max_batch.max(1) {
-                                result = store.commit();
-                                self.gc_pending = 0;
-                                self.gc_flushes += 1;
-                                gc_flushed = true;
-                            }
-                        }
-                    }
-                }
-                result.map_err(|e| RegistryError::Journal(e.to_string()))
-            }
-        };
+        let appended = self
+            .journal
+            .append(text.as_bytes())
+            .map_err(|e| RegistryError::Journal(e.to_string()));
         if appended.is_ok() {
             self.digest = digest_update(self.digest, text.as_bytes());
             if self.rep_capture {
@@ -695,79 +631,64 @@ impl Registry {
             );
             if appended.is_ok() {
                 m.inc("journal_events_total", &[("event", event)], 1);
-                // Timing class, not Det: the values depend on the
-                // durability configuration, not the request sequence, so
-                // they must stay out of the cross-policy determinism
-                // comparison.
-                if gc_flushed || self.gc_pending > 0 {
-                    m.set_gauge(
-                        "journal_group_commit_flushes",
-                        &[],
-                        MetricClass::Timing,
-                        self.gc_flushes,
-                    );
-                    m.set_gauge(
-                        "journal_group_commit_pending",
-                        &[],
-                        MetricClass::Timing,
-                        self.gc_pending as u64,
-                    );
-                }
+                self.publish_group_commit();
             }
         }
         self.line_buf = text;
         appended
     }
 
-    /// Commit barrier: makes every appended journal event durable. Under
-    /// [`FlushPolicy::GroupCommit`] this closes the open batch (a no-op
-    /// when the batch is empty); under [`FlushPolicy::Buffered`] and
-    /// [`FlushPolicy::PerEvent`] it is the only fsync the policy ever
-    /// issues; under [`FlushPolicy::Sync`] every event is already
-    /// durable and nothing is owed. The owning server drives this from
-    /// the logical tick clock; compaction and shutdown call it
-    /// unconditionally. A no-op for in-memory journals.
+    /// Publishes the group-commit gauges (group commit only). Timing
+    /// class, not Det: the values depend on the durability configuration,
+    /// not the request sequence, so they must stay out of the
+    /// cross-policy determinism comparison.
+    fn publish_group_commit(&self) {
+        let Some(m) = &self.metrics else { return };
+        if !matches!(self.journal.policy(), FlushPolicy::GroupCommit { .. }) {
+            return;
+        }
+        m.set_gauge(
+            "journal_group_commit_flushes",
+            &[],
+            MetricClass::Timing,
+            self.journal.commits(),
+        );
+        m.set_gauge(
+            "journal_group_commit_pending",
+            &[],
+            MetricClass::Timing,
+            self.journal.unsynced() as u64,
+        );
+    }
+
+    /// Durability barrier: when events were appended since the last one,
+    /// flushes them and `fdatasync`s the journal file; otherwise, and
+    /// always for in-memory journals, a no-op. Group commit issues the
+    /// same barrier on its own each time `max_batch` events are pending;
+    /// nothing else in the server calls this. It is for callers that read
+    /// the journal file while the server is live
+    /// ([`crate::server::ActivationServer::commit_journal`]) or that want
+    /// the open batch durable now. A policy change calls it too.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Journal`] when the underlying store fails.
+    /// [`RegistryError::Journal`] when the file cannot be flushed or
+    /// synced; the events stay pending.
     pub fn commit(&mut self) -> Result<(), RegistryError> {
-        if self.gc_pending == 0 {
-            match &mut self.journal {
-                Journal::Store {
-                    store,
-                    policy: FlushPolicy::Buffered | FlushPolicy::PerEvent,
-                } => {
-                    return store
-                        .commit()
-                        .map_err(|e| RegistryError::Journal(e.to_string()));
-                }
-                _ => return Ok(()),
-            }
-        }
-        if let Journal::Store { store, .. } = &mut self.journal {
-            store
-                .commit()
-                .map_err(|e| RegistryError::Journal(e.to_string()))?;
-            self.gc_pending = 0;
-            self.gc_flushes += 1;
-            if let Some(m) = &self.metrics {
-                m.set_gauge(
-                    "journal_group_commit_flushes",
-                    &[],
-                    MetricClass::Timing,
-                    self.gc_flushes,
-                );
-                m.set_gauge("journal_group_commit_pending", &[], MetricClass::Timing, 0);
-            }
+        let synced = self
+            .journal
+            .commit()
+            .map_err(|e| RegistryError::Journal(e.to_string()))?;
+        if synced {
+            self.publish_group_commit();
         }
         Ok(())
     }
 
-    /// Journal events batched under [`FlushPolicy::GroupCommit`] but not
-    /// yet covered by a flush barrier.
+    /// Journal events appended to the file since the last durability
+    /// barrier (always 0 in memory).
     pub fn pending_commits(&self) -> u32 {
-        self.gc_pending
+        self.journal.unsynced()
     }
 
     /// Registers a fabricated IC. The same readout registered twice is the
@@ -910,12 +831,9 @@ impl Registry {
             ));
         };
         // Push buffered appends out first so the on-disk journal is
-        // complete if we crash mid-compaction. This also closes any open
-        // group-commit batch.
-        if let Journal::Store { store, .. } = &mut self.journal {
-            store.flush()?;
-        }
-        self.gc_pending = 0;
+        // complete if we crash mid-compaction. No barrier is needed: the
+        // snapshot written next is fsynced and covers every event.
+        self.journal.flush()?;
         let snap = RegistrySnapshot {
             seq: self.seq,
             digest: self.digest,
@@ -932,11 +850,9 @@ impl Registry {
                 let _ = d.sync_all();
             }
         }
-        // The store's handle points at the renamed-away inode.
+        // The journal's handle points at the renamed-away inode.
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if let Journal::Store { store, .. } = &mut self.journal {
-            store.reopen(file)?;
-        }
+        self.journal.reopen(file)?;
         self.snapshot_seq = self.seq;
         if let Some(m) = &self.metrics {
             m.inc("journal_compactions_total", &[], 1);
@@ -951,9 +867,7 @@ impl Registry {
         // Close any open group-commit batch before the policy changes so
         // no event straddles two durability regimes.
         let _ = self.commit();
-        if let Journal::Store { policy: p, .. } = &mut self.journal {
-            *p = policy;
-        }
+        self.journal.set_policy(policy);
     }
 
     /// Auto-compaction check, run after every successful mutation.
@@ -1006,10 +920,7 @@ impl Registry {
     /// The journal bytes, when journaling to memory (`None` for a
     /// file-backed registry — read the file instead).
     pub fn journal_bytes(&self) -> Option<&[u8]> {
-        match &self.journal {
-            Journal::Memory(buf) => Some(buf),
-            Journal::Store { .. } => None,
-        }
+        self.journal.bytes()
     }
 
     /// All records, in registration order.
@@ -1049,11 +960,8 @@ impl Registry {
 impl Drop for Registry {
     fn drop(&mut self) {
         // Best-effort: push buffered journal bytes to the OS so a clean
-        // shutdown under FlushPolicy::Buffered or an open group-commit
-        // batch loses nothing.
-        if let Journal::Store { store, .. } = &mut self.journal {
-            let _ = store.flush();
-        }
+        // shutdown with an open group-commit batch loses nothing.
+        let _ = self.journal.flush();
     }
 }
 
@@ -1325,22 +1233,24 @@ mod tests {
     }
 
     #[test]
-    fn buffered_policy_flushes_on_drop() {
-        let dir = temp_dir("buffered");
+    fn open_group_commit_batch_is_flushed_on_drop() {
+        let dir = temp_dir("open-batch");
         let path = dir.join("journal.jsonl");
         {
             let mut r = Registry::open_with(
                 &path,
                 RecoverOptions {
-                    flush: FlushPolicy::Buffered,
+                    flush: FlushPolicy::group_commit(),
                     ..RecoverOptions::default()
                 },
             )
             .unwrap();
             r.register("c0", "ic-0", "0101", 1).unwrap();
+            assert_eq!(r.pending_commits(), 1, "the batch is still open");
+            assert_eq!(std::fs::read(&path).unwrap(), b"", "nothing reached the file yet");
         }
         let r = Registry::open(&path).unwrap();
-        assert_eq!(r.journal_len(), 1, "clean shutdown flushed the buffer");
+        assert_eq!(r.journal_len(), 1, "clean shutdown flushed the open batch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -313,6 +313,9 @@ impl ActivationServer {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        // Poisoned only if a handler panicked mid-request. No request
+        // bytes can do that (the codec and dispatch are fuzzed), and state
+        // a panic may have left half-mutated must not keep serving.
         self.inner.lock().expect("server state poisoned")
     }
 
@@ -512,14 +515,15 @@ impl ActivationServer {
         f(&self.lock().registry)
     }
 
-    /// Forces any group-commit batch still pending in the journal store
-    /// down to disk — the explicit barrier callers must cross before
-    /// reading journal bytes from the file while the server is live.
-    /// A no-op under per-event / sync / buffered flush policies.
+    /// Makes every journal event appended so far durable
+    /// ([`Registry::commit`]: flush + `fdatasync` when any are pending,
+    /// under either flush policy) — the explicit barrier callers must
+    /// cross before reading journal bytes from the file while the server
+    /// is live. The server never calls it on its own.
     ///
     /// # Errors
     ///
-    /// [`WireError`] if the underlying store flush fails.
+    /// [`WireError`] if the journal file cannot be flushed or synced.
     pub fn commit_journal(&self) -> Result<(), WireError> {
         self.lock()
             .registry

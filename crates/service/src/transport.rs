@@ -34,7 +34,8 @@
 //! lost, the server state is untouched, and the client's retry after
 //! reconnect/restart is exact — the property the simulation's oracle
 //! comparison relies on. (Storage faults, which strike *after* dispatch
-//! but before the mutation commits, live in [`crate::fault::FaultyStore`].)
+//! but before the mutation commits, strike the journal append through
+//! the registry's [`crate::fault::FaultInjector`].)
 
 use crate::fault::{ArmedFault, FaultInjector, FaultKind, FaultPlan};
 use crate::server::ActivationServer;
@@ -554,6 +555,10 @@ impl TcpServer {
                         // delayed ACK would stall each round trip ~40ms.
                         let _ = stream.set_nodelay(true);
                         if let Ok(clone) = stream.try_clone() {
+                            // Poisoned only if another thread panicked
+                            // while holding it; the guarded sections only
+                            // push a stream or shut streams down, so no
+                            // peer bytes can make this fire.
                             conn_registry
                                 .lock()
                                 .expect("connection registry poisoned")

@@ -888,6 +888,7 @@ impl FrameDecoder {
             self.compact();
             return Ok(None);
         }
+        // Infallible: the slice is exactly 4 bytes long.
         let len_buf: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().expect("4 bytes");
         let len = u32::from_be_bytes(len_buf) as usize;
         if len > MAX_FRAME {

@@ -154,8 +154,8 @@ fn run_variant(
 fn levers_never_change_bytes_across_policies_depths_and_transports() {
     let baseline = run_variant(21, FlushPolicy::PerEvent, 1, false);
     for flush in [
-        FlushPolicy::Buffered,
-        FlushPolicy::Sync,
+        FlushPolicy::GroupCommit { max_batch: 1 },
+        FlushPolicy::GroupCommit { max_batch: 100_000 },
         FlushPolicy::group_commit(),
         FlushPolicy::GroupCommit { max_batch: 3 },
     ] {
@@ -219,6 +219,41 @@ fn group_commit_batches_and_commit_drains() {
     let bytes = std::fs::read(&path).expect("read journal");
     let per_event = run_variant(33, FlushPolicy::PerEvent, 1, false);
     assert_eq!(journal_digest(&bytes), per_event.1);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn group_commit_gauges_have_help_text() {
+    let designer = designer(7);
+    let reqs = workload(&designer, 8);
+    let dir = scratch_dir();
+    let path = dir.join("journal.jsonl");
+    let flush = FlushPolicy::GroupCommit { max_batch: 3 };
+    let registry = Registry::open_with(
+        &path,
+        RecoverOptions {
+            flush,
+            ..RecoverOptions::default()
+        },
+    )
+    .expect("open journal");
+    let server = Arc::new(ActivationServer::new(
+        designer,
+        registry,
+        ServerConfig {
+            flush,
+            ..ServerConfig::default()
+        },
+    ));
+    let mut client = LocalClient::new(Arc::clone(&server));
+    for req in &reqs[..8] {
+        let _ = client.call(req).expect("call");
+    }
+    let expo = server.snapshot().to_prometheus();
+    assert!(expo.contains("journal_group_commit_flushes "), "{expo}");
+    assert!(expo.contains("journal_group_commit_pending "), "{expo}");
+    assert!(!expo.contains("No help registered"), "{expo}");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
