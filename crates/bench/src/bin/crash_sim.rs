@@ -8,7 +8,7 @@
 //!
 //! Flags (beyond the uniform `--seed/--jobs/--profile/--trace-out`):
 //! `--clients N`, `--per-client N`, `--crashes N`, `--compact-every N`,
-//! `--kinds a,b,c` (default: every crash-recoverable kind). Exits 1 if
+//! `--kinds a,b,c` (default: every fault kind). Exits 1 if
 //! any recovered world diverges from its oracle.
 //!
 //! `--campaign clone` runs the clone-campaign alert simulation instead
@@ -66,12 +66,7 @@ fn main() {
                 })
             })
             .collect(),
-        None => vec![
-            FaultKind::TornWrite,
-            FaultKind::DiskFull,
-            FaultKind::ShortRead,
-            FaultKind::ConnDrop,
-        ],
+        None => FaultKind::ALL.to_vec(),
     };
     let dir = std::env::temp_dir().join(format!("hwm-crash-sim-{}", std::process::id()));
     let outcome = run_matrix(&base, &kinds, &dir);

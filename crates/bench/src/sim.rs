@@ -244,13 +244,6 @@ fn state_of(
 /// [`SimOutcome::matches`].
 pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
     let _span = hwm_trace::span("crash_sim.run");
-    if config.kind == FaultKind::DelayedAccept {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "delayed-accept is a TCP liveness fault with no crash/recovery semantics; \
-             it is exercised by the hwm-service TCP fault tests",
-        ));
-    }
     fresh_dir(dir)?;
     let designer = bench_designer(config.seed);
     let plans = build_plans(&designer, config.clients, config.per_client, config.seed, config.jobs);
@@ -344,7 +337,6 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
                         salt: plan.byte_salt(tick),
                     }),
                     FaultKind::ConnDrop => injector.arm(ArmedFault::ConnDrop),
-                    FaultKind::DelayedAccept => unreachable!("rejected above"),
                 }
                 // The doomed request must be destroyed by its fault:
                 // transport faults surface as wire errors, storage faults
@@ -685,14 +677,6 @@ mod tests {
         let b = run_sim(&SimConfig { jobs: 2, ..base }, &dir.join("b")).unwrap();
         assert_eq!(a.report(), b.report());
         assert_eq!(a.dashboard, b.dashboard);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delayed_accept_is_rejected() {
-        let dir = scratch("delayed");
-        let err = run_sim(&SimConfig::new(1, FaultKind::DelayedAccept), &dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

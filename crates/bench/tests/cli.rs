@@ -29,6 +29,20 @@ fn malformed_numeric_flags_exit_2() {
     }
 }
 
+/// A fault kind `crash_sim` does not know, such as the retired TCP-only
+/// `delayed-accept`, is refused before anything runs, and named.
+#[test]
+fn unknown_fault_kind_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_crash_sim"))
+        .args(["--kinds", "delayed-accept"])
+        .output()
+        .expect("spawn crash_sim");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "crash_sim printed a report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("delayed-accept"), "{stderr}");
+}
+
 #[test]
 fn a_bench_run_writes_only_stdout_and_stderr() {
     let dir = std::env::temp_dir().join(format!("hwm-bench-cwd-{}", std::process::id()));

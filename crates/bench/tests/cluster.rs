@@ -6,7 +6,7 @@
 
 use hwm_bench::cluster::{run_cluster_sim, ClusterSimConfig};
 use hwm_bench::serve::{bench_designer, build_plans, round_robin, server_config, submit_local};
-use hwm_cluster::{ClusterRouter, LocalLink, NodeLink, RepFrame, ShardGroup, ShardNode};
+use hwm_cluster::{ClusterRouter, LocalLink, NodeLink, ShardGroup, ShardNode};
 use hwm_service::{
     ActivationServer, Client, FaultKind, FaultPlan, LocalClient, Registry, ServerConfig, ServerRole,
 };
@@ -115,85 +115,6 @@ fn replica(seed: u64, role: ServerRole) -> Arc<ActivationServer> {
         Registry::in_memory(),
         config,
     ))
-}
-
-fn expect_ack(frame: RepFrame) -> u64 {
-    match frame {
-        RepFrame::Ack { seq, .. } => seq,
-        other => panic!("expected an ack, got {other:?}"),
-    }
-}
-
-/// A follower that joins mid-stream catches up from a snapshot, then
-/// rides the normal append stream, and is promotable.
-#[test]
-fn snapshot_catchup_then_promotion() {
-    let seed = 42;
-    let leader_server = replica(seed, ServerRole::Leader);
-    leader_server.enable_replication();
-    let leader = ShardNode::new(0, Arc::clone(&leader_server));
-    let follower_server = replica(seed, ServerRole::Follower);
-    let follower = ShardNode::new(0, Arc::clone(&follower_server));
-
-    let designer = bench_designer(seed);
-    let schedule = round_robin(&build_plans(&designer, 2, 4, seed, 1));
-    let join_at = schedule.len() / 2;
-    for (i, req) in schedule.iter().enumerate() {
-        let reply = leader.handle_rep(&RepFrame::Forward {
-            shard: 0,
-            tick: i as u64 + 1,
-            req: req.clone(),
-            trace: None,
-        });
-        let (entries, audit) = match reply {
-            RepFrame::Reply { entries, audit, .. } => (entries, audit),
-            other => panic!("expected a reply, got {other:?}"),
-        };
-        if i == join_at {
-            // The follower joins now: everything so far arrives as one
-            // snapshot plus the full audit prefix.
-            let snap = leader_server.state_snapshot();
-            let (audit_prefix, _) = leader_server.audit_events_since(0);
-            let seq = expect_ack(follower.handle_rep(&RepFrame::Snapshot {
-                shard: 0,
-                snapshot: snap.to_json(),
-                audit: audit_prefix,
-                trace: None,
-            }));
-            assert_eq!(seq, leader_server.with_registry(|r| r.journal_len()));
-        } else if i > join_at && (!entries.is_empty() || !audit.is_empty()) {
-            expect_ack(follower.handle_rep(&RepFrame::Append {
-                shard: 0,
-                entries,
-                audit,
-                trace: None,
-            }));
-        }
-    }
-
-    // Caught up: same journal position, same rolling digest.
-    let (leader_len, leader_digest) =
-        leader_server.with_registry(|r| (r.journal_len(), r.rolling_digest()));
-    let (follower_len, follower_digest) =
-        follower_server.with_registry(|r| (r.journal_len(), r.rolling_digest()));
-    assert_eq!(follower_len, leader_len);
-    assert_eq!(follower_digest, leader_digest);
-    assert_eq!(
-        follower_server.audit_jsonl(),
-        leader_server.audit_jsonl(),
-        "mirrored audit stream must be byte-identical"
-    );
-
-    // And promotable: after promotion the registry states agree.
-    expect_ack(follower.handle_rep(&RepFrame::Promote {
-        shard: 0,
-        clock: schedule.len() as u64,
-        trace: None,
-    }));
-    assert_eq!(follower_server.role(), ServerRole::Leader);
-    let leader_records = leader_server.with_registry(|r| r.records().to_vec());
-    let follower_records = follower_server.with_registry(|r| r.records().to_vec());
-    assert_eq!(follower_records, leader_records);
 }
 
 // --- Pinned trace and exposition bytes ---------------------------------

@@ -9,11 +9,6 @@
 //! [`RepFrame::Error`] names the shard it is for, so a frame that
 //! reaches the wrong replica is rejected instead of silently applied
 //! (see [`crate::ShardNode::handle_rep`]).
-//!
-//! Snapshot payloads embed the schema-v1
-//! [`hwm_service::RegistrySnapshot`] rendering verbatim as a JSON
-//! string, so catch-up reuses the exact on-disk format compaction
-//! writes.
 
 use crate::ClusterError;
 use hwm_jsonio::{Json, StrictObj};
@@ -66,19 +61,6 @@ pub enum RepFrame {
         /// follower answers with a `replicate/apply` span.
         trace: Option<TraceContext>,
     },
-    /// Router -> lagging follower: install a full snapshot (catch-up
-    /// when the journal tail alone no longer suffices).
-    Snapshot {
-        /// Target shard.
-        shard: u64,
-        /// The schema-v1 snapshot, rendered by
-        /// [`hwm_service::RegistrySnapshot::to_json`].
-        snapshot: String,
-        /// The full audit log to mirror.
-        audit: Vec<AuditEvent>,
-        /// Trace context when catch-up happens under a traced request.
-        trace: Option<TraceContext>,
-    },
     /// Router -> follower: become the shard leader at logical `clock`.
     Promote {
         /// Target shard.
@@ -121,7 +103,6 @@ impl RepFrame {
             RepFrame::Forward { shard, .. }
             | RepFrame::Reply { shard, .. }
             | RepFrame::Append { shard, .. }
-            | RepFrame::Snapshot { shard, .. }
             | RepFrame::Promote { shard, .. }
             | RepFrame::Checkpoint { shard, .. }
             | RepFrame::Ack { shard, .. } => Some(*shard),
@@ -205,23 +186,6 @@ impl RepFrame {
                 }
                 j
             }
-            RepFrame::Snapshot {
-                shard,
-                snapshot,
-                audit,
-                trace,
-            } => {
-                let mut j = Json::obj(vec![
-                    ("type", Json::Str("snapshot".into())),
-                    ("shard", Json::U64(*shard)),
-                    ("snapshot", Json::Str(snapshot.clone())),
-                    ("audit", audit_arr(audit)),
-                ]);
-                if let Json::Obj(fields) = &mut j {
-                    push_trace(fields, trace);
-                }
-                j
-            }
             RepFrame::Promote {
                 shard,
                 clock,
@@ -292,12 +256,6 @@ impl RepFrame {
             "append" => RepFrame::Append {
                 shard: f.uint("shard")?,
                 entries: entries_field(&mut f)?,
-                audit: audit_field(&mut f)?,
-                trace: trace_field(&mut f)?,
-            },
-            "snapshot" => RepFrame::Snapshot {
-                shard: f.uint("shard")?,
-                snapshot: f.string("snapshot")?,
                 audit: audit_field(&mut f)?,
                 trace: trace_field(&mut f)?,
             },
@@ -452,12 +410,6 @@ mod tests {
             audit: Vec::new(),
             trace: Some(sample_ctx()),
         });
-        round_trip(&RepFrame::Snapshot {
-            shard: 1,
-            snapshot: "{}".into(),
-            audit: Vec::new(),
-            trace: Some(sample_ctx()),
-        });
         round_trip(&RepFrame::Promote {
             shard: 1,
             clock: 9,
@@ -593,7 +545,7 @@ mod tests {
             tick in any::<u64>(),
             shard in 0u64..8,
             clock in any::<u64>(),
-            which in 0usize..5,
+            which in 0usize..4,
         ) {
             let ctx = TraceContext { trace_id, parent_span: parent, tick };
             let frame = match which {
@@ -609,13 +561,7 @@ mod tests {
                     audit: Vec::new(),
                     trace: Some(ctx),
                 },
-                2 => RepFrame::Snapshot {
-                    shard,
-                    snapshot: "{}".into(),
-                    audit: Vec::new(),
-                    trace: Some(ctx),
-                },
-                3 => RepFrame::Promote { shard, clock, trace: Some(ctx) },
+                2 => RepFrame::Promote { shard, clock, trace: Some(ctx) },
                 _ => RepFrame::Checkpoint { shard, trace: Some(ctx) },
             };
             let j = frame.to_json();

@@ -12,9 +12,9 @@
 //!   keys the new shard takes over.
 //! * [`frame`] — the replication protocol: length-prefixed JSON frames
 //!   (the service's codec, reused byte-for-byte) carrying forwarded
-//!   requests, shipped journal entries + audit events, snapshot
-//!   catch-up, checkpoints and promotion. Parsing is strict, and a
-//!   frame addressed to the wrong shard is refused outright.
+//!   requests, shipped journal entries + audit events, checkpoints
+//!   and promotion. Parsing is strict, and a frame addressed to the
+//!   wrong shard is refused outright.
 //! * [`node`] — one replica: a [`hwm_service::ActivationServer`] in a
 //!   leader or follower role, answering replication frames.
 //! * [`link`] — how the router reaches a replica: in-process (through

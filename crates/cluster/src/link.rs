@@ -8,8 +8,8 @@
 //! bytes TCP would carry. [`TcpLink`] runs over a
 //! [`FrameConn`](hwm_service::FrameConn) to a [`RepHost`]: the
 //! activation front end's own [`TcpServer`] serving a [`ShardNode`], so
-//! replication shares its accept loop, pipelined frame decoder, accept
-//! poll and fault hooks.
+//! replication shares its accept loop, pipelined frame decoder and
+//! accept poll.
 //!
 //! The router owns its links and calls them under its own lock, one
 //! round trip at a time, so a link needs no lock of its own.

@@ -2,7 +2,7 @@
 //! frames.
 
 use crate::frame::RepFrame;
-use hwm_service::{ActivationServer, RegistrySnapshot};
+use hwm_service::ActivationServer;
 use hwm_trace::TraceScope;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -124,28 +124,6 @@ impl ShardNode {
                             shard: self.shard,
                             seq,
                             spans,
-                        }
-                    }
-                    Err(e) => RepFrame::Error { message: e.message },
-                }
-            }
-            RepFrame::Snapshot { snapshot, audit, .. } => {
-                let snap = match RegistrySnapshot::from_json(snapshot) {
-                    Ok(snap) => snap,
-                    Err(e) => {
-                        return RepFrame::Error {
-                            message: e.to_string(),
-                        }
-                    }
-                };
-                match self.server.install_snapshot(snap, audit) {
-                    Ok(seq) => {
-                        let mut cursor = self.cursor();
-                        *cursor = audit.len() as u64;
-                        RepFrame::Ack {
-                            shard: self.shard,
-                            seq,
-                            spans: Vec::new(),
                         }
                     }
                     Err(e) => RepFrame::Error { message: e.message },

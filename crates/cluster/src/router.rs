@@ -607,10 +607,6 @@ impl ClusterRouter {
 }
 
 impl Handler for ClusterRouter {
-    fn handle(&self, req: &Request) -> Response {
-        Handler::handle_traced(self, req, None)
-    }
-
     fn handle_traced(&self, req: &Request, trace: Option<&TraceContext>) -> Response {
         let mut inner = self.lock();
         match req {

@@ -57,12 +57,6 @@ fn frames() -> Vec<Json> {
         RepFrame::Append {
             shard: 0,
             entries: vec!["{\"event\":\"register\"}".into()],
-            audit: audit.clone(),
-            trace,
-        },
-        RepFrame::Snapshot {
-            shard: 0,
-            snapshot: "{}".into(),
             audit,
             trace,
         },

@@ -8,6 +8,8 @@ use hwm_cluster::{NodeLink, RepFrame, TcpLink};
 use hwm_service::wire::MAX_FRAME;
 use std::time::{Duration, Instant};
 
+#[path = "../../service/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "../../service/tests/support/hostile.rs"]
 mod hostile;
 
@@ -32,9 +34,9 @@ fn link_refuses_hostile_replies() {
             "{reply:?}: the link took {elapsed:?} to give up"
         );
         assert!(
-            hostile::largest_allocation() < MAX_FRAME,
+            counting_alloc::largest_allocation() < MAX_FRAME,
             "{reply:?}: an allocation of {} bytes",
-            hostile::largest_allocation()
+            counting_alloc::largest_allocation()
         );
     }
 }

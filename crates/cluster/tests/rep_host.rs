@@ -14,8 +14,8 @@ use hwm_jsonio::Json;
 use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    read_frame, write_frame, ActivationServer, FrameService, Handler, Registry, Request, Response,
-    ServerConfig,
+    read_frame, write_frame, ActivationServer, FrameService, Handler, Registry, RegistrySnapshot,
+    Request, Response, ServerConfig,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -63,24 +63,44 @@ fn reply(stream: &mut TcpStream) -> RepFrame {
     RepFrame::from_json(&payload).expect("reply decodes")
 }
 
+/// A well-formed registry snapshot in the retired `snapshot` catch-up
+/// frame: the type is unknown now, so nothing may be installed.
+fn snapshot_frame() -> Json {
+    let snap = RegistrySnapshot {
+        seq: 5,
+        digest: 7,
+        records: Vec::new(),
+        clones: Vec::new(),
+    };
+    Json::obj(vec![
+        ("type", Json::Str("snapshot".into())),
+        ("shard", Json::U64(0)),
+        ("snapshot", Json::Str(snap.to_json())),
+        ("audit", Json::Arr(Vec::new())),
+    ])
+}
+
 #[test]
 fn bad_frame_gets_error_and_connection_stays_open() {
     let host = RepHost::spawn("127.0.0.1:0", node(0, 3)).expect("bind");
     let mut stream = TcpStream::connect(host.addr()).expect("connect");
-    write_frame(&mut stream, &not_a_frame()).expect("send");
-    assert!(
-        matches!(reply(&mut stream), RepFrame::Error { .. }),
-        "a non-frame must be refused"
-    );
-    write_frame(&mut stream, &checkpoint()).expect("send");
-    assert_eq!(
-        reply(&mut stream),
-        RepFrame::Ack {
-            shard: 0,
-            seq: 0,
-            spans: Vec::new()
-        }
-    );
+    for bad in [not_a_frame(), snapshot_frame()] {
+        write_frame(&mut stream, &bad).expect("send");
+        assert!(
+            matches!(reply(&mut stream), RepFrame::Error { .. }),
+            "{bad} must be refused"
+        );
+        // The node's state is unchanged and the connection still serves.
+        write_frame(&mut stream, &checkpoint()).expect("send");
+        assert_eq!(
+            reply(&mut stream),
+            RepFrame::Ack {
+                shard: 0,
+                seq: 0,
+                spans: Vec::new()
+            }
+        );
+    }
 }
 
 #[test]

@@ -17,9 +17,8 @@
 //!   state never saw the mutation, the response is never delivered, and
 //!   the retried request after restart lands on the same `seq`.
 //! * **transport faults** ([`FaultKind::ShortRead`],
-//!   [`FaultKind::ConnDrop`], [`FaultKind::DelayedAccept`]) lose or delay
-//!   the request before the server dispatches it, so any tick is eligible
-//!   and a retry is always safe.
+//!   [`FaultKind::ConnDrop`]) lose the request before the server
+//!   dispatches it, so any tick is eligible and a retry is always safe.
 //!
 //! The [`FaultInjector`] is the arming channel: the simulation arms
 //! exactly one fault, the doomed operation consumes it, everything else
@@ -44,15 +43,12 @@ pub enum FaultKind {
     TornWrite,
     /// The journal append fails with ENOSPC before writing anything.
     DiskFull,
-    /// The response frame is truncated mid-flight; the client sees a
-    /// short read.
+    /// The request frame is truncated mid-flight; the server sees only a
+    /// prefix of it and the request is lost.
     ShortRead,
     /// The connection drops before the request frame is fully received;
     /// the request is lost.
     ConnDrop,
-    /// The listener delays accepting the connection (liveness fault; no
-    /// state is ever at risk).
-    DelayedAccept,
 }
 
 impl FaultKind {
@@ -63,7 +59,6 @@ impl FaultKind {
             FaultKind::DiskFull => "disk-full",
             FaultKind::ShortRead => "short-read",
             FaultKind::ConnDrop => "conn-drop",
-            FaultKind::DelayedAccept => "delayed-accept",
         }
     }
 
@@ -74,7 +69,6 @@ impl FaultKind {
             "disk-full" => Some(FaultKind::DiskFull),
             "short-read" => Some(FaultKind::ShortRead),
             "conn-drop" => Some(FaultKind::ConnDrop),
-            "delayed-accept" => Some(FaultKind::DelayedAccept),
             _ => None,
         }
     }
@@ -86,12 +80,11 @@ impl FaultKind {
     }
 
     /// All kinds, in CLI order.
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::TornWrite,
         FaultKind::DiskFull,
         FaultKind::ShortRead,
         FaultKind::ConnDrop,
-        FaultKind::DelayedAccept,
     ];
 }
 
@@ -143,17 +136,11 @@ impl FaultPlan {
     }
 
     /// A deterministic per-tick salt for byte-level fault parameters
-    /// (how many bytes of a torn line survive, how far a response frame
+    /// (how many bytes of a torn line survive, how far a request frame
     /// gets). Pure in `(seed, kind, tick)`.
     pub fn byte_salt(&self, tick: u64) -> u64 {
         let mut rng = StdRng::seed_from_u64(plan_salt(self.seed, self.kind) ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         rng.next_u64()
-    }
-
-    /// Accept delay in milliseconds for a delayed-accept fault at
-    /// connection number `conn` (bounded so tests stay fast).
-    pub fn accept_delay_ms(&self, conn: u64) -> u64 {
-        1 + self.byte_salt(conn) % 20
     }
 }
 
@@ -194,7 +181,6 @@ fn plan_salt(seed: u64, kind: FaultKind) -> u64 {
         FaultKind::DiskFull => 0x6675_6c6c,
         FaultKind::ShortRead => 0x7265_6164,
         FaultKind::ConnDrop => 0x6472_6f70,
-        FaultKind::DelayedAccept => 0x6163_6370,
     };
     seed ^ (kind_salt as u64).wrapping_mul(0x0000_0100_0000_01b3)
 }
@@ -211,7 +197,7 @@ pub enum ArmedFault {
     },
     /// Fail the next journal append with ENOSPC, writing nothing.
     DiskFull,
-    /// Truncate the next response frame; the reader sees a short read.
+    /// Truncate the next request frame; the server sees only a prefix.
     ShortRead {
         /// Deterministic salt choosing how many bytes survive.
         salt: u64,
@@ -327,8 +313,6 @@ mod tests {
         let plan = FaultPlan::new(99, FaultKind::TornWrite, &[1, 2, 3], 2);
         assert_eq!(plan.byte_salt(1), plan.byte_salt(1));
         assert_ne!(plan.byte_salt(1), plan.byte_salt(2));
-        let ms = plan.accept_delay_ms(0);
-        assert!((1..=20).contains(&ms));
     }
 
     #[test]

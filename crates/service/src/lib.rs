@@ -26,8 +26,8 @@
 //!   the [`storage::FlushPolicy`] durability knob, and one commit rule)
 //!   and the schema-v1 snapshot format;
 //! * [`fault`] — seeded, tick-driven fault injection (torn writes,
-//!   disk-full, short reads, dropped connections, delayed accepts) for
-//!   the crash simulation, and the oracle's det-counter fold;
+//!   disk-full, short reads, dropped connections) for the crash
+//!   simulation, and the oracle's det-counter fold;
 //! * [`throttle`] — per-client token bucket plus exponential lockout on
 //!   wrong readouts, driven by a logical clock (one tick per request) so
 //!   admission decisions are deterministic;
@@ -65,7 +65,7 @@ pub use storage::FlushPolicy;
 pub use throttle::{Decision, RateLimiter, ThrottleConfig};
 pub use transport::{
     Client, FrameClient, FrameConn, FrameService, FrameTransport, Handler, LocalClient, LocalWire,
-    TcpClient, TcpFaults, TcpServer,
+    TcpClient, TcpServer,
 };
 pub use wire::{
     read_frame, write_frame, ErrorCode, Request, Response, StatusReport, TracedRequest, WireError,

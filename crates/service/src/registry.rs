@@ -316,24 +316,6 @@ impl Registry {
         }
     }
 
-    /// Rebuilds a registry from a compaction snapshot alone (no journal
-    /// tail) — the catch-up path a lagging replication follower takes
-    /// when the leader's retained journal no longer reaches back far
-    /// enough. The registry journals to memory from then on, with `seq`
-    /// and the rolling digest continuing from the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for an internally inconsistent snapshot (repeated
-    /// ICs or readouts).
-    pub fn from_snapshot(snap: RegistrySnapshot) -> std::io::Result<Registry> {
-        let mut r = Registry::in_memory();
-        let seq = snap.seq;
-        r.restore_snapshot(snap)?;
-        r.snapshot_events = seq;
-        Ok(r)
-    }
-
     /// Arms replication capture: every line appended from now on is also
     /// retained until [`Registry::drain_replication`] collects it. The
     /// shard leader's side of journal shipping.
@@ -429,17 +411,34 @@ impl Registry {
             })?;
         }
         let mut torn = None;
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                torn = registry
-                    .apply_journal_text(&text, snapshot_seq, true)
-                    .map_err(|e| RecoverError {
-                        what: "journal",
-                        path: path.to_path_buf(),
-                        line: Some(e.line),
-                        detail: e.detail,
-                    })?;
-                if let Some(t) = &torn {
+        match std::fs::read(path) {
+            Ok(bytes) => {
+                // A clean append always writes the trailing `\n`, so
+                // everything after the last one is a torn write, however
+                // plausible it looks, and it may end inside a multi-byte
+                // character. Only the complete lines must be UTF-8.
+                let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let corrupt = |line: usize, detail: String| RecoverError {
+                    what: "journal",
+                    path: path.to_path_buf(),
+                    line: Some(line),
+                    detail,
+                };
+                let text = std::str::from_utf8(&bytes[..complete]).map_err(|e| {
+                    let line = 1 + bytes[..e.valid_up_to()]
+                        .iter()
+                        .filter(|&&b| b == b'\n')
+                        .count();
+                    corrupt(line, format!("not UTF-8: {e}"))
+                })?;
+                registry
+                    .apply_journal_text(text, snapshot_seq)
+                    .map_err(|e| corrupt(e.line, e.detail))?;
+                if complete < bytes.len() {
+                    let t = TornTail {
+                        line: 1 + text.matches('\n').count(),
+                        bytes: bytes.len() - complete,
+                    };
                     eprintln!(
                         "registry: journal {}: discarding torn tail at line {} ({} bytes) — crash artifact",
                         path.display(),
@@ -451,7 +450,8 @@ impl Registry {
                     OpenOptions::new()
                         .write(true)
                         .open(path)?
-                        .set_len((text.len() - t.bytes) as u64)?;
+                        .set_len(complete as u64)?;
+                    torn = Some(t);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -484,7 +484,7 @@ impl Registry {
     pub fn replay(journal_text: &str) -> Result<Registry, WireError> {
         let mut registry = Registry::in_memory();
         registry
-            .apply_journal_text(journal_text, 0, false)
+            .apply_journal_text(journal_text, 0)
             .map_err(|e| e.to_wire())?;
         Ok(registry)
     }
@@ -511,29 +511,12 @@ impl Registry {
     /// Applies journal text on top of the current state. Lines with
     /// `seq <= skip_through` were already folded into the snapshot and
     /// are skipped (they must still be JSON with an `event` and `seq` —
-    /// anything less is corruption). With `tolerate_tail`, an
-    /// unterminated final line is returned as a [`TornTail`] instead of
-    /// applied: a clean append always writes the trailing `\n`, so its
-    /// absence identifies a torn write regardless of how plausible the
-    /// prefix looks.
-    fn apply_journal_text(
-        &mut self,
-        text: &str,
-        skip_through: u64,
-        tolerate_tail: bool,
-    ) -> Result<Option<TornTail>, LineError> {
-        let mut lineno = 0usize;
-        for chunk in text.split_inclusive('\n') {
-            lineno += 1;
-            if tolerate_tail && !chunk.ends_with('\n') {
-                return Ok(Some(TornTail {
-                    line: lineno,
-                    bytes: chunk.len(),
-                }));
-            }
-            self.apply_journal_line(chunk.trim_end_matches('\n'), lineno, skip_through)?;
+    /// anything less is corruption).
+    fn apply_journal_text(&mut self, text: &str, skip_through: u64) -> Result<(), LineError> {
+        for (i, chunk) in text.split_inclusive('\n').enumerate() {
+            self.apply_journal_line(chunk.trim_end_matches('\n'), i + 1, skip_through)?;
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Parses and applies one journal line.
@@ -1124,6 +1107,25 @@ mod tests {
         let err = Registry::open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 3"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_complete_line_that_is_not_utf8_names_its_file_and_line() {
+        let dir = temp_dir("utf8");
+        let path = dir.join("journal.jsonl");
+        let good = sample().journal_bytes().unwrap().to_vec();
+        let second = good.iter().position(|&b| b == b'\n').unwrap() + 1;
+        // Line 2 holds a byte that starts no UTF-8 character; it is
+        // newline-terminated, so it is corruption, not a torn tail.
+        let mut bytes = good[..second].to_vec();
+        bytes.extend_from_slice(b"{\"event\":\"\xff\"}\n");
+        bytes.extend_from_slice(&good[second..]);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Registry::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("journal.jsonl: line 2: not UTF-8"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

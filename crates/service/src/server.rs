@@ -41,7 +41,6 @@
 //! counter/gauge split.
 
 use crate::registry::{Registry, RegistryCounts, RegistryError};
-use crate::snapshot::RegistrySnapshot;
 use crate::storage::FlushPolicy;
 use crate::throttle::{Decision, RateLimiter, ThrottleConfig};
 use crate::wire::{parse_readout_bits, ErrorCode, Request, Response, StatusReport, WireError};
@@ -166,18 +165,7 @@ impl ActivationServer {
     /// Builds a server around a designer and a registry, with an
     /// in-memory audit log.
     pub fn new(designer: Designer, registry: Registry, config: ServerConfig) -> ActivationServer {
-        ActivationServer::with_audit(designer, registry, config, AuditLog::new())
-    }
-
-    /// Builds a server with an explicit audit log (e.g. one mirroring to
-    /// an `audit.jsonl` file via [`AuditLog::with_file`]).
-    pub fn with_audit(
-        designer: Designer,
-        registry: Registry,
-        config: ServerConfig,
-        audit: AuditLog,
-    ) -> ActivationServer {
-        ActivationServer::resume(designer, registry, config, audit, 0)
+        ActivationServer::resume(designer, registry, config, AuditLog::new(), 0)
     }
 
     /// Builds a server resuming a prior incarnation: the registry is
@@ -189,8 +177,9 @@ impl ActivationServer {
     /// only records accepted mutations). A restarting driver that wants
     /// tick-exact continuity — the crash simulation's oracle contract —
     /// passes the number of responses it has delivered so far; a driver
-    /// that does not care passes 0 and gets a fresh clock, exactly like
-    /// [`ActivationServer::with_audit`].
+    /// that does not care passes 0 and gets a fresh clock. A fresh server
+    /// with an explicit audit log (e.g. one mirroring to an `audit.jsonl`
+    /// file via [`AuditLog::with_file`]) is `resume(.., audit, 0)`.
     ///
     /// Rate-limiter state (token levels, failure streaks, active
     /// lockouts) is deliberately *not* restored: it is denial-of-service
@@ -249,12 +238,6 @@ impl ActivationServer {
     /// The node label stamped on spans this server records.
     pub fn node_name(&self) -> String {
         self.lock().node.clone()
-    }
-
-    /// Arms (or disarms) root-context derivation; see
-    /// [`ServerConfig::trace_seed`].
-    pub fn set_trace_seed(&self, seed: Option<u64>) {
-        self.lock().trace_seed = seed;
     }
 
     /// This node's span ring as JSONL — what `--traces-out` writes.
@@ -352,23 +335,12 @@ impl ActivationServer {
         self.handle_at_traced(req, None, None)
     }
 
-    /// [`ActivationServer::handle`] with an optional trace context — the
-    /// entry point transports use after decoding a [`TracedRequest`].
-    pub fn handle_traced(&self, req: &Request, trace: Option<&TraceContext>) -> Response {
-        self.handle_at_traced(req, None, trace)
-    }
-
-    /// Handles one request at an explicit logical tick. A cluster router
-    /// owns the global clock and passes `Some(tick)` so every shard's
-    /// admission decisions, journal lines and audit events land at the
-    /// same tick a single-node server would have used; `None` ticks the
-    /// server's own clock (the single-node path, identical to
-    /// [`ActivationServer::handle`]).
-    pub fn handle_at(&self, req: &Request, tick: Option<u64>) -> Response {
-        self.handle_at_traced(req, tick, None)
-    }
-
-    /// [`ActivationServer::handle_at`] with an optional trace context.
+    /// Handles one request at an explicit logical tick, with an optional
+    /// trace context. A cluster router owns the global clock and passes
+    /// `Some(tick)` so every shard's admission decisions, journal lines
+    /// and audit events land at the same tick a single-node server would
+    /// have used; `None` ticks the server's own clock (the single-node
+    /// path, identical to [`ActivationServer::handle`]).
     ///
     /// Tracing rule: a request arriving *with* a context is always
     /// captured (a forwarded context's spans also land in the trace
@@ -582,37 +554,9 @@ impl ActivationServer {
         }
     }
 
-    /// Installs a leader snapshot into an empty follower (the catch-up
-    /// path when the replicated journal no longer reaches back far
-    /// enough) and returns the resulting watermark.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] if this replica already holds state (snapshot
-    /// install must not silently discard entries) or the snapshot is
-    /// internally inconsistent.
-    pub fn install_snapshot(
-        &self,
-        snap: RegistrySnapshot,
-        audit: &[AuditEvent],
-    ) -> Result<u64, WireError> {
-        let mut inner = self.lock();
-        if inner.registry.journal_len() != 0 || inner.registry.snapshot_events() != 0 {
-            return Err(WireError::new(
-                "snapshot install refused: replica already holds state".to_string(),
-            ));
-        }
-        let registry = Registry::from_snapshot(snap).map_err(|e| WireError::new(e.to_string()))?;
-        inner.registry = registry;
-        for e in audit {
-            inner.audit.replicate(e);
-        }
-        Ok(inner.registry.journal_len())
-    }
-
     /// Promotes a follower to leader at logical tick `clock` (failover).
-    /// When the whole history is in the replicated journal the registry
-    /// is replay-verified first — a strict re-execution of every line
+    /// When the replicated journal is held in memory the registry is
+    /// replay-verified first — a strict re-execution of every line
     /// must reproduce the same digest and length — then live metrics
     /// attach and the recovery counter bumps, exactly like a crash
     /// restart of a single node.
@@ -626,17 +570,15 @@ impl ActivationServer {
         if inner.role == ServerRole::Leader {
             return Err(WireError::new("already the shard leader".to_string()));
         }
-        if inner.registry.snapshot_events() == 0 {
-            if let Some(bytes) = inner.registry.journal_bytes() {
-                let text = String::from_utf8_lossy(bytes).into_owned();
-                let replayed = Registry::replay(&text)?;
-                if replayed.rolling_digest() != inner.registry.rolling_digest()
-                    || replayed.journal_len() != inner.registry.journal_len()
-                {
-                    return Err(WireError::new(
-                        "promotion refused: journal replay diverged".to_string(),
-                    ));
-                }
+        if let Some(bytes) = inner.registry.journal_bytes() {
+            let text = String::from_utf8_lossy(bytes).into_owned();
+            let replayed = Registry::replay(&text)?;
+            if replayed.rolling_digest() != inner.registry.rolling_digest()
+                || replayed.journal_len() != inner.registry.journal_len()
+            {
+                return Err(WireError::new(
+                    "promotion refused: journal replay diverged".to_string(),
+                ));
             }
         }
         inner.role = ServerRole::Leader;
@@ -648,18 +590,6 @@ impl ActivationServer {
         inner.registry.set_metrics(metrics);
         self.metrics.inc("journal_recoveries_total", &[], 1);
         Ok(())
-    }
-
-    /// The registry state as a schema-v1 snapshot — what a leader ships
-    /// to a follower too far behind for journal catch-up.
-    pub fn state_snapshot(&self) -> RegistrySnapshot {
-        let inner = self.lock();
-        RegistrySnapshot {
-            seq: inner.registry.journal_len(),
-            digest: inner.registry.rolling_digest(),
-            records: inner.registry.records().to_vec(),
-            clones: inner.registry.clones().to_vec(),
-        }
     }
 }
 

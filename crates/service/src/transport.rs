@@ -28,27 +28,30 @@
 //! serves any [`FrameService`], so the cluster's replication port is this
 //! same accept loop over a replica.
 //!
-//! Both transports accept an optional fault layer for the crash
-//! simulation. Injected transport faults (short reads, connection drops,
-//! delayed accepts) always strike **before dispatch**: the request is
-//! lost, the server state is untouched, and the client's retry after
-//! reconnect/restart is exact — the property the simulation's oracle
-//! comparison relies on. (Storage faults, which strike *after* dispatch
-//! but before the mutation commits, strike the journal append through
-//! the registry's [`crate::fault::FaultInjector`].)
+//! [`LocalWire`] accepts an optional fault layer for the crash
+//! simulation. Injected transport faults (short reads, connection drops)
+//! always strike **before dispatch**: the request is lost, the server
+//! state is untouched, and the client's retry after reconnect/restart is
+//! exact — the property the simulation's oracle comparison relies on.
+//! (Storage faults, which strike *after* dispatch but before the
+//! mutation commits, strike the journal append through the registry's
+//! [`crate::fault::FaultInjector`].) The TCP server has no fault layer:
+//! torn and dropped frames over TCP are tested with hostile clients that
+//! send real bytes to the shipping decoder.
 
-use crate::fault::{ArmedFault, FaultInjector, FaultKind, FaultPlan};
+use crate::fault::{ArmedFault, FaultInjector};
 use crate::server::ActivationServer;
 use crate::wire::{
-    encode_frame, read_frame, ErrorCode, FrameDecoder, FrameScratch, Request, Response,
-    TracedRequest, WireError,
+    encode_frame, ErrorCode, FrameDecoder, FrameScratch, Request, Response, TracedRequest,
+    WireError,
 };
 use hwm_jsonio::Json;
 use hwm_trace::TraceContext;
+use std::collections::HashMap;
 use std::io;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -69,22 +72,19 @@ pub trait Client {
 /// Both transports dispatch through this, so the cluster reuses the
 /// frame codec, the fault layer and the TCP front end unchanged.
 pub trait Handler: Send + Sync {
-    /// Handles one decoded request.
-    fn handle(&self, req: &Request) -> Response;
-
     /// Handles one decoded request carrying an optional trace context.
-    /// The default drops the context so handlers that predate tracing
-    /// keep working; tracing-aware handlers override this.
-    fn handle_traced(&self, req: &Request, _trace: Option<&TraceContext>) -> Response {
-        self.handle(req)
+    fn handle_traced(&self, req: &Request, trace: Option<&TraceContext>) -> Response;
+
+    /// Handles one untraced request.
+    fn handle(&self, req: &Request) -> Response {
+        self.handle_traced(req, None)
     }
 }
 
 /// Anything a [`TcpServer`] can serve: answers one decoded JSON frame
 /// with one JSON frame. Every [`Handler`] is one (the activation
 /// protocol); the cluster's replication port implements it over its own
-/// frame type, so both ride the same accept loop, pipelined decoder and
-/// fault hooks.
+/// frame type, so both ride the same accept loop and pipelined decoder.
 pub trait FrameService: Send + Sync {
     /// Answers one decoded frame. A frame that is JSON but not a valid
     /// message gets an error frame back; the connection stays open.
@@ -106,12 +106,8 @@ impl<H: Handler> FrameService for H {
 }
 
 impl Handler for ActivationServer {
-    fn handle(&self, req: &Request) -> Response {
-        ActivationServer::handle(self, req)
-    }
-
     fn handle_traced(&self, req: &Request, trace: Option<&TraceContext>) -> Response {
-        ActivationServer::handle_traced(self, req, trace)
+        self.handle_at_traced(req, None, trace)
     }
 }
 
@@ -454,30 +450,22 @@ impl<T: FrameTransport> Client for FrameClient<T> {
 }
 
 /// Default accept-loop poll sleep in milliseconds (between polls of the
-/// nonblocking listener and the shutdown flag). Configurable per server
-/// via [`crate::server::ServerConfig::accept_poll_ms`] /
-/// [`TcpServer::spawn_with_poll`]; lowered from the historical fixed
-/// 10 ms so connection setup and shutdown respond faster.
+/// nonblocking listener and the shutdown flag, and after a failed
+/// accept). Configurable per server via
+/// [`crate::server::ServerConfig::accept_poll_ms`] /
+/// [`TcpServer::spawn_with_poll`].
 pub const DEFAULT_ACCEPT_POLL_MS: u64 = 2;
 
-/// Deterministically scheduled TCP faults (crash simulation): the plan's
-/// ticks index accepted connections (delayed accepts) or received frames
-/// (short reads / connection drops).
-pub struct TcpFaults {
-    plan: FaultPlan,
-    conns: AtomicU64,
-    frames: AtomicU64,
-}
+/// The live connections of one [`TcpServer`], by connection id. A
+/// handler removes its own entry when it returns, so the socket closes
+/// then; shutdown shuts down whatever is still registered.
+type ConnRegistry = Arc<Mutex<HashMap<u64, Arc<TcpStream>>>>;
 
-impl TcpFaults {
-    /// Faults following `plan`.
-    pub fn new(plan: FaultPlan) -> Arc<TcpFaults> {
-        Arc::new(TcpFaults {
-            plan,
-            conns: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-        })
-    }
+fn lock_conns(conns: &ConnRegistry) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<TcpStream>>> {
+    // Poisoned only if another thread panicked while holding it; the
+    // guarded sections only insert, remove or shut down streams, so no
+    // peer bytes can make this fire.
+    conns.lock().expect("connection registry poisoned")
 }
 
 /// A running TCP front end: nonblocking accept loop plus one handler
@@ -486,9 +474,9 @@ pub struct TcpServer {
     addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    /// One clone per live connection, so shutdown can unblock handlers
-    /// parked in `read_frame` (see `stop`).
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// Every live connection, so shutdown can unblock handlers parked in
+    /// a read (see `stop`).
+    conns: ConnRegistry,
 }
 
 impl TcpServer {
@@ -498,7 +486,7 @@ impl TcpServer {
         addr: impl ToSocketAddrs,
         server: Arc<S>,
     ) -> io::Result<TcpServer> {
-        TcpServer::spawn_inner(addr, server, None, DEFAULT_ACCEPT_POLL_MS)
+        TcpServer::spawn_inner(addr, server, DEFAULT_ACCEPT_POLL_MS)
     }
 
     /// Binds `addr` and serves with an explicit accept-loop poll sleep —
@@ -509,23 +497,12 @@ impl TcpServer {
         server: Arc<S>,
         poll_ms: u64,
     ) -> io::Result<TcpServer> {
-        TcpServer::spawn_inner(addr, server, None, poll_ms)
-    }
-
-    /// Binds `addr` and serves with a deterministic fault schedule
-    /// (crash simulation only).
-    pub fn spawn_with_faults<S: FrameService + 'static>(
-        addr: impl ToSocketAddrs,
-        server: Arc<S>,
-        faults: Arc<TcpFaults>,
-    ) -> io::Result<TcpServer> {
-        TcpServer::spawn_inner(addr, server, Some(faults), DEFAULT_ACCEPT_POLL_MS)
+        TcpServer::spawn_inner(addr, server, poll_ms)
     }
 
     fn spawn_inner<S: FrameService + 'static>(
         addr: impl ToSocketAddrs,
         server: Arc<S>,
-        faults: Option<Arc<TcpFaults>>,
         poll_ms: u64,
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
@@ -533,49 +510,42 @@ impl TcpServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let conns = Arc::new(Mutex::new(Vec::new()));
+        let conns: ConnRegistry = Arc::default();
         let conn_registry = Arc::clone(&conns);
         let base = hwm_trace::current_path();
         let accept_poll = Duration::from_millis(poll_ms.max(1));
         let accept_thread = std::thread::spawn(move || {
             let _scope = hwm_trace::thread_scope(&base);
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+            let mut next_id = 0u64;
             while !flag.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        if let Some(f) = &faults {
-                            let conn = f.conns.fetch_add(1, Ordering::SeqCst);
-                            if f.plan.kind == FaultKind::DelayedAccept && f.plan.is_crash(conn) {
-                                std::thread::sleep(Duration::from_millis(
-                                    f.plan.accept_delay_ms(conn),
-                                ));
-                            }
-                        }
                         // Frames are tiny request/response pairs; Nagle +
                         // delayed ACK would stall each round trip ~40ms.
                         let _ = stream.set_nodelay(true);
-                        if let Ok(clone) = stream.try_clone() {
-                            // Poisoned only if another thread panicked
-                            // while holding it; the guarded sections only
-                            // push a stream or shut streams down, so no
-                            // peer bytes can make this fire.
-                            conn_registry
-                                .lock()
-                                .expect("connection registry poisoned")
-                                .push(clone);
-                        }
+                        let stream = Arc::new(stream);
+                        let id = next_id;
+                        next_id += 1;
+                        lock_conns(&conn_registry).insert(id, Arc::clone(&stream));
+                        // Keep only live handlers, so the list stays as
+                        // long as the open connections, not the served ones.
+                        handlers.retain(|h| !h.is_finished());
                         let server = Arc::clone(&server);
-                        let faults = faults.clone();
+                        let registry = Arc::clone(&conn_registry);
                         let base = hwm_trace::current_path();
                         handlers.push(std::thread::spawn(move || {
                             let _scope = hwm_trace::thread_scope(&base);
-                            serve_connection(stream, server.as_ref(), faults.as_deref());
+                            serve_connection(&stream, server.as_ref());
+                            // The last reference goes with `stream`, so
+                            // the socket closes as the handler ends.
+                            lock_conns(&registry).remove(&id);
                         }));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(accept_poll);
-                    }
-                    Err(_) => break,
+                    // Nothing to accept, or a failed accept (out of fds,
+                    // an aborted handshake): wait one poll and retry, so a
+                    // transient error never ends the server.
+                    Err(_) => std::thread::sleep(accept_poll),
                 }
             }
             for h in handlers {
@@ -603,11 +573,11 @@ impl TcpServer {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Handlers block in read_frame until their peer hangs up; shut
-        // the sockets down so those reads return and the joins below
-        // cannot hang on an idle connection.
+        // Handlers block in a read until their peer hangs up; shut the
+        // sockets down so those reads return and the joins below cannot
+        // hang on an idle connection.
         if let Ok(conns) = self.conns.lock() {
-            for stream in conns.iter() {
+            for stream in conns.values() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
@@ -626,14 +596,8 @@ impl Drop for TcpServer {
 /// Serves one connection until EOF or I/O error. Every frame that
 /// decodes as JSON is answered by the service (a bad message gets an
 /// error frame; the connection stays open). Broken frames tear the
-/// connection down. An injected fault loses the incoming request —
-/// short-read tears it mid-frame, conn-drop discards it whole — and
-/// closes the connection before anything is dispatched.
-fn serve_connection<S: FrameService>(
-    mut stream: TcpStream,
-    service: &S,
-    faults: Option<&TcpFaults>,
-) {
+/// connection down, and a frame cut short by EOF is never dispatched.
+fn serve_connection<S: FrameService>(mut stream: &TcpStream, service: &S) {
     // Per-connection scratch: a decoder that drains request bursts with
     // large reads, an encode scratch, and a response staging buffer.
     // Responses accumulate while the decoder still holds complete frames
@@ -646,31 +610,6 @@ fn serve_connection<S: FrameService>(
     let mut chunk = [0u8; 16 * 1024];
     let mut staged: Vec<u8> = Vec::new();
     loop {
-        if let Some(f) = faults {
-            let frame = f.frames.fetch_add(1, Ordering::SeqCst);
-            if f.plan.is_crash(frame) {
-                match f.plan.kind {
-                    FaultKind::ShortRead => {
-                        // Read part of the length prefix, then hang up:
-                        // the frame died mid-wire. (Fault plans drive
-                        // serial clients, so the decoder is empty here.)
-                        let mut partial = [0u8; 2];
-                        let _ = stream.read(&mut partial);
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    FaultKind::ConnDrop => {
-                        // Receive the whole frame, then drop it on the
-                        // floor and hang up — never dispatched.
-                        let _ = read_frame(&mut stream);
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    // Storage and accept faults are handled elsewhere.
-                    _ => {}
-                }
-            }
-        }
         // Pull the next request: straight from the decoder while the
         // burst lasts; once it runs dry, flush staged responses and
         // block on the socket.

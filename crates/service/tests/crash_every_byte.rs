@@ -3,10 +3,11 @@
 //! plan happens to pick.
 //!
 //! A group-commit registry records about 60 events (registrations,
-//! duplicate readouts, unlocks and disables). The journal is then cut at
-//! every byte offset and each cut is cold-opened: recovery must equal a
-//! strict replay of the last complete line, with the torn bytes truncated
-//! from the file. After a compaction the snapshot is cut at every offset
+//! duplicate readouts, unlocks and disables). Client labels are
+//! non-ASCII and written raw, so many cuts land inside a multi-byte
+//! character. The journal is then cut at every byte offset and each cut
+//! is cold-opened: recovery must equal a strict replay of the last
+//! complete line, with the torn bytes truncated from the file. After a compaction the snapshot is cut at every offset
 //! too: each reopen either recovers the full state or refuses with
 //! `InvalidData`.
 
@@ -39,7 +40,7 @@ fn write_history(path: &Path) {
     let mut rng = StdRng::seed_from_u64(2024);
     let mut next_ic = 0;
     while r.journal_len() < EVENTS {
-        let client = format!("fab-{}", rng.random_range(0..3));
+        let client = format!("fäb-{}", rng.random_range(0..3));
         let roll = rng.random_range(0..10);
         if roll < 5 || next_ic == 0 {
             let readout = format!("{:08b}", rng.random_range(0..24u32));
@@ -71,8 +72,12 @@ fn every_journal_cut_recovers_the_last_complete_line() {
     write_history(&path);
     let bytes = std::fs::read(&path).unwrap();
     let text = std::str::from_utf8(&bytes).unwrap();
+    assert!(!text.is_ascii(), "labels are written raw");
     for cut in 0..=bytes.len() {
-        let complete = text[..cut].rfind('\n').map_or(0, |i| i + 1);
+        let complete = bytes[..cut]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
         let oracle = Registry::replay(&text[..complete]).unwrap();
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let r = Registry::open(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));

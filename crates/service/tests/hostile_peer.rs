@@ -8,6 +8,8 @@ use hwm_service::wire::MAX_FRAME;
 use hwm_service::{Client, Request, TcpClient};
 use std::time::{Duration, Instant};
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "support/hostile.rs"]
 mod hostile;
 
@@ -35,9 +37,9 @@ fn refused_promptly(reply: Reply, exchange: impl FnOnce(&mut TcpClient) -> bool)
         "{reply:?}: the client took {elapsed:?} to give up"
     );
     assert!(
-        hostile::largest_allocation() < MAX_FRAME,
+        counting_alloc::largest_allocation() < MAX_FRAME,
         "{reply:?}: an allocation of {} bytes",
-        hostile::largest_allocation()
+        counting_alloc::largest_allocation()
     );
 }
 

@@ -230,7 +230,6 @@ fn run_crash_sim(kind: FaultKind, crashes: usize, compact_every: u64, dir: &Path
                         });
                     }
                     FaultKind::ConnDrop => injector.arm(ArmedFault::ConnDrop),
-                    FaultKind::DelayedAccept => unreachable!("not a crash fault in this sim"),
                 }
                 // The doomed request: the injected fault must surface as
                 // an error (transport faults) or a refused mutation

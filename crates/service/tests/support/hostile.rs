@@ -1,46 +1,13 @@
 //! A hostile peer for client read-path tests: a raw `TcpListener` that
 //! answers the first request burst with bytes no honest server sends.
-//! Also a counting global allocator, so a test can show that a client
-//! never allocated the length a frame prefix advertised. Shared by the
-//! service and cluster client tests.
+//! Shared by the service and cluster client tests, which pair it with
+//! `counting_alloc.rs` to show that a client never allocated the length
+//! a frame prefix advertised.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// The largest single allocation this test process has asked for.
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to the system allocator;
-// the wrapper only records sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The largest single allocation so far, in bytes.
-pub fn largest_allocation() -> usize {
-    LARGEST.load(Ordering::Relaxed)
-}
 
 /// How long the peer keeps a connection open after its reply. A client
 /// that waited for more bytes would stall this long, far past the

@@ -1,21 +1,29 @@
-//! TCP-transport fault injection: the socket-level counterparts of the
-//! in-process crash simulation (`tests/sim.rs`).
+//! The TCP server against hostile clients: raw sockets that send torn
+//! request frames, oversized length prefixes and many short-lived
+//! connections to the shipping accept loop and frame decoder.
 //!
-//! Over real sockets a fault kills the *connection*, not the process, so
-//! the recovery story the tests pin is the client's: a dropped or torn
-//! request frame is never dispatched, and reconnecting + retrying the
-//! same request converges to exactly the fault-free outcome. Delayed
-//! accepts only slow the handshake down. Shutdown must join every
-//! handler thread even while a client still holds an idle connection
-//! open (the listener-leak regression).
+//! Over real sockets a broken frame kills the *connection*, not the
+//! process, so the recovery story the tests pin is the client's: a
+//! request frame cut short by a hang-up is never dispatched, and
+//! reconnecting + retrying the same request converges to exactly the
+//! fault-free outcome. A connection the server ends is closed at once
+//! (its peer reads EOF, its descriptor is released), and shutdown must
+//! join every handler thread even while a client still holds an idle
+//! connection open (the listener-leak regression).
 
 use hwm_metering::{Designer, Foundry, LockOptions};
-use hwm_service::wire::readout_to_bits_string;
+use hwm_service::wire::{readout_to_bits_string, MAX_FRAME};
 use hwm_service::{
-    ActivationServer, Client, FaultKind, FaultPlan, Registry, Request, Response, ServerConfig,
-    TcpClient, TcpFaults, TcpServer,
+    write_frame, ActivationServer, Client, Registry, Request, Response, ServerConfig, TcpClient,
+    TcpServer,
 };
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const SEED: u64 = 2024;
 
@@ -53,28 +61,56 @@ fn register(readout: &str) -> Request {
     }
 }
 
-/// A plan whose first `crashes` eligible indices all fire (the tests
-/// index connections/frames from zero).
-fn plan_at(kind: FaultKind, ticks: &[u64]) -> FaultPlan {
-    FaultPlan::new(SEED, kind, ticks, ticks.len())
+/// The register request as one whole frame on the wire.
+fn register_frame(readout: &str) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &register(readout).to_json()).expect("encode");
+    frame
 }
 
-#[test]
-fn delayed_accepts_slow_the_handshake_but_lose_nothing() {
+/// Sends `bytes` on a fresh raw connection and half-closes it, then
+/// returns everything the server sent back before closing its side. The
+/// server must close within 2 s.
+fn send_and_hang_up(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(bytes).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut back = Vec::new();
+    stream
+        .read_to_end(&mut back)
+        .expect("the server must close the connection");
+    back
+}
+
+/// Sends `torn` (a cut-short register frame) and hangs up; the frame
+/// must not be dispatched. A retry on a new connection, and the unlock
+/// after it, then get exactly the fault-free answers.
+fn torn_frame_is_never_dispatched(torn: impl FnOnce(&[u8]) -> Vec<u8>) {
     let server = server();
-    let faults = TcpFaults::new(plan_at(FaultKind::DelayedAccept, &[0, 1]));
-    let tcp = TcpServer::spawn_with_faults("127.0.0.1:0", Arc::clone(&server), faults)
-        .expect("bind");
+    let tcp = TcpServer::spawn("127.0.0.1:0", Arc::clone(&server)).expect("bind");
     let readout = one_readout();
-    // Both delayed connections still serve their requests completely.
-    for req in [register(&readout), Request::Unlock { client: "fab".into(), readout: readout.clone() }] {
-        let mut client = TcpClient::connect(tcp.addr()).expect("connect");
-        let resp = client.call(&req).expect("delayed accept must still serve");
-        assert!(
-            matches!(resp, Response::Registered { .. } | Response::Key { .. }),
-            "unexpected response under delayed accept: {resp:?}"
-        );
-    }
+    let back = send_and_hang_up(tcp.addr(), &torn(&register_frame(&readout)));
+    assert!(back.is_empty(), "a torn frame got a reply: {back:?}");
+    assert_eq!(server.status().registered, 0, "torn frame was dispatched");
+    let mut client = TcpClient::connect(tcp.addr()).expect("reconnect");
+    let resp = client.call(&register(&readout)).expect("retry");
+    assert!(
+        matches!(resp, Response::Registered { .. }),
+        "retry failed: {resp:?}"
+    );
+    let resp = client
+        .call(&Request::Unlock {
+            client: "fab".into(),
+            readout,
+        })
+        .expect("unlock");
+    assert!(
+        matches!(resp, Response::Key { .. }),
+        "unlock failed: {resp:?}"
+    );
     tcp.shutdown();
     let status = server.status();
     assert_eq!((status.registered, status.unlocked), (1, 1));
@@ -82,53 +118,82 @@ fn delayed_accepts_slow_the_handshake_but_lose_nothing() {
 
 #[test]
 fn dropped_request_frame_is_never_dispatched_and_retry_recovers() {
-    let server = server();
-    // Frame 0 (the first request on the wire) is received whole, then
-    // dropped on the floor; the connection dies without dispatching it.
-    let faults = TcpFaults::new(plan_at(FaultKind::ConnDrop, &[0]));
-    let tcp = TcpServer::spawn_with_faults("127.0.0.1:0", Arc::clone(&server), faults)
-        .expect("bind");
-    let readout = one_readout();
-    let mut client = TcpClient::connect(tcp.addr()).expect("connect");
-    client
-        .call(&register(&readout))
-        .expect_err("the dropped frame must not produce a response");
-    assert_eq!(server.status().registered, 0, "dropped frame was dispatched");
-    // Reconnect and retry: exactly the fault-free outcome.
-    let mut client = TcpClient::connect(tcp.addr()).expect("reconnect");
-    let resp = client.call(&register(&readout)).expect("retry");
-    assert!(matches!(resp, Response::Registered { .. }), "retry failed: {resp:?}");
-    let resp = client
-        .call(&Request::Unlock {
-            client: "fab".into(),
-            readout,
-        })
-        .expect("unlock");
-    assert!(matches!(resp, Response::Key { .. }), "unlock failed: {resp:?}");
-    tcp.shutdown();
-    let status = server.status();
-    assert_eq!((status.registered, status.unlocked), (1, 1));
+    // The whole length prefix and half the payload, then a hang-up.
+    torn_frame_is_never_dispatched(|frame| frame[..4 + (frame.len() - 4) / 2].to_vec());
 }
 
 #[test]
 fn torn_request_frame_is_never_dispatched_and_retry_recovers() {
+    // Two bytes of the length prefix, then a hang-up.
+    torn_frame_is_never_dispatched(|frame| frame[..2].to_vec());
+}
+
+#[test]
+fn oversized_prefix_closes_the_connection_and_others_are_still_served() {
     let server = server();
-    // Frame 0 dies mid-wire: the handler reads two bytes of the length
-    // prefix and hangs up.
-    let faults = TcpFaults::new(plan_at(FaultKind::ShortRead, &[0]));
-    let tcp = TcpServer::spawn_with_faults("127.0.0.1:0", Arc::clone(&server), faults)
-        .expect("bind");
-    let readout = one_readout();
+    let tcp = TcpServer::spawn("127.0.0.1:0", Arc::clone(&server)).expect("bind");
+    // A prefix far above MAX_FRAME, with the write side left open: the
+    // server refuses it and must close the connection itself.
+    let mut stream = TcpStream::connect(tcp.addr()).expect("connect");
+    stream.write_all(&u32::MAX.to_be_bytes()).expect("send");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut buf = [0u8; 64];
+    let n = stream
+        .read(&mut buf)
+        .expect("the server must close the connection within 2 s");
+    assert_eq!(n, 0, "an oversized prefix got a reply");
+    assert!(
+        counting_alloc::largest_allocation() < MAX_FRAME,
+        "an allocation of {} bytes",
+        counting_alloc::largest_allocation()
+    );
+    // A well-behaved client is still served.
     let mut client = TcpClient::connect(tcp.addr()).expect("connect");
-    client
-        .call(&register(&readout))
-        .expect_err("the torn frame must not produce a response");
-    assert_eq!(server.status().registered, 0, "torn frame was dispatched");
-    let mut client = TcpClient::connect(tcp.addr()).expect("reconnect");
-    let resp = client.call(&register(&readout)).expect("retry");
-    assert!(matches!(resp, Response::Registered { .. }), "retry failed: {resp:?}");
+    let resp = client.call(&register(&one_readout())).expect("register");
+    assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
     tcp.shutdown();
     assert_eq!(server.status().registered, 1);
+}
+
+/// Open descriptors of this process.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("/proc/self/fd")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let server = server();
+    let tcp = TcpServer::spawn("127.0.0.1:0", Arc::clone(&server)).expect("bind");
+    let status = Request::Status {
+        client: "fab".into(),
+        ic: None,
+    };
+    let before = open_fds();
+    for _ in 0..200 {
+        let mut client = TcpClient::connect(tcp.addr()).expect("connect");
+        client.call(&status).expect("status");
+    }
+    // Each handler sees EOF and ends on its own thread; wait for them.
+    // Other tests in this binary open sockets too, hence the slack.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while open_fds() > before + 8 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let after = open_fds();
+    assert!(
+        after <= before + 8,
+        "{before} descriptors before 200 closed connections, {after} after"
+    );
+    // The server is still up.
+    let mut client = TcpClient::connect(tcp.addr()).expect("connect");
+    client.call(&status).expect("status after the churn");
+    tcp.shutdown();
 }
 
 #[test]
