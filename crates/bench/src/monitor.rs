@@ -15,8 +15,8 @@
 
 use hwm_jsonio::Json;
 use hwm_metrics::{
-    AlertEngine, AlertRuleSet, AuditEvent, History, HistoryDump, LatencySummary, MetricKind,
-    Sample, Snapshot, ALERT_FIRE_KIND, ALERT_RESOLVE_KIND,
+    AlertEngine, AlertRuleSet, AlertState, AlertTransition, AuditEvent, History, HistoryDump,
+    LatencySummary, MetricKind, Sample, Snapshot,
 };
 use hwm_service::{Client, Request, Response, WireError};
 use hwm_trace::{collect_traces, SpanRecord};
@@ -35,21 +35,18 @@ pub struct Observation {
     pub audit: Vec<AuditEvent>,
     /// The sampled time-series history (det-class only by construction).
     pub history: HistoryDump,
-    /// The server's span ring (empty when tracing is off, or against a
-    /// pre-tracing server that does not answer the `traces` request).
+    /// The server's span ring (empty when tracing is off).
     pub traces: Vec<SpanRecord>,
 }
 
 /// Polls a server once over any transport: one `Metrics` request, one
-/// `Audit` request (full history), one `History` request (full window),
-/// one `Traces` request (full ring; a non-`traces` answer — e.g. a
-/// pre-tracing server's `error` — degrades to an empty span list
-/// rather than failing the poll).
+/// `Audit` request (full history), one `History` request (full window)
+/// and one `Traces` request (full ring).
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for transport failures or unexpected response
-/// types (e.g. a pre-observability server answering `error`).
+/// types (e.g. a server answering any of the four with `error`).
 pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     let snapshot = match client.call(&Request::Metrics {
         client: "hwm_monitor".into(),
@@ -86,9 +83,13 @@ pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     let traces = match client.call(&Request::Traces {
         client: "hwm_monitor".into(),
         limit: None,
-    }) {
-        Ok(Response::Traces { spans }) => spans,
-        _ => Vec::new(),
+    })? {
+        Response::Traces { spans } => spans,
+        other => {
+            return Err(WireError {
+                message: format!("traces request answered with {other:?}"),
+            })
+        }
     };
     Ok(Observation {
         snapshot,
@@ -123,37 +124,6 @@ pub fn sparkline(samples: &[Sample], width: usize) -> String {
             RAMP[idx as usize] as char
         })
         .collect()
-}
-
-/// One row of the dashboard's ALERTS panel, folded from the audit
-/// stream's `alert_fire`/`alert_resolve` events (latest state wins).
-struct AlertRow {
-    state: &'static str,
-    tick: u64,
-    value: u64,
-    threshold: u64,
-}
-
-fn fold_alert_rows(audit: &[AuditEvent]) -> BTreeMap<String, AlertRow> {
-    let mut rows: BTreeMap<String, AlertRow> = BTreeMap::new();
-    for e in audit {
-        let state = match e.kind.as_str() {
-            ALERT_FIRE_KIND => "FIRING",
-            ALERT_RESOLVE_KIND => "resolved",
-            _ => continue,
-        };
-        let Some(rule) = e.str_field("rule") else { continue };
-        rows.insert(
-            rule.to_string(),
-            AlertRow {
-                state,
-                tick: e.tick,
-                value: e.u64_field("value").unwrap_or(0),
-                threshold: e.u64_field("threshold").unwrap_or(0),
-            },
-        );
-    }
-    rows
 }
 
 /// Renders the deterministic fleet dashboard (stdout material).
@@ -368,18 +338,26 @@ pub fn render_dashboard_with_rules(obs: &Observation, rules: Option<&AlertRuleSe
             );
         }
     }
-    let folded = fold_alert_rows(&obs.audit);
-    if !folded.is_empty() {
+    // The ALERTS panel: each rule's latest transition.
+    let timeline: Vec<AlertTransition> =
+        obs.audit.iter().filter_map(AlertTransition::from_audit).collect();
+    let latest: BTreeMap<&str, &AlertTransition> =
+        timeline.iter().map(|t| (t.rule.as_str(), t)).collect();
+    if !latest.is_empty() {
         let _ = writeln!(out, "ALERTS:");
-        let rows: Vec<Vec<String>> = folded
-            .iter()
-            .map(|(rule, r)| {
+        let rows: Vec<Vec<String>> = latest
+            .values()
+            .map(|t| {
+                let state = match t.state {
+                    AlertState::Firing => "FIRING",
+                    AlertState::Resolved => "resolved",
+                };
                 vec![
-                    rule.clone(),
-                    r.state.to_string(),
-                    r.tick.to_string(),
-                    r.value.to_string(),
-                    r.threshold.to_string(),
+                    t.rule.clone(),
+                    state.to_string(),
+                    t.tick.to_string(),
+                    t.value.to_string(),
+                    t.threshold.to_string(),
                 ]
             })
             .collect();
@@ -393,10 +371,7 @@ pub fn render_dashboard_with_rules(obs: &Observation, rules: Option<&AlertRuleSe
         let history = History::from_dump(&obs.history);
         let now = history.latest_tick().unwrap_or(0);
         let mut engine = AlertEngine::new(set.clone());
-        for (rule, r) in &folded {
-            let kind = if r.state == "FIRING" { ALERT_FIRE_KIND } else { ALERT_RESOLVE_KIND };
-            engine.fold_audit(kind, rule, r.tick);
-        }
+        engine.fold_audit(timeline);
         let _ = writeln!(out, "rule evaluation (client-side, at tick {now}):");
         let rows: Vec<Vec<String>> = engine
             .statuses(now, &history)
@@ -516,6 +491,39 @@ mod tests {
         observe(&mut client).expect("observe")
     }
 
+    /// A server that answers every admin request except `traces`,
+    /// which it refuses with an `error` response.
+    struct NoTraces(LocalClient);
+
+    impl Client for NoTraces {
+        fn call(&mut self, req: &Request) -> Result<Response, WireError> {
+            match req {
+                Request::Traces { .. } => Ok(Response::Error {
+                    code: hwm_service::ErrorCode::Malformed,
+                    message: "unknown request".into(),
+                    retry_at: None,
+                }),
+                _ => self.0.call(req),
+            }
+        }
+
+        fn set_trace(&mut self, ctx: hwm_trace::TraceContext) {
+            self.0.set_trace(ctx);
+        }
+    }
+
+    #[test]
+    fn observe_fails_when_traces_is_answered_with_an_error() {
+        let server = Arc::new(ActivationServer::new(
+            bench_designer(2024),
+            Registry::in_memory(),
+            server_config(),
+        ));
+        let mut client = NoTraces(LocalClient::new(server));
+        let err = observe(&mut client).expect_err("an error answer must fail the poll");
+        assert!(err.message.starts_with("traces request answered with Error"), "{}", err.message);
+    }
+
     #[test]
     fn dashboard_reflects_the_workload() {
         let obs = observed(2024);
@@ -619,7 +627,7 @@ mod tests {
 
     #[test]
     fn cluster_panel_marks_a_shard_without_admin_state_unreachable() {
-        use hwm_metrics::{HistoryConfig, MetricClass, MetricsRegistry};
+        use hwm_metrics::{MetricClass, MetricsRegistry};
         // Shards 0 and 1 both routed requests, but only shard 0
         // published a replication-lag gauge — shard 1's admin state
         // never made it back, and the panel must say so instead of
@@ -631,7 +639,7 @@ mod tests {
         let obs = Observation {
             snapshot: m.snapshot(),
             audit: Vec::new(),
-            history: History::new(HistoryConfig::disabled()).dump(None),
+            history: HistoryDump::default(),
             traces: Vec::new(),
         };
         let text = render_dashboard(&obs);

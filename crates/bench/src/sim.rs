@@ -36,7 +36,7 @@ use crate::serve::{
     bench_designer, build_plans, clone_campaign_plans, fleet_rules, round_robin, server_config,
     submit_local, ClientPlan, Tally,
 };
-use hwm_metrics::AuditLog;
+use hwm_metrics::{AlertState, AlertTransition, AuditLog};
 use hwm_service::registry::journal_digest;
 use hwm_service::{
     absorb_counters, ActivationServer, ArmedFault, Client, CounterSums, ErrorCode, FaultInjector,
@@ -474,9 +474,8 @@ pub struct AlertWorld {
     pub requests: u64,
     /// Duplicate-readout rejections (clone evidence).
     pub duplicates: u64,
-    /// The `alert_fire`/`alert_resolve` audit events, in order, as
-    /// `(tick, kind, rule, value, threshold)`.
-    pub transitions: Vec<(u64, String, String, u64, u64)>,
+    /// The alert transitions decoded from the audit stream, in order.
+    pub transitions: Vec<AlertTransition>,
     /// The same transitions as JSONL bytes (what `--alerts-out` writes).
     pub alerts_jsonl: String,
 }
@@ -508,24 +507,10 @@ fn run_alert_world(config: &AlertSimConfig, plans: &[ClientPlan]) -> AlertWorld 
     let tally = submit_local(&server, plans, 1);
     let mut client = LocalClient::new(Arc::clone(&server));
     let obs = observe(&mut client).expect("in-process monitor poll");
-    let transitions = obs
-        .audit
-        .iter()
-        .filter(|e| e.kind == "alert_fire" || e.kind == "alert_resolve")
-        .map(|e| {
-            (
-                e.tick,
-                e.kind.clone(),
-                e.str_field("rule").unwrap_or("?").to_string(),
-                e.u64_field("value").unwrap_or(0),
-                e.u64_field("threshold").unwrap_or(0),
-            )
-        })
-        .collect();
     AlertWorld {
         requests: tally.requests,
         duplicates: tally.duplicates,
-        transitions,
+        transitions: obs.audit.iter().filter_map(AlertTransition::from_audit).collect(),
         alerts_jsonl: server.alerts_jsonl(),
     }
 }
@@ -552,8 +537,8 @@ pub fn run_alert_sim(config: &AlertSimConfig) -> AlertSimOutcome {
     let detection_tick = campaign
         .transitions
         .iter()
-        .find(|(_, kind, rule, _, _)| kind == "alert_fire" && rule == "duplicate_readout_spike")
-        .map(|(tick, ..)| *tick);
+        .find(|t| t.state == AlertState::Firing && t.rule == "duplicate_readout_spike")
+        .map(|t| t.tick);
     AlertSimOutcome {
         config: *config,
         quiet,
@@ -599,11 +584,15 @@ impl AlertSimOutcome {
             let _ = writeln!(out, "  requests            {:>6}", w.requests);
             let _ = writeln!(out, "  duplicate readouts  {:>6}", w.duplicates);
             let _ = writeln!(out, "  alert transitions   {:>6}", w.transitions.len());
-            for (tick, kind, rule, value, threshold) in &w.transitions {
-                let verb = if kind == "alert_fire" { "FIRE   " } else { "resolve" };
+            for t in &w.transitions {
+                let verb = match t.state {
+                    AlertState::Firing => "FIRE   ",
+                    AlertState::Resolved => "resolve",
+                };
                 let _ = writeln!(
                     out,
-                    "    tick {tick:>5}  {verb} {rule} (value {value}, threshold {threshold})"
+                    "    tick {:>5}  {verb} {} (value {}, threshold {})",
+                    t.tick, t.rule, t.value, t.threshold
                 );
             }
         }

@@ -2,11 +2,10 @@
 //!
 //! A link is [`hwm_service`]'s frame client carrying [`RepFrame`]s: one
 //! [`FrameLink`] maps replication frames over either of the service's
-//! two frame transports. [`LocalLink`] runs over a
-//! [`LocalWire`](hwm_service::LocalWire), in-process but still through
-//! the real codec, so the deterministic simulations exercise the same
-//! bytes TCP would carry. [`TcpLink`] runs over a
-//! [`FrameConn`](hwm_service::FrameConn) to a [`RepHost`]: the
+//! two frame transports. [`LocalLink`] runs over a [`LocalWire`],
+//! in-process but still through the real codec, so the deterministic
+//! simulations exercise the same bytes TCP would carry. [`TcpLink`]
+//! runs over a [`FrameConn`] to a [`RepHost`]: the
 //! activation front end's own [`TcpServer`] serving a [`ShardNode`], so
 //! replication shares its accept loop, pipelined frame decoder and
 //! accept poll.

@@ -44,7 +44,7 @@ use crate::link::NodeLink;
 use crate::ring::HashRing;
 use crate::ClusterError;
 use hwm_jsonio::Json;
-use hwm_metrics::{AuditEvent, AuditLog, History, HistoryConfig, MetricClass, MetricsRegistry, Snapshot};
+use hwm_metrics::{AuditEvent, AuditLog, HistoryDump, MetricClass, MetricsRegistry, Snapshot};
 use hwm_service::{
     publish_state_gauges, ErrorCode, FaultPlan, Handler, RegistryCounts, Request, Response,
     StatusReport, REQUEST_UNITS_BOUNDS,
@@ -629,12 +629,12 @@ impl Handler for ClusterRouter {
                 let (events, next) = inner.audit.events_since(since.unwrap_or(0));
                 return Response::Audit { events, next };
             }
-            Request::History { window, .. } => {
+            Request::History { .. } => {
                 // Per-shard histories are shard-local serving state and
                 // deliberately not merged (DESIGN.md §9): the router
-                // answers with an empty dump.
+                // answers with an empty dump (stride and capacity 0).
                 return Response::History {
-                    history: History::new(HistoryConfig::disabled()).dump(*window),
+                    history: HistoryDump::default(),
                 };
             }
             Request::Traces { limit, .. } => {

@@ -25,6 +25,7 @@
 
 use crate::snapshot::labels_from_json;
 use crate::timeseries::{History, WindowStats};
+use crate::{AuditEvent, AuditValue};
 use hwm_jsonio::{FieldError, Json, StrictObj};
 use std::fmt;
 
@@ -32,9 +33,9 @@ use std::fmt;
 pub const RULES_SCHEMA_VERSION: u64 = 1;
 
 /// Audit event kind recorded when a rule starts firing.
-pub const ALERT_FIRE_KIND: &str = "alert_fire";
+const ALERT_FIRE_KIND: &str = "alert_fire";
 /// Audit event kind recorded when a firing rule resolves.
-pub const ALERT_RESOLVE_KIND: &str = "alert_resolve";
+const ALERT_RESOLVE_KIND: &str = "alert_resolve";
 
 /// A malformed rule set (parse or validation failure).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -468,6 +469,40 @@ pub struct AlertTransition {
     pub threshold: u64,
 }
 
+impl AlertTransition {
+    /// The audit detail fields a transition records, in line order:
+    /// `rule`, `value`, `threshold`. The event kind is
+    /// [`AlertState::audit_kind`] and the tick is the event's own.
+    pub fn audit_fields(&self) -> [(&'static str, AuditValue); 3] {
+        [
+            ("rule", AuditValue::Str(self.rule.clone())),
+            ("value", AuditValue::U64(self.value)),
+            ("threshold", AuditValue::U64(self.threshold)),
+        ]
+    }
+
+    /// Decodes an audit event recorded from [`AlertTransition::audit_fields`]:
+    /// `None` for any other kind, and for an alert event missing its
+    /// `rule`, `value` or `threshold`. This is the alert timeline's one
+    /// read path — a resumed server's restore fold, the `--alerts-out`
+    /// filter, the monitor's ALERTS panel and the alert simulation all
+    /// go through it.
+    pub fn from_audit(e: &AuditEvent) -> Option<AlertTransition> {
+        let state = match e.kind.as_str() {
+            ALERT_FIRE_KIND => AlertState::Firing,
+            ALERT_RESOLVE_KIND => AlertState::Resolved,
+            _ => return None,
+        };
+        Some(AlertTransition {
+            rule: e.str_field("rule")?.to_string(),
+            state,
+            tick: e.tick,
+            value: e.u64_field("value")?,
+            threshold: e.u64_field("threshold")?,
+        })
+    }
+}
+
 /// The current standing of one rule, for dashboards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleStatus {
@@ -507,17 +542,18 @@ impl AlertEngine {
         &self.set
     }
 
-    /// Replays one audit event into the engine's firing state — how a
-    /// resumed server restores alert standing from its audit log.
-    /// Unknown kinds and unknown rules are ignored.
-    pub fn fold_audit(&mut self, kind: &str, rule: &str, tick: u64) {
-        let Some(i) = self.set.rules.iter().position(|r| r.name == rule) else {
-            return;
-        };
-        match kind {
-            ALERT_FIRE_KIND => self.firing[i] = Some(tick),
-            ALERT_RESOLVE_KIND => self.firing[i] = None,
-            _ => {}
+    /// Replays recorded transitions, oldest first, into the engine's
+    /// firing state — how a resumed server restores alert standing from
+    /// its audit log ([`AlertTransition::from_audit`]). The last
+    /// transition of each rule wins; unknown rules are ignored.
+    pub fn fold_audit(&mut self, transitions: impl IntoIterator<Item = AlertTransition>) {
+        for t in transitions {
+            if let Some(i) = self.set.rules.iter().position(|r| r.name == t.rule) {
+                self.firing[i] = match t.state {
+                    AlertState::Firing => Some(t.tick),
+                    AlertState::Resolved => None,
+                };
+            }
         }
     }
 
@@ -662,7 +698,7 @@ mod tests {
         let mut out = Vec::new();
         for tick in 1..=ticks {
             m.inc("c", &[], per_tick(tick));
-            hist.record(tick, &m.snapshot());
+            hist.sample_registry(tick, &m);
             out.extend(engine.evaluate(tick, &hist));
         }
         out
@@ -732,7 +768,7 @@ mod tests {
             // budget; 0% elsewhere.
             m.inc("total", &[("op", "x")], 4);
             m.inc("bad", &[], u64::from((21..=40).contains(&tick)));
-            hist.record(tick, &m.snapshot());
+            hist.sample_registry(tick, &m);
             transitions.extend(engine.evaluate(tick, &hist));
         }
         assert_eq!(transitions.len(), 2, "{transitions:?}");
@@ -849,20 +885,54 @@ mod tests {
         assert!(AlertRuleSet::from_json(&dup_field).unwrap_err().message.contains("duplicate field"));
     }
 
+    fn transition(rule: &str, state: AlertState, tick: u64) -> AlertTransition {
+        AlertTransition { rule: rule.into(), state, tick, value: 1, threshold: 2 }
+    }
+
     #[test]
     fn fold_audit_restores_firing_state() {
         let set = threshold_rule(4000, 1000, 10);
         let mut engine = AlertEngine::new(set);
-        engine.fold_audit(ALERT_FIRE_KIND, "spike", 40);
+        engine.fold_audit([transition("spike", AlertState::Firing, 40)]);
         let hist = History::new(HistoryConfig::default());
         let st = &engine.statuses(40, &hist)[0];
         assert!(st.firing);
         assert_eq!(st.since, Some(40));
-        engine.fold_audit(ALERT_RESOLVE_KIND, "spike", 44);
+        engine.fold_audit([transition("spike", AlertState::Resolved, 44)]);
         assert!(!engine.statuses(44, &hist)[0].firing);
-        // Unknown rules and kinds are ignored.
-        engine.fold_audit(ALERT_FIRE_KIND, "nope", 50);
-        engine.fold_audit("lockout", "spike", 50);
-        assert!(!engine.statuses(50, &hist)[0].firing);
+        // The last transition of a rule wins; unknown rules are ignored.
+        engine.fold_audit([
+            transition("spike", AlertState::Firing, 48),
+            transition("nope", AlertState::Firing, 50),
+            transition("spike", AlertState::Resolved, 52),
+        ]);
+        assert!(!engine.statuses(52, &hist)[0].firing);
+    }
+
+    #[test]
+    fn audit_codec_skips_other_kinds_and_incomplete_alerts() {
+        let event = |kind: &str, fields: &[(&str, AuditValue)]| AuditEvent {
+            seq: 0,
+            tick: 7,
+            kind: kind.into(),
+            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+        };
+        let rule = ("rule", AuditValue::Str("spike".into()));
+        let value = ("value", AuditValue::U64(5));
+        let threshold = ("threshold", AuditValue::U64(4));
+        let full = [rule.clone(), value, threshold.clone()];
+        assert!(AlertTransition::from_audit(&event(ALERT_FIRE_KIND, &full)).is_some());
+        assert!(AlertTransition::from_audit(&event("lockout", &full)).is_none());
+        for kind in [ALERT_FIRE_KIND, ALERT_RESOLVE_KIND] {
+            for missing in 0..full.len() {
+                let mut fields = full.to_vec();
+                fields.remove(missing);
+                let decoded = AlertTransition::from_audit(&event(kind, &fields));
+                assert_eq!(decoded, None, "{kind} without field {missing}");
+            }
+            // A field of the wrong type is missing too.
+            let wrong = [rule.clone(), ("value", AuditValue::Str("5".into())), threshold.clone()];
+            assert_eq!(AlertTransition::from_audit(&event(kind, &wrong)), None);
+        }
     }
 }

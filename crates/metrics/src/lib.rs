@@ -58,8 +58,7 @@ pub mod timeseries;
 
 pub use alert::{
     AlertEngine, AlertError, AlertRule, AlertRuleSet, AlertState, AlertTransition, RuleKind,
-    RuleStatus, SeriesSelector, WindowStat, ALERT_FIRE_KIND, ALERT_RESOLVE_KIND,
-    RULES_SCHEMA_VERSION,
+    RuleStatus, SeriesSelector, WindowStat, RULES_SCHEMA_VERSION,
 };
 pub use audit::{AuditError, AuditEvent, AuditLog, AuditValue, AUDIT_SCHEMA_VERSION};
 pub use latency::{percentile, LatencySummary};

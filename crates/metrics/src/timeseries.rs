@@ -16,7 +16,7 @@
 //! stream that downstream goldens pin byte-for-byte.
 
 use crate::snapshot::labels_from_json;
-use crate::{MetricClass, MetricKind, Snapshot, SnapshotError, SeriesValue};
+use crate::{MetricKind, SnapshotError};
 use hwm_jsonio::{Json, StrictObj};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -24,38 +24,24 @@ use std::collections::VecDeque;
 /// Wire schema version for [`HistoryDump`].
 pub const HISTORY_SCHEMA_VERSION: u64 = 1;
 
-/// Sampling knobs: how often the server snapshots the registry into the
-/// ring and how many samples each series retains.
+/// Sampling parameters: how often the registry is sampled into the ring
+/// and how many samples each series retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryConfig {
-    /// Sample every `stride` logical ticks (tick % stride == 0). A
-    /// stride of 0 disables sampling.
+    /// Sample every `stride` logical ticks (tick % stride == 0).
     pub stride: u64,
     /// Samples retained per series; the ring drops the oldest beyond
-    /// this. A capacity of 0 disables sampling.
+    /// this.
     pub capacity: usize,
 }
 
 impl Default for HistoryConfig {
+    /// What every server samples with: every 4 ticks, 256 samples per
+    /// series.
     fn default() -> HistoryConfig {
         HistoryConfig {
             stride: 4,
             capacity: 256,
-        }
-    }
-}
-
-impl HistoryConfig {
-    /// True when sampling is active (both knobs nonzero).
-    pub fn enabled(&self) -> bool {
-        self.stride > 0 && self.capacity > 0
-    }
-
-    /// A disabled configuration (no samples are ever taken).
-    pub fn disabled() -> HistoryConfig {
-        HistoryConfig {
-            stride: 0,
-            capacity: 0,
         }
     }
 }
@@ -213,59 +199,33 @@ pub struct History {
 }
 
 impl History {
-    /// An empty history with the given sampling configuration.
+    /// An empty history with the given sampling configuration. The
+    /// capacity is clamped to at least one sample per series.
     pub fn new(config: HistoryConfig) -> History {
         History {
-            config,
+            config: HistoryConfig {
+                capacity: config.capacity.max(1),
+                ..config
+            },
             series: BTreeMap::new(),
         }
     }
 
-    /// The sampling configuration.
-    pub fn config(&self) -> HistoryConfig {
-        self.config
-    }
-
     /// True when `tick` is a sampling tick under the configured stride.
     pub fn should_sample(&self, tick: u64) -> bool {
-        self.config.enabled() && tick.is_multiple_of(self.config.stride)
+        tick.is_multiple_of(self.config.stride)
     }
 
-    /// Ingests one registry snapshot at `tick`: every det-class counter
-    /// and gauge series gains a sample (histograms and timing-class
-    /// families are skipped — see the module docs). Re-recording the
-    /// same tick overwrites that tick's samples rather than duplicating
-    /// them.
-    pub fn record(&mut self, tick: u64, snapshot: &Snapshot) {
-        if !self.config.enabled() {
-            return;
-        }
-        for f in &snapshot.families {
-            if f.class != MetricClass::Det || f.kind == MetricKind::Histogram {
-                continue;
-            }
-            for s in &f.series {
-                let SeriesValue::Int(value) = s.value else { continue };
-                let key = (f.name.clone(), s.labels.clone());
-                self.series
-                    .entry(key)
-                    .or_insert_with(|| SeriesHistory::new(f.kind))
-                    .push(Sample { tick, value }, self.config.capacity);
-            }
-        }
-    }
-
-    /// Samples straight off the live registry — the same samples
-    /// [`History::record`] would take from a full
-    /// [`crate::MetricsRegistry::snapshot`], without materializing the
-    /// snapshot (no histogram clones, no global sort). The BTreeMap
-    /// orders series by key, so the unspecified visit order never
-    /// shows: the resulting history is byte-identical to the
-    /// snapshot-fed path. This is the serving hot path's sampler.
+    /// Samples the live registry at `tick`: every det-class counter and
+    /// gauge series gains a sample (histograms and timing-class series
+    /// are skipped — see the module docs). Re-sampling the same tick
+    /// overwrites that tick's samples rather than duplicating them.
+    ///
+    /// The registry is walked in place, without materializing a
+    /// [`crate::MetricsRegistry::snapshot`] (no histogram clones, no
+    /// global sort). The BTreeMap orders series by key, so the
+    /// unspecified visit order never shows.
     pub fn sample_registry(&mut self, tick: u64, registry: &crate::MetricsRegistry) {
-        if !self.config.enabled() {
-            return;
-        }
         let capacity = self.config.capacity;
         // One reusable key: lookups for already-known series allocate
         // nothing once the buffers have grown.
@@ -372,7 +332,7 @@ impl History {
     pub fn from_dump(dump: &HistoryDump) -> History {
         let mut h = History::new(HistoryConfig {
             stride: dump.stride,
-            capacity: (dump.capacity as usize).max(1),
+            capacity: dump.capacity as usize,
         });
         for s in &dump.series {
             let entry = h
@@ -540,7 +500,7 @@ fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
+    use crate::{MetricClass, MetricsRegistry};
 
     fn history_of(ticks: &[(u64, u64)]) -> SeriesHistory {
         let mut h = SeriesHistory::new(MetricKind::Counter);
@@ -561,12 +521,39 @@ mod tests {
         assert!(hist.should_sample(0));
         assert!(!hist.should_sample(3));
         assert!(hist.should_sample(8));
-        hist.record(8, &m.snapshot());
-        assert!(hist.get("c", &[("op", "x")]).is_some());
-        assert!(hist.get("g", &[]).is_some());
+        hist.sample_registry(8, &m);
+        let c = hist.get("c", &[("op", "x")]).expect("det counter sampled");
+        assert_eq!(c.kind, MetricKind::Counter);
+        assert_eq!(c.latest_at(8), Some(Sample { tick: 8, value: 5 }));
+        let g = hist.get("g", &[]).expect("det gauge sampled");
+        assert_eq!(g.kind, MetricKind::Gauge);
+        assert_eq!(g.latest_at(8), Some(Sample { tick: 8, value: 9 }));
         assert!(hist.get("wall", &[]).is_none(), "timing-class series are never sampled");
         assert!(hist.get("h", &[]).is_none(), "histograms are never sampled");
+        assert_eq!(hist.series().count(), 2);
         assert_eq!(hist.latest_tick(), Some(8));
+        // Re-sampling a tick overwrites it; the ring keeps `capacity`.
+        m.inc("c", &[("op", "x")], 1);
+        hist.sample_registry(8, &m);
+        assert_eq!(hist.get("c", &[("op", "x")]).unwrap().len(), 1);
+        assert_eq!(hist.get("c", &[("op", "x")]).unwrap().latest_at(8).unwrap().value, 6);
+        for tick in (12..=48).step_by(4) {
+            hist.sample_registry(tick, &m);
+        }
+        assert_eq!(hist.get("g", &[]).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn zero_capacity_clamps_to_one_sample() {
+        let mut hist = History::new(HistoryConfig { stride: 1, capacity: 0 });
+        let m = MetricsRegistry::default();
+        for tick in 1..=3 {
+            m.inc("c", &[], 1);
+            hist.sample_registry(tick, &m);
+        }
+        let kept: Vec<Sample> = hist.get("c", &[]).unwrap().samples().collect();
+        assert_eq!(kept, vec![Sample { tick: 3, value: 3 }]);
+        assert_eq!(hist.dump(None).capacity, 1);
     }
 
     #[test]
@@ -616,10 +603,10 @@ mod tests {
         let m = MetricsRegistry::default();
         m.inc("c", &[("op", "a")], 1);
         m.inc("c", &[("op", "b")], 10);
-        hist.record(0, &m.snapshot());
+        hist.sample_registry(0, &m);
         m.inc("c", &[("op", "a")], 2);
         m.inc("c", &[("op", "b")], 20);
-        hist.record(8, &m.snapshot());
+        hist.sample_registry(8, &m);
         let s = hist.family_stats("c", 8, 8).expect("family present");
         assert_eq!(s.delta, 22);
         assert!(s.covered);
@@ -645,7 +632,7 @@ mod tests {
         for tick in [2u64, 4, 6, 8] {
             m.inc("c", &[], 5);
             m.set_gauge("g", &[("zone", "a")], MetricClass::Det, tick);
-            hist.record(tick, &m.snapshot());
+            hist.sample_registry(tick, &m);
         }
         let dump = hist.dump(None);
         let j = dump.to_json();
@@ -669,7 +656,7 @@ mod tests {
         let mut hist = History::new(HistoryConfig::default());
         let m = MetricsRegistry::default();
         m.inc("c", &[], 1);
-        hist.record(4, &m.snapshot());
+        hist.sample_registry(4, &m);
         let good = hist.dump(None).to_json();
         let mut j = good.clone();
         if let Json::Obj(fields) = &mut j {
@@ -696,15 +683,5 @@ mod tests {
             .unwrap_err()
             .message
             .contains("increasing tick order"));
-    }
-
-    #[test]
-    fn disabled_history_records_nothing() {
-        let mut hist = History::new(HistoryConfig::disabled());
-        let m = MetricsRegistry::default();
-        m.inc("c", &[], 1);
-        assert!(!hist.should_sample(0));
-        hist.record(0, &m.snapshot());
-        assert_eq!(hist.series().count(), 0);
     }
 }

@@ -29,7 +29,7 @@ fn sampled(deltas: &[u64], stride: u64, capacity: usize) -> (History, Vec<(u64, 
         registry.inc("c", &[], *delta);
         total += delta;
         assert!(history.should_sample(tick));
-        history.record(tick, &registry.snapshot());
+        history.sample_registry(tick, &registry);
         reference.push((tick, total));
     }
     (history, reference)
@@ -117,7 +117,7 @@ proptest! {
         for (i, delta) in deltas.iter().enumerate() {
             let tick = (i as u64 + 1) * stride;
             registry.inc("c", &[], *delta);
-            history.record(tick, &registry.snapshot());
+            history.sample_registry(tick, &registry);
             let got = engine.evaluate(tick, &history);
 
             // Reference model: recompute the windowed value from the
@@ -165,7 +165,7 @@ proptest! {
         for i in 0..ticks {
             let tick = i as u64 + 1;
             registry.set_gauge("g", &[], MetricClass::Det, value);
-            history.record(tick, &registry.snapshot());
+            history.sample_registry(tick, &registry);
         }
         let series = history.get("g", &[]).expect("gauge was sampled");
         let ewma = series
@@ -190,7 +190,7 @@ proptest! {
             let tick = i + 1;
             registry.inc("bad", &[], bad_per);
             registry.inc("total", &[], bad_per + good_per);
-            history.record(tick, &registry.snapshot());
+            history.sample_registry(tick, &registry);
         }
         let rules = AlertRuleSet::new(vec![AlertRule {
             name: "b".into(),

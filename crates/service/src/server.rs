@@ -46,9 +46,8 @@ use crate::throttle::{Decision, RateLimiter, ThrottleConfig};
 use crate::wire::{parse_readout_bits, ErrorCode, Request, Response, StatusReport, WireError};
 use hwm_metering::{Designer, MeteringError, ScanReadout};
 use hwm_metrics::{
-    AlertEngine, AlertRuleSet, AuditEvent, AuditLog, AuditValue, History, HistoryConfig,
-    MetricClass, MetricsRegistry, Snapshot, ALERT_FIRE_KIND, ALERT_RESOLVE_KIND,
-    LATENCY_BUCKETS_NS,
+    AlertEngine, AlertRuleSet, AlertTransition, AuditEvent, AuditLog, AuditValue, History,
+    HistoryConfig, MetricClass, MetricsRegistry, Snapshot, LATENCY_BUCKETS_NS,
 };
 use hwm_trace::{spans_to_jsonl, SpanRecord, TraceContext, TraceRing, TraceScope};
 use std::sync::{Arc, Mutex};
@@ -93,22 +92,23 @@ pub enum ServerRole {
     Follower,
 }
 
-/// Server tuning.
+/// Server tuning. The sampled history is not tuned here: every server
+/// samples det-class series with [`HistoryConfig::default`] (every 4
+/// logical ticks, 256 samples per series), which is what the `history`
+/// admin request serves and the alert rules read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Admission-control tuning.
     pub throttle: ThrottleConfig,
-    /// Journal durability per append (see [`FlushPolicy`]). Applies to
-    /// file-backed registries; in-memory journals ignore it.
+    /// Journal durability per append (see [`FlushPolicy`]). Replaces
+    /// the policy the registry was opened with:
+    /// [`ActivationServer::resume`] applies it through
+    /// [`Registry::set_flush_policy`]. Applies to file-backed
+    /// registries; in-memory journals ignore it.
     pub flush: FlushPolicy,
     /// Accept-loop poll sleep in milliseconds for TCP front ends serving
     /// this server (see [`crate::transport::TcpServer::spawn_with_poll`]).
     pub accept_poll_ms: u64,
-    /// Time-series sampling: det-class series are snapshotted into the
-    /// ring-buffer history every `history.stride` logical ticks. The
-    /// default samples every 4 ticks, 256 samples per series; use
-    /// [`HistoryConfig::disabled`] to switch sampling off entirely.
-    pub history: HistoryConfig,
     /// Replication role (default: [`ServerRole::Leader`]). Followers run
     /// with live metrics detached until promotion so replicated appends
     /// are not double-counted against the leader's.
@@ -128,7 +128,6 @@ impl Default for ServerConfig {
             throttle: ThrottleConfig::default(),
             flush: FlushPolicy::default(),
             accept_poll_ms: crate::transport::DEFAULT_ACCEPT_POLL_MS,
-            history: HistoryConfig::default(),
             role: ServerRole::default(),
             trace_seed: None,
         }
@@ -217,7 +216,7 @@ impl ActivationServer {
                 clock,
                 audit,
                 metrics: Arc::clone(&metrics),
-                history: History::new(config.history),
+                history: History::new(HistoryConfig::default()),
                 engine: AlertEngine::new(AlertRuleSet::default()),
                 role: config.role,
                 node: "server".to_string(),
@@ -271,23 +270,19 @@ impl ActivationServer {
     pub fn set_alert_rules(&self, rules: AlertRuleSet) {
         let mut inner = self.lock();
         let mut engine = AlertEngine::new(rules);
-        for e in inner.audit.events() {
-            if e.kind == ALERT_FIRE_KIND || e.kind == ALERT_RESOLVE_KIND {
-                if let Some(rule) = e.str_field("rule") {
-                    engine.fold_audit(&e.kind, rule, e.tick);
-                }
-            }
-        }
+        let recorded = inner.audit.events().iter().filter_map(AlertTransition::from_audit);
+        engine.fold_audit(recorded);
         inner.engine = engine;
     }
 
-    /// The alert transitions recorded so far (audit kinds `alert_fire` /
-    /// `alert_resolve`) as JSONL bytes — what `--alerts-out` writes.
+    /// The alert transitions recorded so far (the audit events
+    /// [`AlertTransition::from_audit`] decodes) as JSONL bytes — what
+    /// `--alerts-out` writes.
     pub fn alerts_jsonl(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
         for e in inner.audit.events() {
-            if e.kind == ALERT_FIRE_KIND || e.kind == ALERT_RESOLVE_KIND {
+            if AlertTransition::from_audit(e).is_some() {
                 e.to_json().write_compact(&mut out);
                 out.push('\n');
             }
@@ -660,41 +655,25 @@ impl Inner {
     }
 
     /// On sampling ticks (`now % stride == 0`): refresh the state
-    /// gauges, snapshot the registry into the ring-buffer history, and
-    /// evaluate the alert rules. Transitions bump
-    /// `service_alerts_total{rule,state}` and append `alert_fire` /
-    /// `alert_resolve` audit events — both det-class, both pure
-    /// functions of the accepted request sequence.
+    /// gauges, sample the registry into the ring-buffer history, and
+    /// evaluate the alert rules (none installed, no transitions).
+    /// Transitions bump `service_alerts_total{rule,state}` and append
+    /// `alert_fire` / `alert_resolve` audit events — both det-class,
+    /// both pure functions of the accepted request sequence.
     fn sample_and_alert(&mut self, now: u64) {
         if !self.history.should_sample(now) {
             return;
         }
         let _span = hwm_trace::span("service.sample");
         self.refresh_gauges();
-        if self.engine.rules().rules.is_empty() {
-            // No rules to evaluate: walk det counters/gauges straight into
-            // the history ring without materializing a snapshot. Series are
-            // keyed, so ingest order differences cannot change the bytes.
-            self.history.sample_registry(now, &self.metrics);
-            return;
-        }
-        let snap = self.metrics.snapshot();
-        self.history.record(now, &snap);
+        self.history.sample_registry(now, &self.metrics);
         for t in self.engine.evaluate(now, &self.history) {
             self.metrics.inc(
                 "service_alerts_total",
                 &[("rule", t.rule.as_str()), ("state", t.state.as_str())],
                 1,
             );
-            self.audit_event(
-                now,
-                t.state.audit_kind(),
-                &[
-                    ("rule", AuditValue::Str(t.rule.clone())),
-                    ("value", AuditValue::U64(t.value)),
-                    ("threshold", AuditValue::U64(t.threshold)),
-                ],
-            );
+            self.audit_event(now, t.state.audit_kind(), &t.audit_fields());
         }
     }
 

@@ -1,6 +1,6 @@
 //! The journal writer: where journal bytes go and when they reach disk.
 //!
-//! [`Journal`] is the registry's one append path. It writes to memory or
+//! `Journal` is the registry's one append path. It writes to memory or
 //! to a buffered append-mode file, applies the [`FlushPolicy`] after each
 //! line, and owns the one commit rule: a barrier (flush + `fdatasync`) is
 //! issued when events were appended since the last one, and never

@@ -1141,9 +1141,9 @@ mod tests {
                     let m = hwm_metrics::MetricsRegistry::default();
                     let mut h = hwm_metrics::History::new(hwm_metrics::HistoryConfig::default());
                     m.inc("service_requests_total", &[("op", "unlock"), ("outcome", "key")], 3);
-                    h.record(4, &m.snapshot());
+                    h.sample_registry(4, &m);
                     m.inc("service_requests_total", &[("op", "unlock"), ("outcome", "key")], 2);
-                    h.record(8, &m.snapshot());
+                    h.sample_registry(8, &m);
                     h.dump(None)
                 },
             },

@@ -478,7 +478,7 @@ fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
     metrics.observe_exemplar("units", &[], MetricClass::Det, &[2, 8], 1, 0xabcd);
     let snapshot = metrics.snapshot();
     let mut history = History::new(HistoryConfig::default());
-    history.record(4, &snapshot);
+    history.sample_registry(4, &metrics);
     let dump = history.dump(None);
     let mut audit = AuditLog::new();
     audit.record(

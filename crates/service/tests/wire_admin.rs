@@ -68,9 +68,9 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
         })
 }
 
-/// An arbitrary sampled history: a sequence of snapshots of a driven
-/// registry, recorded at increasing ticks through the real `History`
-/// ring (so capacity eviction and tick dedup behave as in the server).
+/// An arbitrary sampled history: a driven registry sampled at
+/// increasing ticks through the real `History` ring (so capacity
+/// eviction and tick dedup behave as in the server).
 fn arb_history_dump() -> impl Strategy<Value = HistoryDump> {
     (
         1u64..8,
@@ -85,7 +85,7 @@ fn arb_history_dump() -> impl Strategy<Value = HistoryDump> {
                 tick += gap * stride;
                 registry.inc("c_requests", &[("label", &label)], delta);
                 registry.set_gauge("g_fleet", &[], MetricClass::Det, delta);
-                history.record(tick, &registry.snapshot());
+                history.sample_registry(tick, &registry);
             }
             history.dump(None)
         })

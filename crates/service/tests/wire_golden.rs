@@ -114,7 +114,7 @@ fn requests() -> Vec<(&'static str, Request)> {
     ]
 }
 
-fn metrics_snapshot() -> hwm_metrics::Snapshot {
+fn metrics_registry() -> MetricsRegistry {
     static BOUNDS: [u64; 4] = [1, 10, 100, 1000];
     let m = MetricsRegistry::default();
     m.inc("requests_total", &[("op", "unlock"), ("outcome", "key")], 3);
@@ -139,14 +139,15 @@ fn metrics_snapshot() -> hwm_metrics::Snapshot {
         5000,
         0xfeed,
     );
-    m.snapshot()
+    m
 }
 
 fn responses() -> Vec<(&'static str, Response)> {
-    let snapshot = metrics_snapshot();
+    let registry = metrics_registry();
+    let snapshot = registry.snapshot();
     let mut history = History::new(HistoryConfig::default());
-    history.record(4, &snapshot);
-    history.record(8, &snapshot);
+    history.sample_registry(4, &registry);
+    history.sample_registry(8, &registry);
     let mut audit = AuditLog::new();
     audit.record(
         3,
