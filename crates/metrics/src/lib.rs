@@ -7,13 +7,15 @@
 //! the server is up, without killing it to read the journal. This crate
 //! provides that substrate:
 //!
-//! * [`MetricsRegistry`] — one map of monotonic counters, gauges and
-//!   fixed-bucket histograms under one mutex, keyed by
-//!   `(name, label set)`. Every writer in the serving stack already holds
-//!   its node's own lock, so the registry's lock is never contended; a
-//!   [`Snapshot`] sorts the series into one deterministic view, the same
-//!   "merge in a fixed order" move `hwm-trace` uses to make span trees
-//!   `--jobs`-invariant.
+//! * [`MetricsRegistry`] — monotonic counters, gauges and fixed-bucket
+//!   histograms under one mutex, in a map from family name to that
+//!   family's few label sets. A write finds its series by the `'static`
+//!   name and an equality scan of the borrowed labels, so only a series'
+//!   first write allocates. Every writer in the serving stack already
+//!   holds its node's own lock, so the registry's lock is never
+//!   contended; a [`Snapshot`] sorts the series by `(name, label set)`
+//!   into one deterministic view, the same "merge in a fixed order" move
+//!   `hwm-trace` uses to make span trees `--jobs`-invariant.
 //! * [`Snapshot`] — the deterministic read side: families sorted by name,
 //!   series sorted by label set, rendered as Prometheus-style text
 //!   ([`Snapshot::to_prometheus`]) or strict JSON for the wire.
@@ -163,12 +165,6 @@ pub const LATENCY_BUCKETS_NS: &[u64] = &[
 /// A borrowed label set as call sites write it: `&[("op", "unlock")]`.
 pub type LabelRefs<'a> = &'a [(&'static str, &'a str)];
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct SeriesKey {
-    name: &'static str,
-    labels: Vec<(&'static str, String)>,
-}
-
 #[derive(Debug, Clone)]
 struct HistData {
     bounds: &'static [u64],
@@ -190,23 +186,31 @@ enum SeriesData {
 
 #[derive(Debug, Clone)]
 struct StoredSeries {
+    /// The label set in call-site order; owned copies are made once, when
+    /// the series is first written.
+    labels: Vec<(&'static str, String)>,
     class: MetricClass,
     data: SeriesData,
 }
 
-/// The metric store: every series in one map under one mutex.
-/// [`MetricsRegistry::snapshot`] sorts it into one deterministic
-/// [`Snapshot`].
+/// The series of one family, in first-write order.
+type Families = HashMap<&'static str, Vec<StoredSeries>>;
+
+/// The metric store: every series under one mutex, grouped by family
+/// name. A write hashes the `'static` name and compares the borrowed
+/// labels against the family's few label sets, so writing an existing
+/// series allocates nothing. [`MetricsRegistry::snapshot`] sorts the
+/// series into one deterministic [`Snapshot`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    series: Mutex<HashMap<SeriesKey, StoredSeries>>,
+    families: Mutex<Families>,
     enabled: AtomicBool,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry {
-            series: Mutex::new(HashMap::new()),
+            families: Mutex::new(HashMap::new()),
             enabled: AtomicBool::new(true),
         }
     }
@@ -226,19 +230,37 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<SeriesKey, StoredSeries>> {
+    fn lock(&self) -> MutexGuard<'_, Families> {
         // Poisoned only if another thread panicked while holding the
         // lock. The only panics under it are a kind conflict and a
         // changed histogram bound: call-site programming errors, since
         // every metric name and bound slice is a `'static` in the code.
-        self.series.lock().expect("metrics registry poisoned")
+        self.families.lock().expect("metrics registry poisoned")
     }
 
-    fn key(name: &'static str, labels: LabelRefs<'_>) -> SeriesKey {
-        SeriesKey {
-            name,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-        }
+    /// The data of the series `name{labels}`, inserted with `fresh()` as
+    /// its class and initial data if it does not exist yet. Only that
+    /// first insert allocates.
+    fn series<'a>(
+        families: &'a mut Families,
+        name: &'static str,
+        labels: LabelRefs<'_>,
+        fresh: impl FnOnce() -> (MetricClass, SeriesData),
+    ) -> &'a mut SeriesData {
+        let family = families.entry(name).or_default();
+        let found = family.iter().position(|s| {
+            s.labels.iter().map(|(k, v)| (*k, v.as_str())).eq(labels.iter().copied())
+        });
+        let index = found.unwrap_or_else(|| {
+            let (class, data) = fresh();
+            family.push(StoredSeries {
+                labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+                class,
+                data,
+            });
+            family.len() - 1
+        });
+        &mut family[index].data
     }
 
     /// Adds `delta` to the counter `name{labels}`. Counters are always
@@ -248,17 +270,10 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        match &mut self
-            .lock()
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class: MetricClass::Det,
-                data: SeriesData::Counter(0),
-            })
-            .data
-        {
+        let fresh = || (MetricClass::Det, SeriesData::Counter(0));
+        match Self::series(&mut self.lock(), name, labels, fresh) {
             SeriesData::Counter(v) => *v += delta,
-            other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
+            other => kind_conflict(name, other),
         }
     }
 
@@ -267,16 +282,9 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        let mut series = self.lock();
-        let stored = series
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class,
-                data: SeriesData::Gauge(0),
-            });
-        match &mut stored.data {
+        match Self::series(&mut self.lock(), name, labels, || (class, SeriesData::Gauge(0))) {
             SeriesData::Gauge(v) => *v = value,
-            other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
+            other => kind_conflict(name, other),
         }
     }
 
@@ -323,20 +331,17 @@ impl MetricsRegistry {
         if !self.enabled() {
             return;
         }
-        let mut series = self.lock();
-        let stored = series
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class,
-                data: SeriesData::Histogram(HistData {
-                    bounds,
-                    counts: vec![0; bounds.len() + 1],
-                    count: 0,
-                    sum: 0,
-                    exemplars: vec![None; bounds.len() + 1],
-                }),
+        let fresh = || {
+            let data = SeriesData::Histogram(HistData {
+                bounds,
+                counts: vec![0; bounds.len() + 1],
+                count: 0,
+                sum: 0,
+                exemplars: vec![None; bounds.len() + 1],
             });
-        match &mut stored.data {
+            (class, data)
+        };
+        match Self::series(&mut self.lock(), name, labels, fresh) {
             SeriesData::Histogram(h) => {
                 debug_assert_eq!(h.bounds, bounds, "histogram {name:?} bounds changed");
                 let bucket = h.bounds.partition_point(|&b| b < value);
@@ -347,7 +352,7 @@ impl MetricsRegistry {
                     h.exemplars[bucket] = exemplar;
                 }
             }
-            other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
+            other => kind_conflict(name, other),
         }
     }
 
@@ -361,30 +366,29 @@ impl MetricsRegistry {
         &self,
         mut f: impl FnMut(&'static str, &[(&'static str, String)], MetricKind, u64),
     ) {
-        for (k, v) in self.lock().iter() {
-            if v.class != MetricClass::Det {
-                continue;
-            }
-            match v.data {
-                SeriesData::Counter(val) => f(k.name, &k.labels, MetricKind::Counter, val),
-                SeriesData::Gauge(val) => f(k.name, &k.labels, MetricKind::Gauge, val),
-                SeriesData::Histogram(_) => {}
+        for (&name, family) in self.lock().iter() {
+            for s in family.iter().filter(|s| s.class == MetricClass::Det) {
+                match s.data {
+                    SeriesData::Counter(val) => f(name, &s.labels, MetricKind::Counter, val),
+                    SeriesData::Gauge(val) => f(name, &s.labels, MetricKind::Gauge, val),
+                    SeriesData::Histogram(_) => {}
+                }
             }
         }
     }
 
     /// Every series, sorted into one deterministic [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
-        let mut merged: Vec<(SeriesKey, StoredSeries)> = self
+        let mut merged: Vec<(&'static str, StoredSeries)> = self
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .flat_map(|(&name, family)| family.iter().map(move |s| (name, s.clone())))
             .collect();
-        merged.sort_by(|a, b| a.0.cmp(&b.0));
-        snapshot::build(merged.into_iter().map(|(k, v)| {
+        merged.sort_by(|a, b| (a.0, &a.1.labels).cmp(&(b.0, &b.1.labels)));
+        snapshot::build(merged.into_iter().map(|(name, v)| {
             (
-                k.name.to_string(),
-                k.labels.iter().map(|(n, v)| (n.to_string(), v.clone())).collect(),
+                name.to_string(),
+                v.labels.iter().map(|(n, v)| (n.to_string(), v.clone())).collect(),
                 v.class,
                 match v.data {
                     SeriesData::Counter(v) => (MetricKind::Counter, SeriesValue::Int(v)),
@@ -405,12 +409,15 @@ impl MetricsRegistry {
     }
 }
 
-fn data_kind(data: &SeriesData) -> MetricKind {
-    match data {
+/// Writing a series as a kind other than the one it was first written
+/// as is a call-site programming error.
+fn kind_conflict(name: &str, data: &SeriesData) -> ! {
+    let kind = match data {
         SeriesData::Counter(_) => MetricKind::Counter,
         SeriesData::Gauge(_) => MetricKind::Gauge,
         SeriesData::Histogram(_) => MetricKind::Histogram,
-    }
+    };
+    panic!("metric {name:?} already registered as {}", kind.as_str())
 }
 
 #[cfg(test)]

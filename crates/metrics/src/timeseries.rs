@@ -149,19 +149,18 @@ impl SeriesHistory {
             .find(|s| s.tick <= start)
             .copied()
             .unwrap_or_else(|| *self.samples.front().expect("non-empty: latest_at succeeded"));
-        let in_window: Vec<Sample> = self
-            .samples
-            .iter()
-            .filter(|s| s.tick > start && s.tick <= now)
-            .copied()
-            .collect();
+        let (mut max, mut samples) = (None, 0);
+        for s in self.samples.iter().filter(|s| s.tick > start && s.tick <= now) {
+            max = max.max(Some(s.value));
+            samples += 1;
+        }
         Some(WindowStats {
             delta: last.value.saturating_sub(baseline.value),
             spanned: last.tick.saturating_sub(baseline.tick),
             covered: baseline.tick <= start,
-            max: in_window.iter().map(|s| s.value).max().unwrap_or(baseline.value),
+            max: max.unwrap_or(baseline.value),
             last: last.value,
-            samples: in_window.len(),
+            samples,
         })
     }
 
@@ -262,11 +261,23 @@ impl History {
 
     /// One series by exact name + sorted-label match.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesHistory> {
-        self.series.iter().find(|((n, ls), _)| {
-            n == name
-                && ls.len() == labels.len()
-                && ls.iter().zip(labels).all(|((k, v), (lk, lv))| k == lk && v == lv)
-        }).map(|(_, h)| h)
+        self.family(name)
+            .find(|(ls, _)| {
+                ls.iter().map(|(k, v)| (k.as_str(), v.as_str())).eq(labels.iter().copied())
+            })
+            .map(|(_, h)| h)
+    }
+
+    /// The series of family `name`, in label order: a range lookup
+    /// starting at `(name, [])`, the smallest key with that name.
+    fn family<'a, 'n>(
+        &'a self,
+        name: &'n str,
+    ) -> impl Iterator<Item = (&'a [(String, String)], &'a SeriesHistory)> + use<'a, 'n> {
+        self.series
+            .range((name.to_string(), Vec::new())..)
+            .take_while(move |((n, _), _)| n == name)
+            .map(|((_, ls), h)| (ls.as_slice(), h))
     }
 
     /// The newest tick sampled anywhere in the history.
@@ -281,7 +292,7 @@ impl History {
     /// the window; `spanned` is the widest member span.
     pub fn family_stats(&self, name: &str, now: u64, window: u64) -> Option<WindowStats> {
         let mut merged: Option<WindowStats> = None;
-        for (_, h) in self.series.iter().filter(|((n, _), _)| n == name) {
+        for (_, h) in self.family(name) {
             let Some(s) = h.stats(now, window) else { continue };
             merged = Some(match merged {
                 None => s,
@@ -541,6 +552,42 @@ mod tests {
             hist.sample_registry(tick, &m);
         }
         assert_eq!(hist.get("g", &[]).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn get_picks_the_exact_series_among_shared_prefixes_and_label_values() {
+        let m = MetricsRegistry::default();
+        m.inc("req", &[], 1);
+        m.inc("req", &[("op", "a")], 2);
+        m.inc("req", &[("op", "b")], 3);
+        m.inc("req", &[("op", "a"), ("outcome", "ok")], 4);
+        m.inc("re", &[("op", "a")], 5);
+        m.inc("req_total", &[("op", "a")], 6);
+        m.inc("reqs", &[], 7);
+        let mut hist = History::new(HistoryConfig { stride: 1, capacity: 4 });
+        hist.sample_registry(1, &m);
+        let value = |name: &str, labels: &[(&str, &str)]| {
+            hist.get(name, labels).map(|h| h.latest_at(1).expect("sampled").value)
+        };
+        assert_eq!(value("req", &[]), Some(1));
+        assert_eq!(value("req", &[("op", "a")]), Some(2));
+        assert_eq!(value("req", &[("op", "b")]), Some(3));
+        assert_eq!(value("req", &[("op", "a"), ("outcome", "ok")]), Some(4));
+        assert_eq!(value("re", &[("op", "a")]), Some(5));
+        assert_eq!(value("req_total", &[("op", "a")]), Some(6));
+        assert_eq!(value("reqs", &[]), Some(7));
+        for (name, labels) in [
+            ("req", &[("op", "c")][..]),
+            ("req", &[("outcome", "ok")]),
+            ("req", &[("op", "a"), ("outcome", "err")]),
+            ("r", &[]),
+            ("re", &[]),
+            ("req_", &[("op", "a")]),
+        ] {
+            assert_eq!(value(name, labels), None, "{name}{labels:?}");
+        }
+        let family = hist.family_stats("req", 1, 1).expect("family present");
+        assert_eq!(family.last, 1 + 2 + 3 + 4, "only the four `req` series");
     }
 
     #[test]

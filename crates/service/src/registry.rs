@@ -238,7 +238,8 @@ pub struct RecoverOptions {
     pub injector: Option<crate::fault::FaultInjector>,
 }
 
-/// Registry counts for status reporting.
+/// Registry counts for status reporting. The registry keeps one copy up
+/// to date at each state change, so reading it costs nothing per record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryCounts {
     /// ICs ever registered.
@@ -259,7 +260,8 @@ pub struct Registry {
     by_readout: HashMap<String, usize>,
     journal: Journal,
     seq: u64,
-    duplicates: u64,
+    /// Counts by state, moved by each successful mutation.
+    counts: RegistryCounts,
     /// Duplicate-readout evidence in journal order (snapshot-preserved).
     clones: Vec<CloneEvidence>,
     /// Rolling FNV-1a digest of every journal byte ever appended.
@@ -290,6 +292,26 @@ pub struct Registry {
     line_buf: String,
 }
 
+impl RegistryCounts {
+    /// Counts `records` by state, with `duplicates` rejected attempts: the
+    /// one full scan, paid when a snapshot is restored.
+    fn tally(records: &[IcRecord], duplicates: u64) -> RegistryCounts {
+        let mut c = RegistryCounts {
+            registered: records.len() as u64,
+            duplicates,
+            ..RegistryCounts::default()
+        };
+        for r in records {
+            match r.state {
+                IcState::Registered => {}
+                IcState::Unlocked => c.unlocked += 1,
+                IcState::Disabled => c.disabled += 1,
+            }
+        }
+        c
+    }
+}
+
 impl Registry {
     /// An ephemeral registry journaling to memory.
     pub fn in_memory() -> Registry {
@@ -299,7 +321,7 @@ impl Registry {
             by_readout: HashMap::new(),
             journal: Journal::memory(),
             seq: 0,
-            duplicates: 0,
+            counts: RegistryCounts::default(),
             clones: Vec::new(),
             digest: DIGEST_BASIS,
             path: None,
@@ -500,7 +522,7 @@ impl Registry {
                 return Err(invalid(format!("snapshot repeats readout of IC {:?}", r.ic)));
             }
         }
-        self.duplicates = snap.clones.len() as u64;
+        self.counts = RegistryCounts::tally(&snap.records, snap.clones.len() as u64);
         self.records = snap.records;
         self.clones = snap.clones;
         self.seq = snap.seq;
@@ -703,7 +725,7 @@ impl Registry {
                 ("prior", Json::Str(prior.clone())),
             ]))?;
             self.seq = seq;
-            self.duplicates += 1;
+            self.counts.duplicates += 1;
             self.clones.push(CloneEvidence {
                 seq,
                 ic: ic.to_string(),
@@ -734,6 +756,7 @@ impl Registry {
         });
         self.by_ic.insert(ic.to_string(), index);
         self.by_readout.insert(readout.to_string(), index);
+        self.counts.registered += 1;
         self.maybe_compact();
         Ok(())
     }
@@ -766,6 +789,7 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Unlocked;
+        self.counts.unlocked += 1;
         self.maybe_compact();
         Ok(())
     }
@@ -778,7 +802,8 @@ impl Registry {
     /// already disabled.
     pub fn mark_disabled(&mut self, ic: &str, client: &str) -> Result<(), RegistryError> {
         let &index = self.by_ic.get(ic).ok_or(RegistryError::UnknownIc)?;
-        if self.records[index].state == IcState::Disabled {
+        let was = self.records[index].state;
+        if was == IcState::Disabled {
             return Err(RegistryError::WrongState(IcState::Disabled));
         }
         let seq = self.seq + 1;
@@ -790,6 +815,10 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Disabled;
+        if was == IcState::Unlocked {
+            self.counts.unlocked -= 1;
+        }
+        self.counts.disabled += 1;
         self.maybe_compact();
         Ok(())
     }
@@ -878,21 +907,9 @@ impl Registry {
         self.by_readout.get(readout).map(|&i| &self.records[i])
     }
 
-    /// Current counts.
+    /// Current counts (kept up to date by each mutation, not recounted).
     pub fn counts(&self) -> RegistryCounts {
-        let mut c = RegistryCounts {
-            registered: self.records.len() as u64,
-            duplicates: self.duplicates,
-            ..RegistryCounts::default()
-        };
-        for r in &self.records {
-            match r.state {
-                IcState::Registered => {}
-                IcState::Unlocked => c.unlocked += 1,
-                IcState::Disabled => c.disabled += 1,
-            }
-        }
-        c
+        self.counts
     }
 
     /// Journal events appended so far.

@@ -1,60 +1,20 @@
-//! Counts heap allocations on the rendering path. A key reply is 640
-//! integers; once a connection's `FrameScratch` has grown to its largest
-//! frame, encoding another must not touch the heap, and neither may
-//! `Json::write_compact` into a buffer with room. Decoding builds a
-//! `Json` tree and does allocate; it is not counted here.
-//!
-//! The counting allocator is global to this test binary, so the count is
-//! kept per thread: the harness's own threads cannot disturb it.
+//! Counts heap allocations on the rendering and instrumentation paths.
+//! A key reply is 640 integers; once a connection's `FrameScratch` has
+//! grown to its largest frame, encoding another must not touch the heap,
+//! and neither may `Json::write_compact` into a buffer with room.
+//! Decoding builds a `Json` tree and does allocate; it is not counted
+//! here. A metric write to a series that already exists allocates
+//! nothing either: every request makes several.
 
 use hwm_jsonio::Json;
+use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
 use hwm_service::wire::{encode_frame, FrameScratch};
 use hwm_service::{ErrorCode, Response};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialized thread-local, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Heap allocations `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+use counting_alloc::allocations;
 
 #[test]
 fn rendering_allocates_nothing_in_steady_state() {
@@ -102,4 +62,47 @@ fn rendering_allocates_nothing_in_steady_state() {
         assert_eq!(n, 0, "write_compact of a {what} allocated {n} times");
         assert_eq!(out, payload.to_string());
     }
+}
+
+#[test]
+fn warm_metric_writes_allocate_nothing() {
+    const UNITS: &[u64] = &[1, 2, 4, 8];
+    let m = MetricsRegistry::default();
+    // A label value that is not `'static`, as a client name would be.
+    let op = String::from("unlock");
+    let labels = [("op", op.as_str()), ("outcome", "key")];
+    let other = [("op", "register"), ("outcome", "ok")];
+    // First writes insert the series and may allocate; a second label
+    // set per family makes the warm lookup pass over a non-match.
+    for labels in [&other, &labels] {
+        m.inc("requests_total", labels, 1);
+        m.observe("handler_ns", labels, MetricClass::Timing, LATENCY_BUCKETS_NS, 1_500);
+        m.observe_exemplar("units", labels, MetricClass::Det, UNITS, 3, 0xabc);
+        m.set_gauge("depth", labels, MetricClass::Det, 1);
+    }
+    for (what, n) in [
+        ("inc", allocations(|| m.inc("requests_total", &labels, 2))),
+        (
+            "observe",
+            allocations(|| {
+                m.observe("handler_ns", &labels, MetricClass::Timing, LATENCY_BUCKETS_NS, 9_000)
+            }),
+        ),
+        (
+            "observe_exemplar",
+            allocations(|| m.observe_exemplar("units", &labels, MetricClass::Det, UNITS, 5, 0xdef)),
+        ),
+        ("set_gauge", allocations(|| m.set_gauge("depth", &labels, MetricClass::Det, 7))),
+    ] {
+        assert_eq!(n, 0, "a warm {what} allocated {n} times");
+    }
+    // The warm writes landed on the existing series, not on new ones.
+    let s = m.snapshot();
+    assert_eq!(s.counter("requests_total", &labels), Some(3));
+    assert_eq!(s.counter("requests_total", &other), Some(1));
+    assert_eq!(s.histogram("handler_ns", &labels).map(|h| h.count), Some(2));
+    let units = s.histogram("units", &labels).expect("units histogram");
+    assert_eq!((units.count, units.exemplars[3]), (2, Some(0xdef)));
+    assert_eq!(s.gauge("depth", &labels), Some(7));
+    assert_eq!(s.gauge("depth", &other), Some(1));
 }

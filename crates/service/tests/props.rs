@@ -8,12 +8,21 @@
 //! registry properties drive a file-backed, randomly-compacting registry
 //! and an in-memory twin through the same operation sequence and require
 //! the recovered world (snapshot + journal tail) to be state- and
-//! digest-equivalent to a strict replay of the twin's full journal.
+//! digest-equivalent to a strict replay of the twin's full journal. The
+//! counts the registry maintains at each state change must equal a fresh
+//! recount of its records after every step of such a history, through
+//! injected append failures, restarts, strict replay and a follower's
+//! promotion.
 
-use hwm_service::{Decision, RateLimiter, RecoverOptions, Registry, ThrottleConfig};
+use hwm_metering::{Designer, LockOptions};
+use hwm_service::{
+    ActivationServer, ArmedFault, Decision, FaultInjector, IcState, RateLimiter, RecoverOptions,
+    Registry, RegistryCounts, ServerConfig, ServerRole, ThrottleConfig,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Unique per-case scratch directories (proptest runs many cases per
 /// process).
@@ -31,6 +40,43 @@ fn case_dir(name: &str) -> std::path::PathBuf {
 }
 
 const CLIENTS: [&str; 3] = ["alpha", "beta", "gamma"];
+
+/// The small lock every server in these tests runs, built once.
+fn designer() -> Designer {
+    static DESIGNER: OnceLock<Designer> = OnceLock::new();
+    DESIGNER
+        .get_or_init(|| {
+            Designer::new(
+                hwm_fsm::Stg::ring_counter(5, 2),
+                LockOptions {
+                    added_modules: 2,
+                    black_holes: 1,
+                    ..LockOptions::default()
+                },
+                2024,
+            )
+            .expect("designer")
+        })
+        .clone()
+}
+
+/// What `counts()` must report, counted afresh: the records by
+/// state, plus one rejected duplicate per piece of clone evidence.
+fn recount(r: &Registry) -> RegistryCounts {
+    let mut c = RegistryCounts {
+        registered: r.records().len() as u64,
+        duplicates: r.clones().len() as u64,
+        ..RegistryCounts::default()
+    };
+    for record in r.records() {
+        match record.state {
+            IcState::Registered => {}
+            IcState::Unlocked => c.unlocked += 1,
+            IcState::Disabled => c.disabled += 1,
+        }
+    }
+    c
+}
 
 /// Expected duration of a client's next lockout: doubling per prior
 /// lockout, capped.
@@ -242,6 +288,119 @@ proptest! {
             replayed.journal_len(),
             "snapshot + tail must cover every journaled event"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The counts a registry maintains at each state change equal a
+    /// fresh recount after every step of an arbitrary history of
+    /// registers, duplicates, unlocks, disables and refused transitions.
+    /// An append failing with `DiskFull` moves no counter; a compaction
+    /// followed by a reopen (snapshot restore plus tail), a plain reopen
+    /// (full tail), a strict replay, and a follower that applies the
+    /// shipped journal and is then promoted all report the same counts.
+    #[test]
+    fn maintained_counts_equal_a_recount(
+        compact_every in 0u64..5,
+        ops in prop::collection::vec((0u8..6, 0u8..3, 0usize..6, 0usize..4), 1..60),
+    ) {
+        let dir = case_dir("counts");
+        let path = dir.join("journal.jsonl");
+        let injector = FaultInjector::new();
+        let open = || {
+            Registry::open_with(
+                &path,
+                RecoverOptions {
+                    compact_every,
+                    injector: Some(injector.clone()),
+                    ..RecoverOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let mut disk = open();
+        // The in-memory twin takes every mutation that can succeed, so its
+        // journal is the full history for the replay and the follower.
+        let mut mem = Registry::in_memory();
+        for (op, kind, ic_idx, readout_idx) in ops {
+            let ic = format!("ic-{ic_idx}");
+            let readout = format!("0101-{readout_idx}");
+            let mutate = |r: &mut Registry, kind: u8| {
+                match kind {
+                    0 => r.register("fab", &ic, &readout, 0),
+                    1 => r.mark_unlocked(&ic, 4, "fab"),
+                    _ => r.mark_disabled(&ic, "alice"),
+                }
+                .map_err(|e| e.to_string())
+            };
+            match op {
+                0..=2 => prop_assert_eq!(mutate(&mut disk, op), mutate(&mut mem, op)),
+                3 => {
+                    let before = disk.counts();
+                    injector.arm(ArmedFault::DiskFull);
+                    let _ = mutate(&mut disk, kind);
+                    prop_assert_eq!(disk.counts(), before, "a failed append moved a counter");
+                    // A refusal before the append leaves the fault armed.
+                    injector.take();
+                }
+                4 => {
+                    disk.compact().unwrap();
+                    drop(disk);
+                    disk = open();
+                }
+                _ => {
+                    drop(disk);
+                    disk = open();
+                }
+            }
+            prop_assert_eq!(disk.counts(), recount(&disk));
+        }
+        let expected = disk.counts();
+        drop(disk);
+        prop_assert_eq!(open().counts(), expected);
+        prop_assert_eq!(mem.counts(), expected);
+
+        let text = String::from_utf8(mem.journal_bytes().unwrap().to_vec()).unwrap();
+        let replayed = Registry::replay(&text).unwrap();
+        prop_assert_eq!(replayed.counts(), recount(&replayed));
+        prop_assert_eq!(replayed.counts(), expected);
+
+        let follower = ActivationServer::new(
+            designer(),
+            Registry::in_memory(),
+            ServerConfig {
+                role: ServerRole::Follower,
+                ..ServerConfig::default()
+            },
+        );
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let (head, tail) = lines.split_at(lines.len() / 2);
+        for batch in [head, tail] {
+            follower.apply_replicated(batch).unwrap();
+            let (counts, fresh) = follower.with_registry(|r| (r.counts(), recount(r)));
+            prop_assert_eq!(counts, fresh);
+        }
+        follower.promote(lines.len() as u64).unwrap();
+        prop_assert_eq!(follower.with_registry(|r| r.counts()), expected);
+        let status = follower.status();
+        prop_assert_eq!(
+            (status.registered, status.unlocked, status.disabled, status.duplicates),
+            (expected.registered, expected.unlocked, expected.disabled, expected.duplicates)
+        );
+        let snapshot = follower.snapshot();
+        let gauge = |state| snapshot.gauge("registry_ics", &[("state", state)]);
+        prop_assert_eq!(
+            (gauge("registered"), gauge("unlocked"), gauge("disabled")),
+            (
+                Some(expected.registered - expected.unlocked - expected.disabled),
+                Some(expected.unlocked),
+                Some(expected.disabled),
+            )
+        );
+        prop_assert_eq!(snapshot.gauge("registry_duplicates", &[]), Some(expected.duplicates));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -605,22 +764,9 @@ proptest! {
 /// and the journal exactly as they were.
 #[test]
 fn mutated_request_frames_are_refused_at_dispatch_without_side_effects() {
-    use hwm_metering::{Designer, LockOptions};
-    use hwm_service::{
-        ActivationServer, ErrorCode, FrameService, Response, ServerConfig, TracedRequest,
-    };
+    use hwm_service::{ErrorCode, FrameService, Response, TracedRequest};
 
-    let designer = Designer::new(
-        hwm_fsm::Stg::ring_counter(5, 2),
-        LockOptions {
-            added_modules: 2,
-            black_holes: 1,
-            ..LockOptions::default()
-        },
-        2024,
-    )
-    .expect("designer");
-    let server = ActivationServer::new(designer, Registry::in_memory(), ServerConfig::default());
+    let server = ActivationServer::new(designer(), Registry::in_memory(), ServerConfig::default());
     let (mut refused, mut dispatched) = (0, 0);
     for valid in request_corpus() {
         for m in mutate::MUTATIONS {

@@ -1,37 +1,71 @@
-//! A counting global allocator: records the largest single allocation
-//! the test process asks for, so a test can show that a peer's length
-//! prefix was refused before its advertised payload was buffered.
+//! A counting global allocator with two readings:
+//!
+//! * [`allocations`] counts the heap allocations a closure makes on the
+//!   calling thread, so a test can show that a warm path allocates
+//!   nothing. The count is per thread, so the harness's own threads
+//!   cannot disturb it.
+//! * [`largest_allocation`] is the largest single allocation the test
+//!   process has asked for on any thread, so a test can show that a
+//!   peer's length prefix was refused before its advertised payload was
+//!   buffered.
+//!
 //! Include it in a test binary with `#[path]`; it installs itself as that
-//! binary's `#[global_allocator]`.
+//! binary's `#[global_allocator]`. A binary usually reads only one of the
+//! two, hence the `dead_code` allowance.
+
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// The largest single allocation this test process has asked for.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+fn record(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+}
+
 struct Counting;
 
-// SAFETY: every call is forwarded unchanged to the system allocator;
-// the wrapper only records sizes.
+// SAFETY: every method forwards to `System` unchanged; recording touches
+// only a const-initialized thread-local and an atomic, neither of which
+// allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+pub fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 /// The largest single allocation so far, in bytes.
 pub fn largest_allocation() -> usize {
