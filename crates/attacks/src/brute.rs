@@ -32,11 +32,16 @@ impl BruteForceOutcome {
 /// `i`-th drawn becoming bit `i`. Every flip is drawn, so the RNG stream
 /// is the one a `width`-bit input vector would consume; flips past bit 63
 /// are dropped, as a locked chip reads only its low added-STG input bits.
+///
+/// Each flip is the sign bit of one raw draw `x`, cleared meaning 1:
+/// `random_bool(0.5)` tests `(x >> 11) · 2⁻⁵³ < 0.5`, an exact product
+/// of a 53-bit integer and a power of two, which holds exactly when
+/// `x >> 11 < 2⁵²`, i.e. when bit 63 of `x` is clear.
 pub fn random_guess<R: Rng + ?Sized>(width: usize, rng: &mut R) -> u64 {
     let mut v = 0u64;
     for i in 0..width {
         // Shifted in, not branched on: a coin flip is unpredictable.
-        let bit = u64::from(rng.random_bool(0.5));
+        let bit = (rng.next_u64() >> 63) ^ 1;
         if i < 64 {
             v |= bit << i;
         }
@@ -45,36 +50,22 @@ pub fn random_guess<R: Rng + ?Sized>(width: usize, rng: &mut R) -> u64 {
 }
 
 /// Random-input brute force against one chip, capped at `max_guesses`
-/// (the paper uses 1,000,000).
+/// (the paper uses 1,000,000): one [`random_guess`] per clock cycle while
+/// the chip is locked ([`Chip::walk_locked`]).
 pub fn brute_force<R: Rng + ?Sized>(
     chip: &mut Chip,
     max_guesses: u64,
     rng: &mut R,
 ) -> BruteForceOutcome {
     let width = chip.blueprint().num_inputs();
-    for attempts in 0..max_guesses {
-        if chip.is_unlocked() {
-            return BruteForceOutcome {
-                unlocked: true,
-                trapped: false,
-                attempts,
-            };
-        }
-        if chip.is_trapped() {
-            // Absorbed: keep burning the remaining guesses like the paper's
-            // attacker would (he cannot see the trap), then report N/R.
-            return BruteForceOutcome {
-                unlocked: false,
-                trapped: true,
-                attempts: max_guesses,
-            };
-        }
-        chip.step_value(random_guess(width, rng));
-    }
+    let attempts = chip.walk_locked(max_guesses, || random_guess(width, rng));
+    let trapped = chip.is_trapped();
     BruteForceOutcome {
         unlocked: chip.is_unlocked(),
-        trapped: chip.is_trapped(),
-        attempts: max_guesses,
+        trapped,
+        // Absorbed: the attacker, who cannot see the trap, keeps burning
+        // the remaining guesses, and the run reports N/R.
+        attempts: if trapped { max_guesses } else { attempts },
     }
 }
 
@@ -222,6 +213,94 @@ mod tests {
         )
         .unwrap();
         Foundry::new(designer.blueprint().clone(), seed ^ 1)
+    }
+
+    #[test]
+    fn sign_bit_coins_equal_random_bool_packing() {
+        for seed in [0u64, 1, 7, 2024, u64::MAX] {
+            for width in 0..=70 {
+                let mut sign = StdRng::seed_from_u64(seed ^ width as u64);
+                let mut float = sign.clone();
+                for _ in 0..32 {
+                    let mut want = 0u64;
+                    for i in 0..width {
+                        let bit = u64::from(float.random_bool(0.5));
+                        if i < 64 {
+                            want |= bit << i;
+                        }
+                    }
+                    let got = random_guess(width, &mut sign);
+                    assert_eq!(got, want, "seed {seed} width {width}");
+                }
+                let at = format!("rng position, seed {seed} width {width}");
+                assert_eq!(sign.next_u64(), float.next_u64(), "{at}");
+            }
+        }
+    }
+
+    /// The per-guess loop [`brute_force`] replaced: check, draw, step.
+    fn brute_force_by_steps(
+        chip: &mut Chip,
+        max_guesses: u64,
+        rng: &mut StdRng,
+    ) -> BruteForceOutcome {
+        let width = chip.blueprint().num_inputs();
+        for attempts in 0..max_guesses {
+            if chip.is_unlocked() {
+                return BruteForceOutcome {
+                    unlocked: true,
+                    trapped: false,
+                    attempts,
+                };
+            }
+            if chip.is_trapped() {
+                return BruteForceOutcome {
+                    unlocked: false,
+                    trapped: true,
+                    attempts: max_guesses,
+                };
+            }
+            chip.step_value(random_guess(width, rng));
+        }
+        BruteForceOutcome {
+            unlocked: chip.is_unlocked(),
+            trapped: chip.is_trapped(),
+            attempts: max_guesses,
+        }
+    }
+
+    #[test]
+    fn brute_force_equals_the_per_guess_loop() {
+        let mut exact = 0;
+        for (modules, holes) in [(1usize, 0usize), (2, 0), (1, 1), (2, 2), (5, 0), (5, 1)] {
+            let mut foundry = population(modules, holes, 60 + modules as u64);
+            for run in 0..6u64 {
+                let chip = foundry.fabricate_one();
+                let check = |cap: u64| {
+                    let (mut a, mut b) = (chip.clone(), chip.clone());
+                    let mut by_steps = StdRng::seed_from_u64(run);
+                    let mut walked = by_steps.clone();
+                    let want = brute_force_by_steps(&mut a, cap, &mut by_steps);
+                    let got = brute_force(&mut b, cap, &mut walked);
+                    let at = format!("modules {modules} holes {holes} run {run} cap {cap}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(b.state(), a.state(), "{at}");
+                    assert_eq!(walked.next_u64(), by_steps.next_u64(), "{at}");
+                    want
+                };
+                for cap in [0, 1, 2] {
+                    check(cap);
+                }
+                let out = check(20_000);
+                if out.unlocked {
+                    // Unlocking on the last allowed guess.
+                    check(out.attempts);
+                    check(out.attempts - 1);
+                    exact += 1;
+                }
+            }
+        }
+        assert!(exact > 0);
     }
 
     #[test]

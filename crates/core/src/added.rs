@@ -69,6 +69,41 @@ const QUICK_INPUTS: usize = 8;
 /// module.
 pub const MAX_MODULES: usize = 10;
 
+/// Evaluates `$body` with `$n` bound to the module count `$q` as a
+/// constant, one arm per count in `1..=MAX_MODULES`, so a generic
+/// body such as [`AddedStg::step_n`] is instantiated for every count and
+/// the choice is made once, outside whatever loop `$body` runs.
+///
+/// # Panics
+///
+/// Panics when `$q` is outside `1..=MAX_MODULES`, which no constructor
+/// allows.
+macro_rules! with_module_count {
+    ($q:expr, $n:ident => $body:expr) => {
+        match $q {
+            1 => with_module_count!(@arm 1, $n => $body),
+            2 => with_module_count!(@arm 2, $n => $body),
+            3 => with_module_count!(@arm 3, $n => $body),
+            4 => with_module_count!(@arm 4, $n => $body),
+            5 => with_module_count!(@arm 5, $n => $body),
+            6 => with_module_count!(@arm 6, $n => $body),
+            7 => with_module_count!(@arm 7, $n => $body),
+            8 => with_module_count!(@arm 8, $n => $body),
+            9 => with_module_count!(@arm 9, $n => $body),
+            10 => with_module_count!(@arm 10, $n => $body),
+            q => panic!("{q} modules outside 1..={}", $crate::added::MAX_MODULES),
+        }
+    };
+    (@arm $k:literal, $n:ident => $body:expr) => {{
+        const $n: usize = $k;
+        $body
+    }};
+}
+pub(crate) use with_module_count;
+
+// The dispatch above has one arm per module count.
+const _: () = assert!(MAX_MODULES == 10);
+
 /// The composed added STG.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AddedStg {
@@ -89,6 +124,7 @@ const STATE_MASK: u32 = MODULE_STATES as u32 - 1;
 /// The identity [`Perm`]: state `s` in field `s`.
 const IDENTITY: Perm = 0o76543210;
 
+#[inline]
 fn perm_apply(perm: Perm, s: u32) -> u32 {
     (perm >> (MODULE_BITS as u32 * s)) & STATE_MASK
 }
@@ -105,7 +141,8 @@ fn perm_inverse(perm: Perm) -> Perm {
 
 /// The lookup tables behind [`AddedStg::step`] and [`AddedStg::step_inv`]:
 /// one `u64` per (module `i`, previous module's pre-step state `p`, input
-/// value `v`), at index `((8i + p) << b) | v` for `b` input bits. Its low
+/// value `v`), at index `(qv + i)·8 + p` for `q` modules, so that one
+/// input's entries form one contiguous row of `8q`. Its low
 /// half packs `i`'s cross-links active under `(p, v)`, composed in
 /// declaration order (the identity for module 0, which has none); its
 /// high half packs `i`'s enabled successor map [`Module3::next`] on `v`,
@@ -119,7 +156,8 @@ struct StepTables {
 
 impl StepTables {
     fn new(modules: &[Module3], links: &[CrossLink], input_bits: usize) -> Self {
-        let mut fwd = vec![0u64; (modules.len() * MODULE_STATES) << input_bits];
+        let q = modules.len();
+        let mut fwd = vec![0u64; (q * MODULE_STATES) << input_bits];
         for (i, m) in modules.iter().enumerate() {
             for v in 0..1u64 << input_bits {
                 let ring = u64::from(perm_pack(|s| u32::from(m.next(s as u8, v)))) << 32;
@@ -134,7 +172,7 @@ impl StepTables {
                         .fold(IDENTITY, |perm, l| {
                             perm_pack(|s| u32::from(l.apply(perm_apply(perm, s) as u8)))
                         });
-                    let at = ((i * MODULE_STATES + p) << input_bits) | v as usize;
+                    let at = (v as usize * q + i) * MODULE_STATES + p;
                     fwd[at] = ring | u64::from(link);
                 }
             }
@@ -397,25 +435,39 @@ impl AddedStg {
     /// on the pre-link state, which is what the carry chain taps in
     /// hardware.
     pub fn step(&self, composed: u32, input: u64, group: u8) -> u32 {
+        with_module_count!(self.modules.len(), Q => self.step_n::<Q>(composed, input, group))
+    }
+
+    /// [`AddedStg::step`] with the module count `Q` fixed at compile time
+    /// (`Q` must equal [`AddedStg::module_count`]). Every module reads
+    /// only pre-step state — its previous module's state and its carry
+    /// enable (all lower modules at their exits) are fields of `composed`
+    /// — so no iteration depends on another and the loop unrolls. Callers
+    /// stepping many times pick `Q` once through `with_module_count!`.
+    #[inline(always)]
+    pub(crate) fn step_n<const Q: usize>(&self, composed: u32, input: u64, group: u8) -> u32 {
+        debug_assert_eq!(Q, self.modules.len(), "step_n instantiated for this machine");
         let b = self.input_bits;
         let v = (input & ((1u64 << b) - 1)) as usize;
         let salt = u32::from(group) & STATE_MASK;
+        // One bounds check per step: every index below is < 8Q.
+        let row = &self.tables.fwd[v * Q * MODULE_STATES..][..Q * MODULE_STATES];
         let mut next = 0u32;
-        let mut enabled = true; // module 0 always enabled
-        let mut prev = 0usize;
-        for i in 0..self.modules.len() {
+        for i in 0..Q {
             let shift = MODULE_BITS * i;
             let s = (composed >> shift) & STATE_MASK;
-            let e = self.tables.fwd[((i * MODULE_STATES + prev) << b) | v];
+            // Module i − 1's state (0 for module 0, whose table holds no
+            // links); bits shifted out above bit 31 belong to no prev.
+            let prev = ((composed << MODULE_BITS) >> shift) & STATE_MASK;
+            let e = row[i * MODULE_STATES + prev as usize];
             let linked = perm_apply(e as Perm, s);
+            let enabled = composed & ((1u32 << shift) - 1) == 0;
             let ns = if enabled {
                 perm_apply((e >> 32) as Perm, linked ^ salt) ^ salt
             } else {
                 linked
             };
             next |= ns << shift;
-            enabled &= s == 0;
-            prev = s as usize;
         }
         next
     }
@@ -429,13 +481,15 @@ impl AddedStg {
         let b = self.input_bits;
         let v = (input & ((1u64 << b) - 1)) as usize;
         let salt = u32::from(group) & STATE_MASK;
+        let q = self.modules.len();
+        let row = &self.tables.inv[v * q * MODULE_STATES..][..q * MODULE_STATES];
         let mut pred = 0u32;
         let mut enabled = true;
         let mut prev = 0usize;
-        for i in 0..self.modules.len() {
+        for i in 0..q {
             let shift = MODULE_BITS * i;
             let ns = (composed >> shift) & STATE_MASK;
-            let e = self.tables.inv[((i * MODULE_STATES + prev) << b) | v];
+            let e = row[i * MODULE_STATES + prev];
             let linked = if enabled {
                 perm_apply((e >> 32) as Perm, ns ^ salt) ^ salt
             } else {
@@ -683,13 +737,30 @@ mod tests {
         next
     }
 
+    /// Every state of a machine with at most 512, otherwise a sample:
+    /// for each carry depth `k`, two states whose low `k` modules sit
+    /// at their exits (so the carry enables every module in turn), the
+    /// exit among them.
+    fn states_to_check(a: &AddedStg, rng: &mut StdRng) -> Vec<u32> {
+        let n = a.state_count() as u32;
+        if n <= 512 {
+            return (0..n).collect();
+        }
+        (0..=a.module_count())
+            .flat_map(|k| [k; 2])
+            .map(|k| rng.random_range(0..n) & !((1u32 << (MODULE_BITS * k)) - 1))
+            .collect()
+    }
+
     #[test]
     fn table_step_matches_reference_and_inverts() {
-        for q in [1usize, 2, 3] {
+        // Every module count the unrolled step is instantiated for.
+        for q in 1..=MAX_MODULES {
             for b in [1usize, 3, 8] {
                 let a = AddedStg::build(q, b, 2, 2, 100 + (q * 10 + b) as u64).unwrap();
+                let mut rng = StdRng::seed_from_u64(q as u64);
                 for group in 0..8u8 {
-                    for s in 0..a.state_count() as u32 {
+                    for s in states_to_check(&a, &mut rng) {
                         for v in 0..1u64 << b {
                             let t = a.step(s, v, group);
                             let at = format!("q {q} b {b} g {group} s {s} v {v}");

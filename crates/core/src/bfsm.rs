@@ -16,7 +16,7 @@
 //! *avoids the black-hole triggers* — the attacker, not knowing the
 //! transition table, cannot distinguish safe inputs from trapping ones.
 
-use crate::added::{AddedStg, MAX_MODULES};
+use crate::added::{with_module_count, AddedStg, MAX_MODULES};
 use crate::blackhole::{step_hole, BlackHole, HoleState, HoleStep, Trigger};
 use crate::obfuscate::Obfuscation;
 use crate::MeteringError;
@@ -312,6 +312,7 @@ impl Bfsm {
         self.unlock_gate
     }
 
+    #[inline]
     fn matches_unlock_gate(&self, v: u64) -> bool {
         let gate_bits = UNLOCK_GATE_BITS.min(self.added.input_bits());
         let mask = (1u64 << gate_bits) - 1;
@@ -440,43 +441,15 @@ impl Bfsm {
     /// One clock cycle driven by an added-STG input value — the
     /// allocation-free transition core of the locked and trapped modes,
     /// which [`Bfsm::step`] delegates to (their outputs are all zero).
-    /// Only the low `input_bits` of `v` are read there. An unlocked
-    /// machine runs the original design, so `v` is widened to a full
-    /// input vector ([`Bfsm::widen_input`]) and stepped by [`Bfsm::step`].
+    /// Only the low `input_bits` of `v` are read there; a locked cycle is
+    /// a [`Bfsm::walk_locked`] of one step. An unlocked machine runs the
+    /// original design, so `v` is widened to a full input vector
+    /// ([`Bfsm::widen_input`]) and stepped by [`Bfsm::step`].
     pub fn step_value(&self, state: BfsmState, v: u64, group: u8) -> BfsmState {
-        let low = v & ((1u64 << self.added.input_bits()) - 1);
         match state {
-            BfsmState::Locked { composed, cycle } => {
-                if self.added.is_exit(composed) && self.matches_unlock_gate(low) {
-                    // The edge from the added STG into the functional reset
-                    // state (§4.1): the unlock latch sets. The edge is armed
-                    // by a secret low-bit input pattern, so a foreign key
-                    // that merely *crosses* the exit state mid-sequence
-                    // keeps walking instead of unlocking (the stolen-key
-                    // residual shrinks from L/2^k to L/2^(k+gate)). The
-                    // cycle counter restarts at unlock so that every
-                    // activated chip shows the *same* deterministic FF
-                    // pattern from its first functional cycle (§6.2's
-                    // similar-FF-activity countermeasure).
-                    return BfsmState::Unlocked {
-                        state: self.original.reset_state(),
-                        cycle: 0,
-                        kill_progress: 0,
-                    };
-                }
-                match self.triggered_hole(composed, low) {
-                    Some(h) => BfsmState::Trapped {
-                        hole: HoleState::entered(h),
-                        frozen: composed,
-                        cycle: cycle + 1,
-                    },
-                    None => BfsmState::Locked {
-                        composed: self.added.step(composed, low, group),
-                        cycle: cycle + 1,
-                    },
-                }
-            }
+            BfsmState::Locked { .. } => self.walk_locked(state, group, 1, || v).0,
             BfsmState::Trapped { hole, frozen, cycle } => {
+                let low = v & ((1u64 << self.added.input_bits()) - 1);
                 match step_hole(&self.black_holes[hole.hole], hole, low) {
                     HoleStep::Trapped(next) => BfsmState::Trapped {
                         hole: next,
@@ -492,6 +465,79 @@ impl Bfsm {
             }
             BfsmState::Unlocked { .. } => self.step(state, &self.widen_input(v), group).0,
         }
+    }
+
+    /// Steps a locked machine on values drawn from `next_value`, one per
+    /// cycle, until it leaves the locked mode (the unlock edge fires or a
+    /// black hole traps it) or `max_steps` cycles have run. Returns the
+    /// final state and the number of values drawn. A machine that is not
+    /// locked is returned as it is, with no value drawn. The result equals
+    /// that many [`Bfsm::step_value`] calls, each on the next drawn value,
+    /// stopped at the first state that is not locked.
+    ///
+    /// The module count is chosen once per walk, so the whole walk runs
+    /// the added STG's step unrolled on it, with the composed state and
+    /// the cycle in locals rather than in a [`BfsmState`].
+    pub fn walk_locked(
+        &self,
+        state: BfsmState,
+        group: u8,
+        max_steps: u64,
+        mut next_value: impl FnMut() -> u64,
+    ) -> (BfsmState, u64) {
+        let BfsmState::Locked { mut composed, cycle } = state else {
+            return (state, 0);
+        };
+        with_module_count!(self.added.module_count(), Q => {
+            for steps in 0..max_steps {
+                match self.locked_step::<Q>(composed, cycle + steps, next_value(), group) {
+                    Ok(next) => composed = next,
+                    Err(left) => return (left, steps + 1),
+                }
+            }
+        });
+        let cycle = cycle + max_steps;
+        (BfsmState::Locked { composed, cycle }, max_steps)
+    }
+
+    /// The locked-mode transition from `Locked { composed, cycle }` on
+    /// input value `v`: `Ok` with the next composed state while the
+    /// machine stays locked (its cycle advances by one), or `Err` with
+    /// the state it leaves for. The unlock gate is judged first, then the
+    /// black-hole triggers, then the added STG steps.
+    #[inline(always)]
+    fn locked_step<const Q: usize>(
+        &self,
+        composed: u32,
+        cycle: u64,
+        v: u64,
+        group: u8,
+    ) -> Result<u32, BfsmState> {
+        let low = v & ((1u64 << self.added.input_bits()) - 1);
+        if self.added.is_exit(composed) && self.matches_unlock_gate(low) {
+            // The edge from the added STG into the functional reset state
+            // (§4.1): the unlock latch sets. The edge is armed by a secret
+            // low-bit input pattern, so a foreign key that merely
+            // *crosses* the exit state mid-sequence keeps walking instead
+            // of unlocking (the stolen-key residual shrinks from L/2^k to
+            // L/2^(k+gate)). The cycle counter restarts at unlock so that
+            // every activated chip shows the *same* deterministic FF
+            // pattern from its first functional cycle (§6.2's
+            // similar-FF-activity countermeasure).
+            return Err(BfsmState::Unlocked {
+                state: self.original.reset_state(),
+                cycle: 0,
+                kill_progress: 0,
+            });
+        }
+        if let Some(h) = self.triggered_hole(composed, low) {
+            return Err(BfsmState::Trapped {
+                hole: HoleState::entered(h),
+                frozen: composed,
+                cycle: cycle + 1,
+            });
+        }
+        Ok(self.added.step_n::<Q>(composed, low, group))
     }
 
     /// The flip-flop vector an attacker (or the foundry's tester) scans out.
@@ -716,6 +762,7 @@ impl Bfsm {
 
     /// The first black hole whose trigger fires on input value `v` from
     /// `composed`.
+    #[inline]
     fn triggered_hole(&self, composed: u32, v: u64) -> Option<usize> {
         if self.black_holes.is_empty() {
             return None;
@@ -848,6 +895,129 @@ mod tests {
             }
         }
         dist
+    }
+
+    /// A BFSM of `q` modules over `b` input bits with `holes` black holes
+    /// (hole 0 a gray hole with a 3-symbol trapdoor), put together
+    /// without [`Bfsm::assemble`]'s reachability search, which would walk
+    /// all `8^q` states. Triggers sit in the gate half, as assembled ones
+    /// do.
+    fn unverified(q: usize, b: usize, holes: usize, seed: u64) -> Bfsm {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let added = AddedStg::build(q, b, 2, 2, seed).unwrap();
+        let unlock_gate = rng.random_range(0..2u64);
+        let black_holes = (0..holes)
+            .map(|h| {
+                let triggers = (0..2)
+                    .map(|_| {
+                        let mut tris = vec![Tri::DontCare; b];
+                        tris[0] = if unlock_gate == 1 { Tri::One } else { Tri::Zero };
+                        Trigger {
+                            module: 0,
+                            module_state: rng.random_range(1..8u8),
+                            input: Cube::from_tris(&tris),
+                        }
+                    })
+                    .collect();
+                if h == 0 {
+                    let secret = (0..3).map(|_| rng.random_range(0..1u64 << b)).collect();
+                    BlackHole::trapdoor(triggers, secret)
+                } else {
+                    BlackHole::permanent(triggers)
+                }
+            })
+            .collect();
+        let original = Stg::ring_counter(4, 1);
+        Bfsm {
+            original_encoding: Encoding::assign(&original, EncodingStrategy::Binary, 0).unwrap(),
+            original,
+            obfuscation: Obfuscation::new(added.state_bits(), 0, seed),
+            added,
+            black_holes,
+            group_bits: 3,
+            kill_sequence: vec![1, 2, 3],
+            remote_disable: true,
+            unlock_gate,
+        }
+    }
+
+    /// What [`Bfsm::walk_locked`] must equal: one [`Bfsm::step_value`]
+    /// per drawn value while the machine is locked, at most `cap` of them.
+    fn walk_by_steps(
+        bfsm: &Bfsm,
+        mut state: BfsmState,
+        group: u8,
+        cap: u64,
+        rng: &mut StdRng,
+    ) -> (BfsmState, u64) {
+        let mut steps = 0;
+        while steps < cap && matches!(state, BfsmState::Locked { .. }) {
+            state = bfsm.step_value(state, rng.next_u64(), group);
+            steps += 1;
+        }
+        (state, steps)
+    }
+
+    #[test]
+    fn the_walk_equals_a_step_value_loop() {
+        let (mut unlocked_at_cap, mut trapped) = (0, 0);
+        for q in [1usize, 2, 5, 10] {
+            for b in [1usize, 3, 8] {
+                for holes in 0..=2 {
+                    let seed = (q * 100 + b * 10 + holes) as u64;
+                    let bfsm = unverified(q, b, holes, seed);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let composed = rng.random_range(0..1u32 << bfsm.added.state_bits());
+                    let cycle = rng.random_range(0..1u64 << 40);
+                    let starts = [
+                        BfsmState::Locked { composed, cycle },
+                        BfsmState::Locked { composed: 0, cycle },
+                        BfsmState::Trapped {
+                            hole: HoleState::entered(0),
+                            frozen: composed,
+                            cycle,
+                        },
+                        BfsmState::Unlocked {
+                            state: bfsm.original.reset_state(),
+                            cycle,
+                            kill_progress: 0,
+                        },
+                    ];
+                    for start in starts {
+                        for group in [0u8, 5] {
+                            let draws = seed ^ u64::from(group) << 32;
+                            let check = |cap: u64| {
+                                let mut by_steps = StdRng::seed_from_u64(draws);
+                                let want = walk_by_steps(&bfsm, start, group, cap, &mut by_steps);
+                                let mut walked = StdRng::seed_from_u64(draws);
+                                let got = bfsm.walk_locked(start, group, cap, || walked.next_u64());
+                                let at = format!(
+                                    "q {q} b {b} holes {holes} group {group} cap {cap} \
+                                     from {start:?}"
+                                );
+                                assert_eq!(got, want, "{at}");
+                                let (w, s) = (walked.next_u64(), by_steps.next_u64());
+                                assert_eq!(w, s, "rng position, {at}");
+                                want
+                            };
+                            let (end, steps) = check(3_000);
+                            for cap in [0, 1, 7] {
+                                check(cap);
+                            }
+                            if matches!(start, BfsmState::Locked { .. }) && steps > 0 {
+                                // The walk leaves the locked mode on exactly
+                                // its last allowed step, and one step short.
+                                check(steps);
+                                check(steps - 1);
+                                unlocked_at_cap += usize::from(end.is_unlocked() && steps > 1);
+                                trapped += usize::from(end.is_trapped());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unlocked_at_cap > 0 && trapped > 0, "{unlocked_at_cap} {trapped}");
     }
 
     #[test]

@@ -325,6 +325,19 @@ impl Chip {
         self.state = self.blueprint.step_value(self.state, v, self.group);
     }
 
+    /// Steps a locked chip on values drawn from `next_value`, one per
+    /// clock cycle, until it unlocks, falls into a black hole or has run
+    /// `max_steps` cycles; returns the number of values drawn
+    /// ([`Bfsm::walk_locked`]). A chip that is not locked is left as it
+    /// is and draws nothing.
+    pub fn walk_locked(&mut self, max_steps: u64, next_value: impl FnMut() -> u64) -> u64 {
+        let (state, steps) = self
+            .blueprint
+            .walk_locked(self.state, self.group, max_steps, next_value);
+        self.state = state;
+        steps
+    }
+
     /// Applies a sequence of raw added-STG input values, one
     /// [`Chip::step_value`] each.
     pub fn apply_values(&mut self, values: &[u64]) {

@@ -180,16 +180,11 @@ impl Json {
                 out.push(']');
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write_compact(out);
+                let mut obj = ObjWriter::new(out);
+                for (k, v) in fields {
+                    v.write_compact(obj.key(k));
                 }
-                out.push('}');
+                obj.finish();
             }
         }
     }
@@ -251,6 +246,51 @@ impl fmt::Display for Json {
         let mut out = String::new();
         self.write_compact(&mut out);
         f.write_str(&out)
+    }
+}
+
+/// Writes one compact JSON object straight into a string, field by
+/// field, without building a [`Json`] tree: the bytes are those
+/// [`Json::write_compact`] gives the [`Json::Obj`] of the same fields,
+/// which renders through this writer too.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> ObjWriter<'a> {
+        out.push('{');
+        ObjWriter { out, empty: true }
+    }
+
+    /// Writes the separator and `key`, returning `out` for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Appends a string field.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_string(value, self.key(key));
+        self
+    }
+
+    /// Appends an unsigned integer field.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        write_u64(value, self.key(key));
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
     }
 }
 

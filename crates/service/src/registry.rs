@@ -52,7 +52,7 @@
 use crate::snapshot::{snapshot_path, RegistrySnapshot};
 use crate::storage::{FlushPolicy, Journal};
 use crate::wire::WireError;
-use hwm_jsonio::{FieldError, Json, StrictObj};
+use hwm_jsonio::{FieldError, Json, ObjWriter, StrictObj};
 use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
 use std::collections::HashMap;
 use std::fmt;
@@ -608,12 +608,22 @@ impl Registry {
         apply.map_err(|e| fail(&format!("replay rejected: {e}")))
     }
 
-    fn append(&mut self, event: &'static str, line: Json) -> Result<(), RegistryError> {
+    /// Journals event number `seq` as one line: `event` and `seq`, then
+    /// the fields `fields` writes.
+    fn append(
+        &mut self,
+        event: &'static str,
+        seq: u64,
+        fields: impl FnOnce(&mut ObjWriter),
+    ) -> Result<(), RegistryError> {
         // Render into the reusable scratch (taken and put back so the
         // journal borrow below stays disjoint).
         let mut text = std::mem::take(&mut self.line_buf);
         text.clear();
-        line.write_compact(&mut text);
+        let mut line = ObjWriter::new(&mut text);
+        line.str("event", event).u64("seq", seq);
+        fields(&mut line);
+        line.finish();
         text.push('\n');
         let started = Instant::now();
         let appended = self
@@ -717,13 +727,9 @@ impl Registry {
         if let Some(&i) = self.by_readout.get(readout) {
             let prior = self.records[i].ic.clone();
             let seq = self.seq + 1;
-            self.append("duplicate", Json::obj(vec![
-                ("event", Json::Str("duplicate".into())),
-                ("seq", Json::U64(seq)),
-                ("ic", Json::Str(ic.to_string())),
-                ("client", Json::Str(client.to_string())),
-                ("prior", Json::Str(prior.clone())),
-            ]))?;
+            self.append("duplicate", seq, |line| {
+                line.str("ic", ic).str("client", client).str("prior", &prior);
+            })?;
             self.seq = seq;
             self.counts.duplicates += 1;
             self.clones.push(CloneEvidence {
@@ -736,14 +742,12 @@ impl Registry {
             return Err(RegistryError::DuplicateReadout { prior });
         }
         let seq = self.seq + 1;
-        self.append("register", Json::obj(vec![
-            ("event", Json::Str("register".into())),
-            ("seq", Json::U64(seq)),
-            ("ic", Json::Str(ic.to_string())),
-            ("client", Json::Str(client.to_string())),
-            ("readout", Json::Str(readout.to_string())),
-            ("group", Json::U64(group as u64)),
-        ]))?;
+        self.append("register", seq, |line| {
+            line.str("ic", ic)
+                .str("client", client)
+                .str("readout", readout)
+                .u64("group", u64::from(group));
+        })?;
         self.seq = seq;
         let index = self.records.len();
         self.records.push(IcRecord {
@@ -780,13 +784,11 @@ impl Registry {
             other => return Err(RegistryError::WrongState(other)),
         }
         let seq = self.seq + 1;
-        self.append("unlock", Json::obj(vec![
-            ("event", Json::Str("unlock".into())),
-            ("seq", Json::U64(seq)),
-            ("ic", Json::Str(ic.to_string())),
-            ("client", Json::Str(client.to_string())),
-            ("key_len", Json::U64(key_len as u64)),
-        ]))?;
+        self.append("unlock", seq, |line| {
+            line.str("ic", ic)
+                .str("client", client)
+                .u64("key_len", key_len as u64);
+        })?;
         self.seq = seq;
         self.records[index].state = IcState::Unlocked;
         self.counts.unlocked += 1;
@@ -807,12 +809,9 @@ impl Registry {
             return Err(RegistryError::WrongState(IcState::Disabled));
         }
         let seq = self.seq + 1;
-        self.append("disable", Json::obj(vec![
-            ("event", Json::Str("disable".into())),
-            ("seq", Json::U64(seq)),
-            ("ic", Json::Str(ic.to_string())),
-            ("client", Json::Str(client.to_string())),
-        ]))?;
+        self.append("disable", seq, |line| {
+            line.str("ic", ic).str("client", client);
+        })?;
         self.seq = seq;
         self.records[index].state = IcState::Disabled;
         if was == IcState::Unlocked {
@@ -1021,6 +1020,66 @@ mod tests {
                 prior: "ic-0".into(),
             }]
         );
+    }
+
+    #[test]
+    fn journal_lines_equal_the_rendered_json_trees() {
+        let labels = [
+            "ic-0",
+            "q\"uote",
+            "back\\slash",
+            "ctl\n\t\r\u{1}\u{1f}",
+            "näïve ✓ 𝄞",
+            "",
+        ];
+        for (n, label) in labels.iter().enumerate() {
+            let (ic, twin) = (format!("{label}#a"), format!("{label}#b"));
+            let (client, readout) = (format!("c{label}"), format!("{label}/r"));
+            let group = n as u8;
+            let mut r = Registry::in_memory();
+            r.register(&client, &ic, &readout, group).unwrap();
+            r.register(&client, &twin, &readout, group).unwrap_err();
+            r.mark_unlocked(&ic, 300 + n, &client).unwrap();
+            r.mark_disabled(&ic, &client).unwrap();
+            let s = |v: &str| Json::Str(v.to_string());
+            let trees = [
+                Json::obj(vec![
+                    ("event", s("register")),
+                    ("seq", Json::U64(1)),
+                    ("ic", s(&ic)),
+                    ("client", s(&client)),
+                    ("readout", s(&readout)),
+                    ("group", Json::U64(u64::from(group))),
+                ]),
+                Json::obj(vec![
+                    ("event", s("duplicate")),
+                    ("seq", Json::U64(2)),
+                    ("ic", s(&twin)),
+                    ("client", s(&client)),
+                    ("prior", s(&ic)),
+                ]),
+                Json::obj(vec![
+                    ("event", s("unlock")),
+                    ("seq", Json::U64(3)),
+                    ("ic", s(&ic)),
+                    ("client", s(&client)),
+                    ("key_len", Json::U64(300 + n as u64)),
+                ]),
+                Json::obj(vec![
+                    ("event", s("disable")),
+                    ("seq", Json::U64(4)),
+                    ("ic", s(&ic)),
+                    ("client", s(&client)),
+                ]),
+            ];
+            let mut want = String::new();
+            for tree in &trees {
+                tree.write_compact(&mut want);
+                want.push('\n');
+            }
+            let got = std::str::from_utf8(r.journal_bytes().unwrap()).unwrap();
+            assert_eq!(got, want, "label {label:?}");
+        }
     }
 
     #[test]
