@@ -20,14 +20,6 @@ pub struct BruteForceOutcome {
     pub attempts: u64,
 }
 
-impl BruteForceOutcome {
-    /// The paper's Table 3 notation: `N/R` when the cap was reached or the
-    /// walk was absorbed.
-    pub fn is_not_reached(&self) -> bool {
-        !self.unlocked
-    }
-}
-
 /// One random guess as an input value: `width` fair coin flips, the
 /// `i`-th drawn becoming bit `i`. Every flip is drawn, so the RNG stream
 /// is the one a `width`-bit input vector would consume; flips past bit 63

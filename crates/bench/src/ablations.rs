@@ -11,8 +11,8 @@
 //! 4. **SFFSM group bits** — replay-attack residual success rate.
 //!
 //! Every swept configuration is an independent work item whose seed is a
-//! pure function of the configuration, so the `_jobs` variants render
-//! byte-identical tables for every worker count.
+//! pure function of the configuration, so each ablation renders a
+//! byte-identical table for every worker count.
 
 use hwm_attacks::brute::brute_force_stats;
 use hwm_fsm::Stg;
@@ -50,19 +50,12 @@ fn designer_with(
 /// time is non-monotone (shortcuts can point either way), which is exactly
 /// why the paper sizes security by FF count, not by edge count.
 ///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn modules_vs_hitting(runs: usize, seed: u64) -> Result<String, MeteringError> {
-    modules_vs_hitting_jobs(runs, seed, 1)
-}
-
-/// [`modules_vs_hitting`] with one worker per module count.
+/// One worker per module count.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn modules_vs_hitting_jobs(
+pub fn modules_vs_hitting(
     runs: usize,
     seed: u64,
     jobs: usize,
@@ -102,19 +95,12 @@ pub fn modules_vs_hitting_jobs(
 /// let higher modules move without full carry alignment, shortening the
 /// designer's unlocking sequences.
 ///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn links_vs_diversity(seed: u64) -> Result<String, MeteringError> {
-    links_vs_diversity_jobs(seed, 1)
-}
-
-/// [`links_vs_diversity`] with one worker per link count.
+/// One worker per link count.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn links_vs_diversity_jobs(seed: u64, jobs: usize) -> Result<String, MeteringError> {
+pub fn links_vs_diversity(seed: u64, jobs: usize) -> Result<String, MeteringError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -143,19 +129,12 @@ pub fn links_vs_diversity_jobs(seed: u64, jobs: usize) -> Result<String, Meterin
 
 /// Ablation 3: black-hole count vs absorption of the brute-force walk.
 ///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn holes_vs_absorption(runs: usize, seed: u64) -> Result<String, MeteringError> {
-    holes_vs_absorption_jobs(runs, seed, 1)
-}
-
-/// [`holes_vs_absorption`] with one worker per hole count.
+/// One worker per hole count.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn holes_vs_absorption_jobs(
+pub fn holes_vs_absorption(
     runs: usize,
     seed: u64,
     jobs: usize,
@@ -182,19 +161,12 @@ pub fn holes_vs_absorption_jobs(
 
 /// Ablation 4: SFFSM group bits vs replay success rate.
 ///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn groups_vs_replay(trials: usize, seed: u64) -> Result<String, MeteringError> {
-    groups_vs_replay_jobs(trials, seed, 1)
-}
-
-/// [`groups_vs_replay`] with one worker per group-bit count.
+/// One worker per group-bit count.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn groups_vs_replay_jobs(trials: usize, seed: u64, jobs: usize) -> Result<String, MeteringError> {
+pub fn groups_vs_replay(trials: usize, seed: u64, jobs: usize) -> Result<String, MeteringError> {
     let mut out = String::new();
     let _ = writeln!(out, "ablation 4 — SFFSM group bits vs key-replay success");
     let header = ["group bits", "replay success", "theory 1/2^g"];
@@ -232,7 +204,7 @@ mod tests {
 
     #[test]
     fn holes_ablation_shows_absorption() {
-        let t = holes_vs_absorption(6, 91).unwrap();
+        let t = holes_vs_absorption(6, 91, 1).unwrap();
         // The 0-hole row must not be fully trapped; ≥1-hole rows must trap.
         let lines: Vec<&str> = t.lines().collect();
         let zero: Vec<&str> = lines[3].split_whitespace().collect();
@@ -244,7 +216,7 @@ mod tests {
 
     #[test]
     fn groups_ablation_tracks_theory() {
-        let t = groups_vs_replay(12, 92).unwrap();
+        let t = groups_vs_replay(12, 92, 1).unwrap();
         let lines: Vec<&str> = t.lines().collect();
         let g0: Vec<&str> = lines[3].split_whitespace().collect();
         let s0: f64 = g0[1].parse().unwrap();
@@ -256,19 +228,19 @@ mod tests {
 
     #[test]
     fn links_ablation_reports() {
-        let t = links_vs_diversity(93).unwrap();
+        let t = links_vs_diversity(93, 1).unwrap();
         assert!(t.contains("distinct keys"));
     }
 
     #[test]
     fn ablations_are_jobs_invariant() {
         assert_eq!(
-            holes_vs_absorption_jobs(4, 94, 1).unwrap(),
-            holes_vs_absorption_jobs(4, 94, 3).unwrap()
+            holes_vs_absorption(4, 94, 1).unwrap(),
+            holes_vs_absorption(4, 94, 3).unwrap()
         );
         assert_eq!(
-            groups_vs_replay_jobs(6, 95, 1).unwrap(),
-            groups_vs_replay_jobs(6, 95, 4).unwrap()
+            groups_vs_replay(6, 95, 1).unwrap(),
+            groups_vs_replay(6, 95, 4).unwrap()
         );
     }
 }

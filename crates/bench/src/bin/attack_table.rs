@@ -2,7 +2,7 @@
 //! a deliberately weakened configuration.
 //!
 //! Usage: `cargo run --release -p hwm-bench --bin attack_table \
-//!     [--seed N] [--cap N] [--jobs N] [--profile] [--trace-out PATH] [--cache-stats]`
+//!     [--seed N] [--cap N] [--jobs N] [--profile] [--trace-out PATH]`
 
 use hwm_attacks::{run_all, AttackBudgets};
 use hwm_bench::run::BenchRun;

@@ -2,7 +2,7 @@
 //! circuit size, with the fitted decay curves.
 //!
 //! Usage: `cargo run --release -p hwm-bench --bin fig8 \
-//!     [--seed N] [--jobs N] [--profile] [--trace-out PATH] [--cache-stats]`
+//!     [--seed N] [--jobs N] [--profile] [--trace-out PATH]`
 
 use hwm_bench::run::BenchRun;
 use hwm_netlist::CellLibrary;
@@ -12,8 +12,8 @@ fn main() {
     let run = BenchRun::start("fig8");
     let lib = CellLibrary::generic();
     let profiles = iscas::paper_benchmarks();
-    let fig = hwm_bench::figures::fig8_jobs(&profiles, &lib, run.seed(), run.jobs())
-        .expect("fig 8 pipeline");
+    let fig =
+        hwm_bench::figures::fig8(&profiles, &lib, run.seed(), run.jobs()).expect("fig 8 pipeline");
     println!("Figures 8a/8b — overhead vs circuit size (+15 FF added STG)");
     print!("{}", hwm_bench::figures::render(&fig));
     run.finish();

@@ -37,9 +37,7 @@
 //!     [--rules FILE] [--seed N] [--jobs N] [--clients N]
 //!     [--per-client N]`
 
-use hwm_bench::monitor::{
-    json_report, observe, render_dashboard_with_rules, render_timings, Observation,
-};
+use hwm_bench::monitor::{json_report, observe, render_dashboard, render_timings, Observation};
 use hwm_bench::serve::{bench_designer, build_plans, server_config, submit_local};
 use hwm_metrics::AlertRuleSet;
 use hwm_service::{ActivationServer, Client, LocalClient, Registry, TcpClient};
@@ -131,7 +129,7 @@ fn report(obs: &Observation, rules: Option<&AlertRuleSet>, json: bool, timings: 
     if json {
         println!("{}", json_report(obs, timings));
     } else {
-        print!("{}", render_dashboard_with_rules(obs, rules));
+        print!("{}", render_dashboard(obs, rules));
         if timings {
             eprint!("{}", render_timings(&obs.snapshot));
         }

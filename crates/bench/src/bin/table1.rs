@@ -1,7 +1,7 @@
 //! Regenerates the paper's Table 1 (area overhead of active metering).
 //!
 //! Usage: `cargo run --release -p hwm-bench --bin table1 \
-//!     [--seed N] [--small] [--jobs N] [--profile] [--trace-out PATH] [--cache-stats]`
+//!     [--seed N] [--small] [--jobs N] [--profile] [--trace-out PATH]`
 
 use hwm_bench::run::BenchRun;
 use hwm_netlist::CellLibrary;
@@ -15,7 +15,7 @@ fn main() {
         iscas::paper_benchmarks()
     };
     let lib = CellLibrary::generic();
-    let rows = hwm_bench::tables::overhead_rows_jobs(&profiles, &lib, run.seed(), run.jobs())
+    let rows = hwm_bench::tables::overhead_rows(&profiles, &lib, run.seed(), run.jobs())
         .expect("table 1 pipeline");
     println!("Table 1 — area overhead of active hardware metering (fractions, as in the paper)");
     print!("{}", hwm_bench::tables::table1(&rows));

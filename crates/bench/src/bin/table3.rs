@@ -4,7 +4,7 @@
 //! while, so the run count is a flag:
 //!
 //! `cargo run --release -p hwm-bench --bin table3 \
-//!     [--runs N] [--cap N] [--seed N] [--jobs N] [--profile] [--trace-out PATH] [--cache-stats]`
+//!     [--runs N] [--cap N] [--seed N] [--jobs N] [--profile] [--trace-out PATH]`
 
 use hwm_bench::run::BenchRun;
 
@@ -15,8 +15,7 @@ fn main() {
     println!(
         "Table 3 — average brute-force attempts ({runs} runs per cell, cap {cap}; paper: 10000 runs)"
     );
-    let table =
-        hwm_bench::table3::run_jobs(runs, cap, run.seed(), run.jobs()).expect("table 3 sweep");
+    let table = hwm_bench::table3::run(runs, cap, run.seed(), run.jobs()).expect("table 3 sweep");
     print!("{table}");
     run.finish();
 }

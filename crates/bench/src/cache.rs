@@ -22,7 +22,6 @@ use hwm_metering::{Bfsm, MeteringError};
 use hwm_netlist::{CellLibrary, Netlist};
 use hwm_synth::iscas::{self, BenchmarkProfile, GeneratedCircuit};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Key of a synthesized lock: the added-STG spec and encoding.
@@ -49,64 +48,11 @@ pub type CachedLock = Arc<(Arc<Bfsm>, Netlist)>;
 struct SynthCache {
     locks: Mutex<HashMap<LockKey, CachedLock>>,
     circuits: Mutex<HashMap<CircuitKey, Arc<GeneratedCircuit>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 fn cache() -> &'static SynthCache {
     static CACHE: OnceLock<SynthCache> = OnceLock::new();
     CACHE.get_or_init(SynthCache::default)
-}
-
-/// Hit/miss counters of the process-wide cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that synthesized.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hits over total lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "synthesis cache: {} hits, {} misses (hit rate {:.0}%)",
-            self.hits,
-            self.misses,
-            self.hit_rate() * 100.0
-        )
-    }
-}
-
-/// Current counters.
-pub fn stats() -> CacheStats {
-    let c = cache();
-    CacheStats {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
-    }
-}
-
-/// Empties the cache and zeroes the counters (tests).
-pub fn reset() {
-    let c = cache();
-    c.locks.lock().expect("cache poisoned").clear();
-    c.circuits.lock().expect("cache poisoned").clear();
-    c.hits.store(0, Ordering::Relaxed);
-    c.misses.store(0, Ordering::Relaxed);
 }
 
 /// The lock blueprint plus its synthesized added netlist for
@@ -129,11 +75,9 @@ pub fn lock_netlist(
     };
     let c = cache();
     if let Some(hit) = c.locks.lock().expect("cache poisoned").get(&key) {
-        c.hits.fetch_add(1, Ordering::Relaxed);
         hwm_trace::counter("cache_hits", 1);
         return Ok(hit.clone());
     }
-    c.misses.fetch_add(1, Ordering::Relaxed);
     hwm_trace::counter("cache_misses", 1);
     let _span = hwm_trace::span("cache.lock_synth");
     let bfsm = lock_blueprint(modules, black_holes, seed)?;
@@ -165,11 +109,9 @@ pub fn generated_circuit(
     };
     let c = cache();
     if let Some(hit) = c.circuits.lock().expect("cache poisoned").get(&key) {
-        c.hits.fetch_add(1, Ordering::Relaxed);
         hwm_trace::counter("cache_hits", 1);
         return Ok(hit.clone());
     }
-    c.misses.fetch_add(1, Ordering::Relaxed);
     hwm_trace::counter("cache_misses", 1);
     let _span = hwm_trace::span("cache.circuit_gen");
     let circuit = Arc::new(iscas::generate(profile, lib, seed)?);
@@ -187,16 +129,8 @@ mod tests {
 
     #[test]
     fn lock_lookups_hit_after_first_miss() {
-        // Distinct seed region so parallel test binaries sharing the
-        // process-wide cache cannot interfere with the counters' *relative*
-        // movement checked here.
-        let before = stats();
         let a = lock_netlist(2, 0, 0x0CAC_4E01, &CellLibrary::generic()).unwrap();
-        let mid = stats();
         let b = lock_netlist(2, 0, 0x0CAC_4E01, &CellLibrary::generic()).unwrap();
-        let after = stats();
-        assert!(mid.misses > before.misses);
-        assert!(after.hits > mid.hits);
         assert!(Arc::ptr_eq(&a, &b), "hit must return the cached entry");
     }
 

@@ -35,27 +35,19 @@ pub struct Fig8 {
 /// Computes the Figure 8 data. Because the lock's absolute cost is
 /// constant, the truthful trend model is `overhead ≈ c0 + c1/size`; we fit
 /// that by polynomial regression in `u = 1/size` (degree 1), exactly the
-/// decaying shape of the paper's fitted curves.
+/// decaying shape of the paper's fitted curves. The per-circuit pipeline
+/// is fanned across `jobs` threads.
 ///
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn fig8(profiles: &[BenchmarkProfile], lib: &CellLibrary, seed: u64) -> Result<Fig8, MeteringError> {
-    fig8_jobs(profiles, lib, seed, 1)
-}
-
-/// [`fig8`] with the per-circuit pipeline fanned across `jobs` threads.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn fig8_jobs(
+pub fn fig8(
     profiles: &[BenchmarkProfile],
     lib: &CellLibrary,
     seed: u64,
     jobs: usize,
 ) -> Result<Fig8, MeteringError> {
-    let rows = crate::tables::overhead_rows_jobs(profiles, lib, seed, jobs)?;
+    let rows = crate::tables::overhead_rows(profiles, lib, seed, jobs)?;
     Ok(fig8_from_rows(&rows))
 }
 
@@ -127,7 +119,7 @@ mod tests {
             .iter()
             .map(|n| iscas::benchmark(n).unwrap())
             .collect();
-        let fig = fig8(&profiles, &lib, 31).unwrap();
+        let fig = fig8(&profiles, &lib, 31, 1).unwrap();
         // Monotone decay of both series.
         for i in 1..fig.sizes.len() {
             assert!(fig.power_overheads[i] < fig.power_overheads[i - 1]);
@@ -152,7 +144,7 @@ mod tests {
             iscas::benchmark("s526").unwrap(),
             iscas::benchmark("s832").unwrap(),
         ];
-        let fig = fig8(&profiles, &lib, 32).unwrap();
+        let fig = fig8(&profiles, &lib, 32, 1).unwrap();
         let text = render(&fig);
         assert!(text.contains("fig 8a fit"));
         assert!(text.contains("R²"));

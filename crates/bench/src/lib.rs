@@ -124,14 +124,6 @@ pub fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Prints the synthesis-cache counters to stderr when `--cache-stats` was
-/// passed — stderr so the table on stdout stays byte-identical.
-pub fn report_cache_stats() {
-    if flag_present("--cache-stats") {
-        eprintln!("{}", cache::stats());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,16 +126,11 @@ pub fn sparkline(samples: &[Sample], width: usize) -> String {
         .collect()
 }
 
-/// Renders the deterministic fleet dashboard (stdout material).
-pub fn render_dashboard(obs: &Observation) -> String {
-    render_dashboard_with_rules(obs, None)
-}
-
-/// [`render_dashboard`] plus client-side rule evaluation: when `rules`
-/// is given, the polled history is re-folded through an [`AlertEngine`]
-/// locally so the panel shows live rule values even against a server
-/// that has no rules installed.
-pub fn render_dashboard_with_rules(obs: &Observation, rules: Option<&AlertRuleSet>) -> String {
+/// Renders the deterministic fleet dashboard (stdout material). When
+/// `rules` is given, the polled history is re-folded through an
+/// [`AlertEngine`] locally so the panel shows live rule values even
+/// against a server that has no rules installed.
+pub fn render_dashboard(obs: &Observation, rules: Option<&AlertRuleSet>) -> String {
     let s = obs.snapshot.deterministic();
     let mut out = String::new();
     let _ = writeln!(out, "activation-service fleet dashboard");
@@ -527,7 +522,7 @@ mod tests {
     #[test]
     fn dashboard_reflects_the_workload() {
         let obs = observed(2024);
-        let text = render_dashboard(&obs);
+        let text = render_dashboard(&obs, None);
         assert!(text.contains("activation-service fleet dashboard"), "{text}");
         assert!(text.contains("unlock throughput"), "{text}");
         // The workload registers 4 clients × 8 dies.
@@ -588,12 +583,12 @@ mod tests {
             client.call(&req).expect("routed call");
         }
         let obs = observe(&mut client).expect("observe");
-        let text = render_dashboard(&obs);
+        let text = render_dashboard(&obs, None);
         assert!(text.contains("cluster shards:"), "{text}");
         assert!(text.contains("replication lag"), "{text}");
         assert!(text.contains("failovers"), "{text}");
         // A plain single-node server must not grow the panel.
-        let plain = render_dashboard(&observed(5));
+        let plain = render_dashboard(&observed(5), None);
         assert!(!plain.contains("cluster shards:"), "{plain}");
     }
 
@@ -615,13 +610,13 @@ mod tests {
         let mut client = LocalClient::new(server);
         let obs = observe(&mut client).expect("observe");
         assert!(!obs.traces.is_empty(), "traced server yields spans");
-        let text = render_dashboard(&obs);
+        let text = render_dashboard(&obs, None);
         assert!(text.contains("recent traces ("), "{text}");
         assert!(text.contains("newest last"), "{text}");
         // Still golden-safe material: no timing families leak in.
         assert!(!text.contains("_ns"), "{text}");
         // An untraced server must not grow the panel.
-        let plain = render_dashboard(&observed(seed));
+        let plain = render_dashboard(&observed(seed), None);
         assert!(!plain.contains("recent traces"), "{plain}");
     }
 
@@ -642,7 +637,7 @@ mod tests {
             history: HistoryDump::default(),
             traces: Vec::new(),
         };
-        let text = render_dashboard(&obs);
+        let text = render_dashboard(&obs, None);
         assert!(text.contains("unreachable"), "{text}");
         // The reachable shard still renders its number.
         let lag_rows: Vec<&str> = text.lines().filter(|l| l.contains("unreachable")).collect();

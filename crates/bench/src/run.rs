@@ -9,13 +9,13 @@
 //! ```
 //!
 //! `start` parses the uniform flags (`--seed N`, `--jobs N`, `--profile`,
-//! `--trace-out PATH`, `--cache-stats`; a malformed number exits 2), enables trace collection when
-//! profiling was requested and opens the run's root span (named after the
-//! experiment, so every span path in the trace is rooted at the binary
-//! name). `finish` closes the root span, writes the JSONL trace to
-//! `--trace-out` and prints the per-phase breakdown to stderr under
-//! `--profile` — stderr so the table on stdout stays byte-identical. A
-//! run writes no file that no flag asked for.
+//! `--trace-out PATH`; a malformed number exits 2), enables trace
+//! collection when profiling was requested and opens the run's root span
+//! (named after the experiment, so every span path in the trace is rooted
+//! at the binary name). `finish` closes the root span, writes the JSONL
+//! trace to `--trace-out` and prints the per-phase breakdown to stderr
+//! under `--profile` — stderr so the table on stdout stays byte-identical.
+//! A run writes no file that no flag asked for.
 
 use hwm_trace::{RunInfo, SpanGuard};
 use std::path::PathBuf;
@@ -68,9 +68,9 @@ impl BenchRun {
         self.jobs
     }
 
-    /// Closes the run: root span, JSONL trace, the `--profile` breakdown
-    /// and the `--cache-stats` totals. A trace that cannot be written warns
-    /// to stderr but never aborts — the table on stdout still stands.
+    /// Closes the run: root span, JSONL trace and the `--profile`
+    /// breakdown. A trace that cannot be written warns to stderr but never
+    /// aborts — the table on stdout still stands.
     pub fn finish(mut self) {
         if let Some(root) = self.root.take() {
             drop(root);
@@ -90,6 +90,5 @@ impl BenchRun {
                 eprint!("{}", summary.phase_table(&info));
             }
         }
-        crate::report_cache_stats();
     }
 }

@@ -374,7 +374,7 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
     };
     let mut monitor_client = LocalClient::new(Arc::clone(&final_server));
     let dashboard = observe(&mut monitor_client)
-        .map(|obs| render_dashboard(&obs))
+        .map(|obs| render_dashboard(&obs, None))
         .map_err(|e| io::Error::other(format!("monitor poll: {e}")))?;
     drop(monitor_client);
     drop(final_server);

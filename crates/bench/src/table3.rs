@@ -43,26 +43,13 @@ impl Table3Cell {
 /// Runs one cell of the sweep, averaging over several independent added-STG
 /// instances: the hitting time of a single random topology has heavy-tailed
 /// variance, so a one-instance cell can land an order of magnitude off its
-/// expectation (the paper smooths this with 10,000 runs per cell).
+/// expectation (the paper smooths this with 10,000 runs per cell). The
+/// `runs` attacks are split evenly over `instances` locks.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
 pub fn run_cell(
-    config: Table3Config,
-    runs: usize,
-    cap: u64,
-    seed: u64,
-) -> Result<Table3Cell, MeteringError> {
-    run_cell_with_instances(config, runs, cap, 4, seed)
-}
-
-/// As [`run_cell`] with an explicit instance count.
-///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn run_cell_with_instances(
     config: Table3Config,
     runs: usize,
     cap: u64,
@@ -124,28 +111,19 @@ pub fn paper_rows() -> Vec<(usize, usize, &'static str)> {
     ]
 }
 
-/// Runs the full sweep on one thread and renders it like the paper's
-/// Table 3.
+/// Runs the full sweep and renders it like the paper's Table 3, with the
+/// 36 sweep cells fanned across `jobs` worker threads. Each cell's seed is
+/// a pure function of its configuration, so the rendered table is
+/// byte-identical for every `jobs` value.
 ///
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn run(runs: usize, cap: u64, seed: u64) -> Result<String, MeteringError> {
-    run_jobs(runs, cap, seed, 1)
+pub fn run(runs: usize, cap: u64, seed: u64, jobs: usize) -> Result<String, MeteringError> {
+    sweep(&paper_rows(), &(3..=8).collect::<Vec<_>>(), runs, cap, 4, seed, jobs)
 }
 
-/// [`run`] with the 36 sweep cells fanned across `jobs` worker threads.
-/// Each cell's seed is a pure function of its configuration, so the
-/// rendered table is byte-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn run_jobs(runs: usize, cap: u64, seed: u64, jobs: usize) -> Result<String, MeteringError> {
-    sweep_jobs(&paper_rows(), &(3..=8).collect::<Vec<_>>(), runs, cap, 4, seed, jobs)
-}
-
-/// The parameterized sweep behind [`run_jobs`]: `rows` are
+/// The parameterized sweep behind [`run`]: `rows` are
 /// `(added_ffs, black_holes, label)` triples, `cols` the input-bit
 /// counts. Each of the `rows × cols` cells is one work item whose seed is
 /// a pure function of its configuration (independent of grid position), so
@@ -154,7 +132,7 @@ pub fn run_jobs(runs: usize, cap: u64, seed: u64, jobs: usize) -> Result<String,
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn sweep_jobs(
+pub fn sweep(
     rows: &[(usize, usize, &str)],
     cols: &[usize],
     runs: usize,
@@ -172,7 +150,7 @@ pub fn sweep_jobs(
         .collect();
     let cells = crate::parallel::try_run_indexed(jobs, items.len(), |i| {
         let (ffs, holes, b) = items[i];
-        run_cell_with_instances(
+        run_cell(
             Table3Config {
                 added_ffs: ffs,
                 black_holes: holes,
@@ -215,6 +193,7 @@ mod tests {
             },
             5,
             500_000,
+            4,
             9,
         )
         .unwrap();
@@ -232,6 +211,7 @@ mod tests {
             },
             5,
             50_000,
+            4,
             10,
         )
         .unwrap();
@@ -249,6 +229,7 @@ mod tests {
             },
             5,
             2_000_000,
+            4,
             11,
         )
         .unwrap();
@@ -260,6 +241,7 @@ mod tests {
             },
             5,
             2_000_000,
+            4,
             11,
         )
         .unwrap();

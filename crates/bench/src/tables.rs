@@ -63,28 +63,16 @@ pub struct OverheadRow {
     pub ff15: OverheadReport,
 }
 
-/// Runs the Table 1/2 pipeline over the given profiles on one thread.
+/// Runs the Table 1/2 pipeline over the given profiles, fanned across
+/// `jobs` worker threads, one work item per benchmark circuit. The lock
+/// syntheses and generated circuits go through [`crate::cache`]; every
+/// per-circuit computation depends only on `(profile, seed)`, so the rows
+/// are byte-identical for every `jobs`.
 ///
 /// # Errors
 ///
 /// Propagates construction/synthesis failures.
 pub fn overhead_rows(
-    profiles: &[BenchmarkProfile],
-    lib: &CellLibrary,
-    seed: u64,
-) -> Result<Vec<OverheadRow>, MeteringError> {
-    overhead_rows_jobs(profiles, lib, seed, 1)
-}
-
-/// [`overhead_rows`] fanned across `jobs` worker threads, one work item
-/// per benchmark circuit. The lock syntheses and generated circuits go
-/// through [`crate::cache`]; every per-circuit computation depends only on
-/// `(profile, seed)`, so the rows are byte-identical for every `jobs`.
-///
-/// # Errors
-///
-/// Propagates construction/synthesis failures.
-pub fn overhead_rows_jobs(
     profiles: &[BenchmarkProfile],
     lib: &CellLibrary,
     seed: u64,
@@ -178,28 +166,15 @@ pub struct BlackHoleRow {
     pub power15: f64,
 }
 
-/// Runs the Table 4 pipeline on one thread: boosted-with-hole versus
-/// boosted-without.
+/// Runs the Table 4 pipeline, boosted-with-hole versus boosted-without,
+/// fanned across `jobs` worker threads. The one-hole locks are the same
+/// cache entries Table 1/2 synthesize, so a combined regeneration run
+/// pays for them once.
 ///
 /// # Errors
 ///
 /// Propagates construction/synthesis failures.
 pub fn blackhole_rows(
-    profiles: &[BenchmarkProfile],
-    lib: &CellLibrary,
-    seed: u64,
-) -> Result<Vec<BlackHoleRow>, MeteringError> {
-    blackhole_rows_jobs(profiles, lib, seed, 1)
-}
-
-/// [`blackhole_rows`] fanned across `jobs` worker threads. The one-hole
-/// locks are the same cache entries Table 1/2 synthesize, so a combined
-/// regeneration run pays for them once.
-///
-/// # Errors
-///
-/// Propagates construction/synthesis failures.
-pub fn blackhole_rows_jobs(
     profiles: &[BenchmarkProfile],
     lib: &CellLibrary,
     seed: u64,
@@ -257,7 +232,7 @@ mod tests {
             .iter()
             .map(|n| iscas::benchmark(n).unwrap())
             .collect();
-        let rows = overhead_rows(&profiles, &lib, 2024).unwrap();
+        let rows = overhead_rows(&profiles, &lib, 2024, 1).unwrap();
         // 1. Area overhead decreases monotonically with circuit size.
         assert!(rows[0].ff12.area() > rows[1].ff12.area());
         assert!(rows[1].ff12.area() > rows[2].ff12.area());
@@ -280,7 +255,7 @@ mod tests {
             .iter()
             .map(|n| iscas::benchmark(n).unwrap())
             .collect();
-        let rows = blackhole_rows(&profiles, &lib, 2025).unwrap();
+        let rows = blackhole_rows(&profiles, &lib, 2025, 1).unwrap();
         for r in &rows {
             assert!(r.area12.abs() < 0.08, "{}: {}", r.name, r.area12);
             assert!(r.power12.abs() < 0.08, "{}: {}", r.name, r.power12);
@@ -293,7 +268,7 @@ mod tests {
     fn tables_render() {
         let lib = CellLibrary::generic();
         let profiles = vec![iscas::benchmark("s298").unwrap()];
-        let rows = overhead_rows(&profiles, &lib, 2026).unwrap();
+        let rows = overhead_rows(&profiles, &lib, 2026, 1).unwrap();
         let t1 = table1(&rows);
         assert!(t1.contains("s298"));
         let t2 = table2(&rows);

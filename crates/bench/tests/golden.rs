@@ -43,7 +43,7 @@ fn table1_snapshot_rows_reproduce() {
         .iter()
         .map(|n| iscas::benchmark(n).unwrap())
         .collect();
-    let rows = hwm_bench::tables::overhead_rows(&profiles, &lib, GOLDEN_SEED).unwrap();
+    let rows = hwm_bench::tables::overhead_rows(&profiles, &lib, GOLDEN_SEED, 1).unwrap();
     let rendered = hwm_bench::tables::table1(&rows);
     for p in &profiles {
         assert_eq!(
@@ -63,7 +63,7 @@ fn table2_snapshot_rows_reproduce() {
         .iter()
         .map(|n| iscas::benchmark(n).unwrap())
         .collect();
-    let rows = hwm_bench::tables::overhead_rows(&profiles, &lib, GOLDEN_SEED).unwrap();
+    let rows = hwm_bench::tables::overhead_rows(&profiles, &lib, GOLDEN_SEED, 1).unwrap();
     let rendered = hwm_bench::tables::table2(&rows);
     for p in &profiles {
         assert_eq!(
@@ -83,7 +83,7 @@ fn table4_snapshot_rows_reproduce() {
         .iter()
         .map(|n| iscas::benchmark(n).unwrap())
         .collect();
-    let rows = hwm_bench::tables::blackhole_rows(&profiles, &lib, GOLDEN_SEED).unwrap();
+    let rows = hwm_bench::tables::blackhole_rows(&profiles, &lib, GOLDEN_SEED, 1).unwrap();
     let rendered = hwm_bench::tables::table4(&rows);
     for p in &profiles {
         assert_eq!(

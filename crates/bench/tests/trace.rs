@@ -24,8 +24,7 @@ fn traced_overhead_run(jobs: usize) -> Summary {
         let _root = hwm_trace::span("test_run");
         let profiles = iscas::small_benchmarks();
         let lib = CellLibrary::generic();
-        hwm_bench::tables::overhead_rows_jobs(&profiles, &lib, 2024, jobs)
-            .expect("overhead pipeline");
+        hwm_bench::tables::overhead_rows(&profiles, &lib, 2024, jobs).expect("overhead pipeline");
     }
     hwm_trace::set_enabled(false);
     hwm_trace::summary()
@@ -40,7 +39,7 @@ fn span_tree_and_counters_identical_across_jobs() {
     {
         let profiles = iscas::small_benchmarks();
         let lib = CellLibrary::generic();
-        hwm_bench::tables::overhead_rows_jobs(&profiles, &lib, 2024, 2).expect("warm-up");
+        hwm_bench::tables::overhead_rows(&profiles, &lib, 2024, 2).expect("warm-up");
     }
     let serial_run = traced_overhead_run(1);
     let parallel_run = traced_overhead_run(4);

@@ -110,8 +110,7 @@ pub struct AddedStg {
     modules: Vec<Module3>,
     links: Vec<CrossLink>,
     input_bits: usize,
-    /// Derived from the fields above by every constructor. Never
-    /// serialized: the lock database re-runs construction.
+    /// Derived from the fields above by every constructor.
     tables: StepTables,
 }
 

@@ -123,41 +123,16 @@ impl Bfsm {
     /// the protocol; this constructor is the structural core. Retries
     /// black-hole trigger placement until every locked state retains a
     /// trigger-avoiding path to the exit for every SFFSM group.
+    /// `remote_disable` provisions the remote-disable (kill-sequence)
+    /// matcher; Table 4 turns it off to isolate the cost of a bare black
+    /// hole.
     ///
     /// # Errors
     ///
     /// Returns [`MeteringError::InvalidOptions`] when the pieces are
     /// inconsistent or no safe trigger placement exists.
-    pub fn assemble(
-        original: Stg,
-        added: AddedStg,
-        n_black_holes: usize,
-        trapdoor_length: usize,
-        group_bits: usize,
-        dummy_ffs: usize,
-        seed: u64,
-    ) -> Result<Self, MeteringError> {
-        Self::assemble_with_remote_disable(
-            original,
-            added,
-            n_black_holes,
-            trapdoor_length,
-            group_bits,
-            dummy_ffs,
-            true,
-            seed,
-        )
-    }
-
-    /// As [`Bfsm::assemble`], but with the remote-disable (kill-sequence)
-    /// matcher made optional — Table 4 isolates the cost of a bare black
-    /// hole, which does not need the matcher.
-    ///
-    /// # Errors
-    ///
-    /// As [`Bfsm::assemble`].
     #[allow(clippy::too_many_arguments)]
-    pub fn assemble_with_remote_disable(
+    pub fn assemble(
         original: Stg,
         added: AddedStg,
         n_black_holes: usize,
@@ -1025,7 +1000,7 @@ mod tests {
         for (q, holes, seed) in [(2usize, 1usize, 71u64), (3, 1, 72), (2, 2, 73), (3, 2, 74)] {
             let added = AddedStg::build_verified(q, 3, 2, 2, seed, 4).unwrap();
             let bfsm =
-                Bfsm::assemble(Stg::ring_counter(5, 2), added, holes, 0, 2, 2, seed).unwrap();
+                Bfsm::assemble(Stg::ring_counter(5, 2), added, holes, 0, 2, 2, true, seed).unwrap();
             for group in 0..4u8 {
                 let added = bfsm.added();
                 assert_eq!(

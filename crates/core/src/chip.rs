@@ -37,39 +37,6 @@ impl UnlockKey {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Serializes the key to JSON (an array of symbol values). Symbols are
-    /// full-width `u64`s and round-trip losslessly.
-    pub fn to_json_string(&self) -> String {
-        hwm_jsonio::Json::Arr(
-            self.values
-                .iter()
-                .map(|&v| hwm_jsonio::Json::U64(v))
-                .collect(),
-        )
-        .to_string()
-    }
-
-    /// Parses a key serialized by [`UnlockKey::to_json_string`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::InvalidOptions`] for malformed input.
-    pub fn from_json_string(text: &str) -> Result<UnlockKey, MeteringError> {
-        let bad = |reason: String| MeteringError::InvalidOptions { reason };
-        let json = hwm_jsonio::Json::parse(text)
-            .map_err(|e| bad(format!("malformed key JSON: {e}")))?;
-        let values = json
-            .as_arr()
-            .ok_or_else(|| bad("key JSON must be an array".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| bad("key symbol must be an unsigned integer".to_string()))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok(UnlockKey { values })
-    }
 }
 
 impl fmt::Display for UnlockKey {

@@ -134,12 +134,6 @@ impl From<hwm_synth::SynthError> for MeteringError {
     }
 }
 
-impl From<hwm_jsonio::FieldError> for MeteringError {
-    fn from(e: hwm_jsonio::FieldError) -> Self {
-        MeteringError::InvalidOptions { reason: e.message }
-    }
-}
-
 impl From<hwm_fsm::FsmError> for MeteringError {
     fn from(e: hwm_fsm::FsmError) -> Self {
         MeteringError::Fsm(e)

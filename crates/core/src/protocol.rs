@@ -12,7 +12,6 @@ use crate::added::AddedStg;
 use crate::bfsm::{Bfsm, KeyHops};
 use crate::chip::{Chip, ScanReadout, UnlockKey};
 use crate::MeteringError;
-use hwm_jsonio::{Json, StrictObj};
 use hwm_rub::VariationModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,69 +72,6 @@ impl LockOptions {
             .unwrap_or_else(|| original.num_inputs().clamp(3, 8))
             .clamp(1, 8)
     }
-
-    /// Serializes the options to a JSON object (the `options` field of the
-    /// lock database, and of the activation service's configuration).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("added_modules", Json::U64(self.added_modules as u64)),
-            (
-                "input_bits",
-                match self.input_bits {
-                    Some(b) => Json::U64(b as u64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "overrides_per_module",
-                Json::U64(self.overrides_per_module as u64),
-            ),
-            ("links_per_module", Json::U64(self.links_per_module as u64)),
-            ("black_holes", Json::U64(self.black_holes as u64)),
-            ("trapdoor_length", Json::U64(self.trapdoor_length as u64)),
-            ("group_bits", Json::U64(self.group_bits as u64)),
-            ("dummy_ffs", Json::U64(self.dummy_ffs as u64)),
-            ("remote_disable", Json::Bool(self.remote_disable)),
-            (
-                "module_search_candidates",
-                Json::U64(self.module_search_candidates as u64),
-            ),
-        ])
-    }
-
-    /// Parses options serialized by [`LockOptions::to_json`]. Strict:
-    /// every field must be present once with the right type, and unknown
-    /// fields are rejected (a misspelled knob must not silently fall back
-    /// to a default — these options decide the lock's strength).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::InvalidOptions`] naming the offending
-    /// field.
-    pub fn from_json(json: &Json) -> Result<LockOptions, MeteringError> {
-        let mut f = StrictObj::new(json, "options")?;
-        let input_bits = match f.field("input_bits")? {
-            Json::Null => None,
-            v => Some(
-                v.as_usize()
-                    .ok_or_else(|| f.ill_typed("input_bits", "null or an unsigned integer"))?,
-            ),
-        };
-        let options = LockOptions {
-            added_modules: f.uint("added_modules")?,
-            input_bits,
-            overrides_per_module: f.uint("overrides_per_module")?,
-            links_per_module: f.uint("links_per_module")?,
-            black_holes: f.uint("black_holes")?,
-            trapdoor_length: f.uint("trapdoor_length")?,
-            group_bits: f.uint("group_bits")?,
-            dummy_ffs: f.uint("dummy_ffs")?,
-            remote_disable: f.bool("remote_disable")?,
-            module_search_candidates: f.uint("module_search_candidates")?,
-        };
-        f.finish()?;
-        Ok(options)
-    }
 }
 
 /// One issued activation, for the designer's royalty ledger.
@@ -155,22 +91,10 @@ pub struct ActivationRecord {
 pub struct Designer {
     bfsm: Arc<Bfsm>,
     log: Vec<ActivationRecord>,
-    origin: DesignerOrigin,
     /// Per-group next-hop key tables ([`Bfsm::key_hops`]), built lazily
-    /// on the first key issued for a group. Pure caches of the BFSM: they
-    /// never enter the lock database and a clone may rebuild them.
+    /// on the first key issued for a group. Pure caches of the BFSM: a
+    /// clone may rebuild them.
     key_tables: std::collections::HashMap<u8, Arc<KeyHops>>,
-}
-
-/// The construction inputs of a designer. [`Designer::new`] is
-/// deterministic in these, so they *are* the lock database: exporting them
-/// (plus the ledger) and re-running construction restores a bit-identical
-/// BFSM, secrets included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DesignerOrigin {
-    original: hwm_fsm::Stg,
-    options: LockOptions,
-    seed: u64,
 }
 
 impl Designer {
@@ -186,11 +110,6 @@ impl Designer {
         seed: u64,
     ) -> Result<Designer, MeteringError> {
         let _span = hwm_trace::span("metering.designer");
-        let origin = DesignerOrigin {
-            original: original.clone(),
-            options: options.clone(),
-            seed,
-        };
         let b = options.resolved_input_bits(&original);
         let groups = 1u8 << options.group_bits;
         let added = if options.module_search_candidates > 1 {
@@ -227,7 +146,7 @@ impl Designer {
                 groups,
             )?
         };
-        let bfsm = Bfsm::assemble_with_remote_disable(
+        let bfsm = Bfsm::assemble(
             original,
             added,
             options.black_holes,
@@ -240,7 +159,6 @@ impl Designer {
         Ok(Designer {
             bfsm: Arc::new(bfsm),
             log: Vec::new(),
-            origin,
             key_tables: std::collections::HashMap::new(),
         })
     }
@@ -365,183 +283,6 @@ impl Designer {
     pub fn kill_sequence(&self) -> Vec<u64> {
         self.bfsm.kill_sequence().to_vec()
     }
-
-    /// Serializes the designer's full lock database to JSON. This is
-    /// Alice's crown-jewel file; in production it lives in an HSM-backed
-    /// store.
-    ///
-    /// The export carries the *construction inputs* (original STG, options,
-    /// seed) plus the activation ledger rather than the expanded BFSM:
-    /// [`Designer::new`] is deterministic, so import re-derives a
-    /// bit-identical BFSM — secrets, scramble keys and trigger placement
-    /// included — from far less state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::InvalidOptions`] when serialization fails
-    /// (practically impossible for in-memory data).
-    pub fn export_database(&self) -> Result<String, MeteringError> {
-        let options = self.origin.options.to_json();
-        let log = Json::Arr(
-            self.log
-                .iter()
-                .map(|rec| {
-                    Json::obj(vec![
-                        ("reported_code", Json::U64(rec.reported_code)),
-                        ("group", Json::U64(rec.group as u64)),
-                        ("key", key_to_json(&rec.key)),
-                    ])
-                })
-                .collect(),
-        );
-        let db = Json::obj(vec![
-            ("version", Json::U64(DATABASE_VERSION)),
-            ("original", stg_to_json(&self.origin.original)),
-            ("options", options),
-            ("seed", Json::U64(self.origin.seed)),
-            ("log", log),
-        ]);
-        Ok(db.to_string())
-    }
-
-    /// Restores a designer from an exported database by re-running the
-    /// deterministic construction on the stored inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::InvalidOptions`] for malformed input.
-    pub fn import_database(json: &str) -> Result<Designer, MeteringError> {
-        let bad = |reason: String| MeteringError::InvalidOptions { reason };
-        let db = Json::parse(json).map_err(|e| bad(format!("deserialization failed: {e}")))?;
-        let mut f = StrictObj::new(&db, "database")?;
-        let version: u64 = f.uint("version")?;
-        if version != DATABASE_VERSION {
-            return Err(bad(format!("unsupported database version {version}")));
-        }
-        let original = stg_from_json(f.field("original")?)?;
-        let options = LockOptions::from_json(f.field("options")?)?;
-        let seed: u64 = f.uint("seed")?;
-        let log = f
-            .arr("log")?
-            .iter()
-            .map(|rec| {
-                let mut r = StrictObj::new(rec, "log record")?;
-                let record = ActivationRecord {
-                    reported_code: r.uint("reported_code")?,
-                    group: r.uint("group")?,
-                    key: key_from_json(r.field("key")?)?,
-                };
-                r.finish()?;
-                Ok(record)
-            })
-            .collect::<Result<Vec<_>, MeteringError>>()?;
-        f.finish()?;
-        let mut designer = Designer::new(original, options, seed)?;
-        designer.log = log;
-        Ok(designer)
-    }
-}
-
-/// Database schema version for [`Designer::export_database`].
-const DATABASE_VERSION: u64 = 1;
-
-fn key_to_json(key: &UnlockKey) -> Json {
-    Json::Arr(key.values.iter().map(|&v| Json::U64(v)).collect())
-}
-
-fn key_from_json(j: &Json) -> Result<UnlockKey, MeteringError> {
-    let values = j
-        .as_arr()
-        .ok_or_else(|| MeteringError::InvalidOptions {
-            reason: "key must be an array".to_string(),
-        })?
-        .iter()
-        .map(|v| {
-            v.as_u64().ok_or_else(|| MeteringError::InvalidOptions {
-                reason: "key symbol must be an unsigned integer".to_string(),
-            })
-        })
-        .collect::<Result<Vec<u64>, _>>()?;
-    Ok(UnlockKey { values })
-}
-
-/// Exact structural JSON for an [`hwm_fsm::Stg`]: state order, transition
-/// order and cube text are preserved verbatim, so a parse rebuilds a
-/// structurally identical machine (unlike KISS2, which re-orders states by
-/// first appearance and drops isolated ones).
-fn stg_to_json(stg: &hwm_fsm::Stg) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(stg.name().to_string())),
-        ("inputs", Json::U64(stg.num_inputs() as u64)),
-        ("outputs", Json::U64(stg.num_outputs() as u64)),
-        (
-            "states",
-            Json::Arr(
-                stg.state_names()
-                    .iter()
-                    .map(|n| Json::Str(n.clone()))
-                    .collect(),
-            ),
-        ),
-        ("reset", Json::U64(stg.reset_state().index() as u64)),
-        (
-            "transitions",
-            Json::Arr(
-                stg.transitions()
-                    .iter()
-                    .map(|t| {
-                        Json::Arr(vec![
-                            Json::U64(t.from.index() as u64),
-                            Json::Str(t.input.to_string()),
-                            Json::U64(t.to.index() as u64),
-                            Json::Str(t.output.to_string()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn stg_from_json(j: &Json) -> Result<hwm_fsm::Stg, MeteringError> {
-    let bad = |reason: &str| MeteringError::InvalidOptions {
-        reason: reason.to_string(),
-    };
-    let mut f = StrictObj::new(j, "STG")?;
-    let mut stg = hwm_fsm::Stg::new(f.uint("inputs")?, f.uint("outputs")?);
-    stg.set_name(&f.string("name")?);
-    for s in f.arr("states")? {
-        stg.add_state(s.as_str().ok_or_else(|| bad("state name must be a string"))?);
-    }
-    for t in f.arr("transitions")? {
-        let fields = t.as_arr().filter(|f| f.len() == 4).ok_or_else(|| {
-            bad("transition must be [from, input, to, output]")
-        })?;
-        let from = fields[0]
-            .as_usize()
-            .filter(|&i| i < stg.state_count())
-            .ok_or_else(|| bad("bad transition source"))?;
-        let to = fields[2]
-            .as_usize()
-            .filter(|&i| i < stg.state_count())
-            .ok_or_else(|| bad("bad transition destination"))?;
-        stg.add_transition_str(
-            hwm_fsm::StateId::from_index(from),
-            fields[1].as_str().ok_or_else(|| bad("bad transition input"))?,
-            hwm_fsm::StateId::from_index(to),
-            fields[3].as_str().ok_or_else(|| bad("bad transition output"))?,
-        )
-        .map_err(|e| MeteringError::InvalidOptions {
-            reason: format!("bad transition: {e}"),
-        })?;
-    }
-    let reset: usize = f.uint("reset")?;
-    if reset >= stg.state_count() {
-        return Err(bad("STG reset state out of range"));
-    }
-    stg.set_reset(hwm_fsm::StateId::from_index(reset));
-    f.finish()?;
-    Ok(stg)
 }
 
 fn hole_triggered(bfsm: &Bfsm, hole: &crate::blackhole::BlackHole, composed: u32, v: u64) -> bool {

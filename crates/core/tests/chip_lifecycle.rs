@@ -27,6 +27,20 @@ fn assert_key_refused(designer: &mut Designer, readout: &ScanReadout, error: Met
 }
 
 #[test]
+fn designer_rejects_more_modules_than_a_state_holds() {
+    // The composed state is a u32 with 3 bits per module: 11 modules must
+    // be refused, not wrap the state or size a 2^33-entry search.
+    let eleven = LockOptions {
+        added_modules: 11,
+        ..LockOptions::default()
+    };
+    assert!(matches!(
+        Designer::new(Stg::ring_counter(4, 1), eleven, 7),
+        Err(MeteringError::InvalidOptions { .. })
+    ));
+}
+
+#[test]
 fn boot_without_stored_key_fails() {
     let (_, mut foundry) = setup(LockOptions::default(), 301);
     let mut chip = fabricate_locked(&mut foundry);
@@ -205,35 +219,4 @@ fn repeated_power_up_reenrolls_nothing() {
         chip.boot_from_storage().expect("enrolled boot still works");
         assert!(chip.is_unlocked());
     }
-}
-
-#[test]
-fn designer_database_survives_round_trip() {
-    let (mut designer, mut foundry) = setup(
-        LockOptions {
-            black_holes: 1,
-            group_bits: 1,
-            ..LockOptions::default()
-        },
-        313,
-    );
-    // Activate two chips, export, re-import, and keep working.
-    let mut first = fabricate_locked(&mut foundry);
-    protocol::activate(&mut designer, &mut first).unwrap();
-    let json = designer.export_database().unwrap();
-    let mut restored = Designer::import_database(&json).unwrap();
-    assert_eq!(restored.activations(), 1);
-    // The restored designer unlocks new chips from the same production run.
-    let mut second = fabricate_locked(&mut foundry);
-    protocol::activate(&mut restored, &mut second).unwrap();
-    assert!(second.is_unlocked());
-    assert_eq!(restored.activations(), 2);
-    // And its kill sequence still works on deployed silicon.
-    assert!(first.remote_disable(&restored.kill_sequence()));
-}
-
-#[test]
-fn import_rejects_garbage() {
-    assert!(Designer::import_database("not json").is_err());
-    assert!(Designer::import_database("{}").is_err());
 }

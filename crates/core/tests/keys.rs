@@ -91,6 +91,7 @@ fn lock(q: usize, b: usize, holes: usize, trapdoor: usize, group_bits: usize, se
         trapdoor,
         group_bits,
         2,
+        true,
         seed,
     )
     .expect("BFSM")

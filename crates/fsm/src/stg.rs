@@ -137,11 +137,6 @@ impl Stg {
         self.states.len()
     }
 
-    /// State names, indexed by `StateId::index()`.
-    pub fn state_names(&self) -> &[String] {
-        &self.states
-    }
-
     /// Name of one state.
     pub fn state_name(&self, s: StateId) -> &str {
         &self.states[s.index()]

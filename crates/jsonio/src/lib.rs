@@ -1,7 +1,8 @@
 //! Minimal lossless JSON for the metering stack.
 //!
-//! The designer's lock database and the benchmark harness's trace files
-//! both need a wire format in an environment without crates.io. This crate
+//! The activation service's wire protocol and journal and the benchmark
+//! harness's trace files need a wire format in an environment without
+//! crates.io. This crate
 //! implements a small JSON value model with three properties the stack
 //! depends on:
 //!
@@ -113,11 +114,6 @@ impl Json {
             Json::I64(v) => Some(*v as f64),
             _ => None,
         }
-    }
-
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
     }
 
     /// The value as `bool`.
@@ -754,16 +750,6 @@ impl<'a> StrictObj<'a> {
         }
     }
 
-    /// The required boolean field `name`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the field is absent or not a boolean.
-    pub fn bool(&mut self, name: &str) -> Result<bool, FieldError> {
-        let v = self.field(name)?;
-        v.as_bool().ok_or_else(|| self.ill_typed(name, "a boolean"))
-    }
-
     /// The required string field `name`.
     ///
     /// # Errors
@@ -1075,7 +1061,6 @@ mod tests {
         let j = Json::parse("{\"b\":true,\"xs\":[1,2],\"bad\":[1,\"2\"],\"s\":\"t\",\"g\":256}")
             .unwrap();
         let mut r = StrictObj::new(&j, "doc").unwrap();
-        assert_eq!(r.bool("b"), Ok(true));
         assert_eq!(r.uint::<u16>("g"), Ok(256));
         // Narrowing never truncates.
         assert_eq!(

@@ -113,24 +113,6 @@ impl Netlist {
         &self.nets[id.index()].name
     }
 
-    /// Number of fanout pins of each net (gate pins plus FF D pins plus
-    /// primary outputs).
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut fanout = vec![0usize; self.nets.len()];
-        for g in &self.gates {
-            for &i in &g.inputs {
-                fanout[i.index()] += 1;
-            }
-        }
-        for ff in &self.ffs {
-            fanout[ff.d.index()] += 1;
-        }
-        for (_, o) in &self.outputs {
-            fanout[o.index()] += 1;
-        }
-        fanout
-    }
-
     /// Evaluates the combinational logic for one clock cycle.
     ///
     /// `pi` are the primary-input values (in [`Netlist::inputs`] order) and
@@ -347,11 +329,6 @@ impl NetlistBuilder {
     /// Instantiates a D flip-flop onto an existing Q net.
     pub fn flip_flop_onto(&mut self, d: NetId, q: NetId, init: bool) {
         self.ffs.push(FlipFlop { d, q, init });
-    }
-
-    /// Number of nets created so far.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// Inlines `child` into this builder as a sub-block: the child's primary

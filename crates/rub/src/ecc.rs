@@ -243,11 +243,6 @@ impl<C: ErrorCorrectingCode> FuzzyExtractor<C> {
         FuzzyExtractor { code }
     }
 
-    /// Number of ID bits extracted from a reading of `reading_bits` cells.
-    pub fn id_bits(&self, reading_bits: usize) -> usize {
-        (reading_bits / self.code.code_bits()) * self.code.data_bits()
-    }
-
     /// Enrolls a reading: returns the stable ID and the public helper data.
     pub fn enroll(&self, reading: &Bits) -> (Bits, Bits) {
         let blocks = reading.len() / self.code.code_bits();

@@ -101,11 +101,6 @@ impl Rub {
         }
     }
 
-    /// Builds a RUB from explicit cells (for tests and attack scenarios).
-    pub fn from_cells(cells: Vec<LatchCell>) -> Self {
-        Rub { cells }
-    }
-
     /// Number of ID bits.
     pub fn len(&self) -> usize {
         self.cells.len()

@@ -621,7 +621,6 @@ fn request_corpus() -> Vec<hwm_jsonio::Json> {
 /// service-side decoders, each paired with its decoder.
 fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
     use hwm_jsonio::Json;
-    use hwm_metering::LockOptions;
     use hwm_metrics::{
         AuditLog, AuditValue, History, HistoryConfig, HistoryDump, MetricClass, MetricsRegistry,
         Snapshot,
@@ -721,15 +720,6 @@ fn decoder_corpus() -> Vec<(hwm_jsonio::Json, Decodes)> {
     corpus.push((Json::parse(&registry.to_json()).unwrap(), |j| {
         RegistrySnapshot::from_json(&j.to_string()).is_ok()
     }));
-    for options in [
-        LockOptions::default(),
-        LockOptions {
-            input_bits: Some(3),
-            ..LockOptions::default()
-        },
-    ] {
-        corpus.push((options.to_json(), |j| LockOptions::from_json(j).is_ok()));
-    }
     corpus.push((snapshot.to_json(), |j| Snapshot::from_json(j).is_ok()));
     corpus.push((dump.to_json(), |j| HistoryDump::from_json(j).is_ok()));
     corpus

@@ -108,11 +108,6 @@ impl GeneratedCircuit {
     pub fn delay_error(&self) -> f64 {
         (self.stats.delay - self.profile.delay).abs() / self.profile.delay
     }
-
-    /// Relative power error versus the profile.
-    pub fn power_error(&self) -> f64 {
-        (self.stats.power - self.profile.power).abs() / self.profile.power
-    }
 }
 
 /// Generates a synthetic sequential circuit calibrated to `profile`.
@@ -180,18 +175,6 @@ pub fn generate(
         stats,
         profile: profile.clone(),
     })
-}
-
-/// Generates every paper benchmark.
-///
-/// # Errors
-///
-/// Propagates the first calibration failure.
-pub fn generate_all(lib: &CellLibrary, seed: u64) -> Result<Vec<GeneratedCircuit>, SynthError> {
-    paper_benchmarks()
-        .iter()
-        .map(|p| generate(p, lib, seed))
-        .collect()
 }
 
 fn build_random_circuit(
