@@ -9,6 +9,7 @@ fn main() {
     let run = BenchRun::start("ablations");
     let (seed, jobs) = (run.seed(), run.jobs());
     let runs: usize = hwm_bench::num_arg("--runs").unwrap_or(20);
+    hwm_bench::reject_unknown_args();
     println!(
         "{}",
         hwm_bench::ablations::modules_vs_hitting(runs, seed, jobs).expect("ablation 1")

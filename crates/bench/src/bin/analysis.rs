@@ -8,6 +8,7 @@ use hwm_bench::run::BenchRun;
 
 fn main() {
     let run = BenchRun::start("analysis");
+    hwm_bench::reject_unknown_args();
     println!("{}", hwm_bench::analysis::power_up_table());
     println!("{}", hwm_bench::analysis::picid_table());
     println!("{}", hwm_bench::analysis::key_diversity_table(run.seed()));

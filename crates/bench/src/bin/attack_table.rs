@@ -13,6 +13,7 @@ fn main() {
     let run = BenchRun::start("attack_table");
     let seed = run.seed();
     let cap: u64 = hwm_bench::num_arg("--cap").unwrap_or(1_000_000);
+    hwm_bench::reject_unknown_args();
     // The two campaign configurations are independent work items; run them
     // on up to two workers. A 24-state original: a forced garbage
     // state-code decodes to the reset state with probability ~1/32 instead

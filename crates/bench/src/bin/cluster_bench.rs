@@ -50,6 +50,7 @@ fn main() {
         trace: traces_out.is_some(),
         ..defaults
     };
+    hwm_bench::reject_unknown_args();
     match run_cluster_sim(&config) {
         Ok(outcome) => {
             if let Some(path) = &traces_out {

@@ -34,12 +34,12 @@ fn main() {
             jobs: run.jobs(),
             ..AlertSimConfig::new(run.seed())
         };
+        let alerts_out = hwm_bench::arg_value("--alerts-out");
+        hwm_bench::reject_unknown_args();
         let outcome = run_alert_sim(&config);
         print!("{}", outcome.report());
-        if let Some(path) = hwm_bench::arg_value("--alerts-out") {
-            if let Err(e) = std::fs::write(&path, &outcome.campaign.alerts_jsonl) {
-                eprintln!("warning: could not write alerts to {path}: {e}");
-            }
+        if let Some(path) = alerts_out {
+            hwm_bench::write_artifact(path, "alerts", &outcome.campaign.alerts_jsonl);
         }
         run.finish();
         if !outcome.ok() {
@@ -68,6 +68,7 @@ fn main() {
             .collect(),
         None => FaultKind::ALL.to_vec(),
     };
+    hwm_bench::reject_unknown_args();
     let dir = std::env::temp_dir().join(format!("hwm-crash-sim-{}", std::process::id()));
     let outcome = run_matrix(&base, &kinds, &dir);
     let _ = std::fs::remove_dir_all(&dir);

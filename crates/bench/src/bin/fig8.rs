@@ -10,6 +10,7 @@ use hwm_synth::iscas;
 
 fn main() {
     let run = BenchRun::start("fig8");
+    hwm_bench::reject_unknown_args();
     let lib = CellLibrary::generic();
     let profiles = iscas::paper_benchmarks();
     let fig =

@@ -25,7 +25,8 @@
 //! it client-side against the polled history — the panel shows live
 //! rule values even when the server has no rules installed.
 //!
-//! A malformed number in any flag exits 2 naming the flag.
+//! A malformed number in any flag, or a flag the chosen source does not
+//! take, exits 2 naming the flag.
 //!
 //! Output discipline: the dashboard and `--json` report carry only
 //! `det`-class metrics; wall-clock latency tables are printed to stderr,
@@ -33,9 +34,8 @@
 //! timing families into the report instead).
 //!
 //! Usage: `hwm_monitor [--connect HOST:PORT] [--retries N] [--once]
-//!     [--json] [--timings] [--interval N[ms]|Nticks] [--interval-ms N]
-//!     [--rules FILE] [--seed N] [--jobs N] [--clients N]
-//!     [--per-client N]`
+//!     [--json] [--timings] [--interval N[ms]|Nticks] [--rules FILE]
+//!     [--seed N] [--jobs N] [--clients N] [--per-client N]`
 
 use hwm_bench::monitor::{json_report, observe, render_dashboard, render_timings, Observation};
 use hwm_bench::serve::{bench_designer, build_plans, server_config, submit_local};
@@ -63,8 +63,8 @@ fn parse_interval(s: &str) -> Option<Interval> {
     s.parse().ok().map(Interval::Ms)
 }
 
-fn load_rules() -> Option<AlertRuleSet> {
-    let path = hwm_bench::arg_value("--rules")?;
+fn load_rules(path: Option<String>) -> Option<AlertRuleSet> {
+    let path = path?;
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -140,18 +140,18 @@ fn main() {
     let json = hwm_bench::flag_present("--json");
     let timings = hwm_bench::flag_present("--timings");
     let once = hwm_bench::flag_present("--once");
-    let rules = load_rules();
+    let rules_path = hwm_bench::arg_value("--rules");
     if let Some(addr) = hwm_bench::arg_value("--connect") {
-        // --interval supersedes --interval-ms; the old flag stays as an
-        // alias so existing invocations keep working.
         let interval = match hwm_bench::arg_value("--interval") {
             Some(s) => parse_interval(&s).unwrap_or_else(|| {
                 eprintln!("hwm_monitor: --interval wants N[ms] or Nticks, got {s:?}");
                 std::process::exit(2);
             }),
-            None => hwm_bench::num_arg("--interval-ms").map_or(Interval::Ms(1000), Interval::Ms),
+            None => Interval::Ms(1000),
         };
         let retries: u32 = hwm_bench::num_arg("--retries").unwrap_or(5);
+        hwm_bench::reject_unknown_args();
+        let rules = load_rules(rules_path);
         let mut last_rendered_tick: Option<u64> = None;
         loop {
             let mut client = match connect_with_retry(&addr, retries) {
@@ -197,6 +197,8 @@ fn main() {
     let jobs = hwm_bench::parallel::jobs_from_args();
     let clients: usize = hwm_bench::num_arg("--clients").unwrap_or(8);
     let per_client: usize = hwm_bench::num_arg("--per-client").unwrap_or(16);
+    hwm_bench::reject_unknown_args();
+    let rules = load_rules(rules_path);
     let designer = bench_designer(seed);
     let plans = build_plans(&designer, clients, per_client, seed, jobs);
     let server = Arc::new(ActivationServer::new(

@@ -21,9 +21,11 @@
 use hwm_service::{Client, Request, Response, TcpClient};
 use hwm_trace::{render_traces, spans_from_jsonl, SpanRecord, TraceQuery};
 
-fn load_spans() -> Result<Vec<SpanRecord>, String> {
-    let input = hwm_bench::arg_value("--input");
-    let connect = hwm_bench::arg_value("--connect");
+fn load_spans(
+    input: Option<String>,
+    connect: Option<String>,
+    limit: Option<u64>,
+) -> Result<Vec<SpanRecord>, String> {
     match (input, connect) {
         (Some(path), None) => {
             let text = std::fs::read_to_string(&path)
@@ -31,7 +33,6 @@ fn load_spans() -> Result<Vec<SpanRecord>, String> {
             spans_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
         }
         (None, Some(addr)) => {
-            let limit = hwm_bench::num_arg("--limit");
             let mut client = TcpClient::connect(&addr)
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
             match client
@@ -50,18 +51,23 @@ fn load_spans() -> Result<Vec<SpanRecord>, String> {
 }
 
 fn main() {
-    let spans = match load_spans() {
-        Ok(spans) => spans,
-        Err(e) => {
-            eprintln!("hwm_traces: {e}");
-            std::process::exit(if e.contains("required") { 2 } else { 1 });
-        }
-    };
+    let input = hwm_bench::arg_value("--input");
+    let connect = hwm_bench::arg_value("--connect");
+    // `--limit` caps a live request; a dump is read whole.
+    let limit = connect.as_ref().and_then(|_| hwm_bench::num_arg("--limit"));
     let query = TraceQuery {
         client: hwm_bench::arg_value("--client"),
         ic: hwm_bench::arg_value("--ic"),
         outcome: hwm_bench::arg_value("--outcome"),
         slowest: hwm_bench::num_arg("--slowest"),
+    };
+    hwm_bench::reject_unknown_args();
+    let spans = match load_spans(input, connect, limit) {
+        Ok(spans) => spans,
+        Err(e) => {
+            eprintln!("hwm_traces: {e}");
+            std::process::exit(if e.contains("required") { 2 } else { 1 });
+        }
     };
     let trees = query.run(&spans);
     // Stdout carries only the rendered trees (golden material); the

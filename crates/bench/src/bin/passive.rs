@@ -7,6 +7,7 @@ use hwm_bench::run::BenchRun;
 
 fn main() {
     let run = BenchRun::start("passive");
+    hwm_bench::reject_unknown_args();
     println!(
         "{}",
         hwm_bench::passive_exp::variant_space_table(16).expect("variant table")

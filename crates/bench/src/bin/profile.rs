@@ -6,30 +6,17 @@
 //!
 //! With no paths, reads every `results/trace/*.jsonl` (the layout
 //! `PROFILE=1 ./regen_results.sh` produces). Exits non-zero when a trace
-//! fails to parse — a malformed trace is a bug, not something to skim over.
+//! fails to parse — a malformed trace is a bug, not something to skim over
+//! — and 2 on a flag other than `--top`.
 
 use hwm_trace::Summary;
 use std::path::PathBuf;
 
-fn trace_paths() -> Vec<PathBuf> {
-    let named: Vec<PathBuf> = std::env::args()
-        .skip(1)
-        .scan(false, |skip_next, a| {
-            // `--top N` consumes its value; everything else non-flag is a path.
-            if *skip_next {
-                *skip_next = false;
-                return Some(None);
-            }
-            if a == "--top" {
-                *skip_next = true;
-                return Some(None);
-            }
-            Some((!a.starts_with("--")).then(|| PathBuf::from(a)))
-        })
-        .flatten()
-        .collect();
+/// The trace paths given on the command line, or every
+/// `results/trace/*.jsonl` when none is.
+fn trace_paths(named: Vec<String>) -> Vec<PathBuf> {
     if !named.is_empty() {
-        return named;
+        return named.into_iter().map(PathBuf::from).collect();
     }
     let mut found: Vec<PathBuf> = std::fs::read_dir("results/trace")
         .into_iter()
@@ -44,7 +31,7 @@ fn trace_paths() -> Vec<PathBuf> {
 
 fn main() {
     let top: usize = hwm_bench::num_arg("--top").unwrap_or(20);
-    let paths = trace_paths();
+    let paths = trace_paths(hwm_bench::positional_args());
     if paths.is_empty() {
         eprintln!("no traces: pass paths or run binaries with --trace-out results/trace/<name>.jsonl");
         std::process::exit(1);

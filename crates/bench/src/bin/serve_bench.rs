@@ -203,6 +203,7 @@ fn main() {
     let run = BenchRun::start("serve_bench");
     let seed = run.seed();
     if hwm_bench::flag_present("--smoke") {
+        hwm_bench::reject_unknown_args();
         match smoke(seed) {
             Ok(()) => {
                 run.finish();
@@ -254,6 +255,7 @@ fn main() {
         }
     }
     let journal_path = hwm_bench::arg_value("--journal");
+    hwm_bench::reject_unknown_args();
 
     let designer = bench_designer(seed);
     let plans = if campaign.is_some() {

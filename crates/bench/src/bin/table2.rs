@@ -9,7 +9,9 @@ use hwm_synth::iscas;
 
 fn main() {
     let run = BenchRun::start("table2");
-    let profiles = if hwm_bench::flag_present("--small") {
+    let small = hwm_bench::flag_present("--small");
+    hwm_bench::reject_unknown_args();
+    let profiles = if small {
         iscas::small_benchmarks()
     } else {
         iscas::paper_benchmarks()

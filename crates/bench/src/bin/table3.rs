@@ -12,6 +12,7 @@ fn main() {
     let run = BenchRun::start("table3");
     let runs: usize = hwm_bench::num_arg("--runs").unwrap_or(100);
     let cap: u64 = hwm_bench::num_arg("--cap").unwrap_or(2_000_000);
+    hwm_bench::reject_unknown_args();
     println!(
         "Table 3 — average brute-force attempts ({runs} runs per cell, cap {cap}; paper: 10000 runs)"
     );

@@ -323,9 +323,7 @@ fn build_cluster(config: &ClusterSimConfig, plan: Option<FaultPlan>) -> io::Resu
         nodes.push(replicas);
     }
     let router = Arc::new(ClusterRouter::new(groups, config.vnodes, plan));
-    router
-        .set_rep_window(config.rep_window.max(1) as u32)
-        .map_err(|e| io::Error::other(e.message))?;
+    router.set_rep_window(config.rep_window.max(1) as u32)?;
     Ok(ClusterWorld {
         router,
         nodes,
@@ -451,10 +449,7 @@ pub fn run_cluster_sim(config: &ClusterSimConfig) -> io::Result<ClusterSimOutcom
     // End-of-run replication barrier: any coalesced batches reach the
     // followers before their registries are compared (the snapshot and
     // Metrics paths drain too; this makes the contract explicit).
-    world
-        .router
-        .sync_replication()
-        .map_err(|e| io::Error::other(e.message))?;
+    world.router.sync_replication()?;
     let timeline = world.router.timeline();
     let trace_jsonl = world.router.trace_dump();
 

@@ -66,11 +66,21 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Every flag the binary has asked for: its name, and whether it takes a
+/// value. [`positional_args`] refuses any flag missing here.
+static ASKED: std::sync::Mutex<Vec<(String, bool)>> = std::sync::Mutex::new(Vec::new());
+
+fn ask(name: &str, valued: bool) {
+    let mut asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+    asked.push((name.to_string(), valued));
+}
+
 /// The value after `--flag` in `std::env::args`; `None` when the flag is
 /// absent. A flag given as the last argument has no value: that is a
 /// usage error, so the binary names the flag on stderr and exits with
 /// status 2 instead of running as if the flag were absent.
 pub fn arg_value(name: &str) -> Option<String> {
+    ask(name, true);
     let mut args = std::env::args().skip(1);
     args.position(|a| a == name)?;
     match args.next() {
@@ -121,7 +131,42 @@ pub fn write_artifact(path: impl AsRef<std::path::Path>, what: &str, contents: i
 
 /// Whether a bare `--flag` is present in `std::env::args`.
 pub fn flag_present(name: &str) -> bool {
+    ask(name, false);
     std::env::args().any(|a| a == name)
+}
+
+/// The arguments that are neither a flag the binary asked for through
+/// [`arg_value`], [`num_arg`] or [`flag_present`] nor the value of one,
+/// in order. Call it once every flag has been read and before any work:
+/// an argument starting with `--` that no read asked for is a misspelled
+/// or retired flag, so the binary names it on stderr and exits with
+/// status 2 instead of running with the defaults.
+pub fn positional_args() -> Vec<String> {
+    let asked = ASKED.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let mut rest = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match asked.iter().find(|(n, _)| *n == arg) {
+            Some((_, valued)) => {
+                if *valued {
+                    args.next();
+                }
+            }
+            None if arg.starts_with("--") => usage_error(&format!("unknown flag {arg:?}")),
+            None => rest.push(arg),
+        }
+    }
+    rest
+}
+
+/// Refuses every argument the binary did not ask for: an unknown flag
+/// (see [`positional_args`]) or a stray value exits with status 2,
+/// naming it. Every bench binary but `profile`, which takes trace paths,
+/// calls this once its flags are read and before any work.
+pub fn reject_unknown_args() {
+    if let Some(arg) = positional_args().first() {
+        usage_error(&format!("unexpected argument {arg:?}"));
+    }
 }
 
 #[cfg(test)]

@@ -53,9 +53,7 @@ pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     })? {
         Response::Metrics { snapshot } => snapshot,
         other => {
-            return Err(WireError {
-                message: format!("metrics request answered with {other:?}"),
-            })
+            return Err(WireError::new(format!("metrics request answered with {other:?}")))
         }
     };
     let audit = match client.call(&Request::Audit {
@@ -64,9 +62,7 @@ pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     })? {
         Response::Audit { events, .. } => events,
         other => {
-            return Err(WireError {
-                message: format!("audit request answered with {other:?}"),
-            })
+            return Err(WireError::new(format!("audit request answered with {other:?}")))
         }
     };
     let history = match client.call(&Request::History {
@@ -75,9 +71,7 @@ pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     })? {
         Response::History { history } => history,
         other => {
-            return Err(WireError {
-                message: format!("history request answered with {other:?}"),
-            })
+            return Err(WireError::new(format!("history request answered with {other:?}")))
         }
     };
     let traces = match client.call(&Request::Traces {
@@ -86,9 +80,7 @@ pub fn observe(client: &mut dyn Client) -> Result<Observation, WireError> {
     })? {
         Response::Traces { spans } => spans,
         other => {
-            return Err(WireError {
-                message: format!("traces request answered with {other:?}"),
-            })
+            return Err(WireError::new(format!("traces request answered with {other:?}")))
         }
     };
     Ok(Observation {

@@ -368,9 +368,7 @@ pub fn submit_tcp(
                     let mut client = TcpClient::connect(addr)?;
                     let mut tally = Tally::default();
                     for window in plan.requests.chunks(depth.max(1)) {
-                        let resps = client.call_pipelined(window).map_err(|e| {
-                            std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
-                        })?;
+                        let resps = client.call_pipelined(window)?;
                         for resp in &resps {
                             tally.absorb(resp);
                         }

@@ -1,7 +1,8 @@
-//! Flags are strict: a value that does not parse, or a flag given without
-//! a value, exits with status 2 and names the flag instead of running
-//! with a default. A run writes nothing but stdout and stderr unless an
-//! output flag asks for a file.
+//! Flags are strict: a value that does not parse, a flag given without
+//! a value, a flag the binary does not know and a stray value all exit
+//! with status 2 and name the argument instead of running with a
+//! default. A run writes nothing but stdout and stderr unless an output
+//! flag asks for a file.
 
 use std::process::Command;
 
@@ -9,7 +10,8 @@ use std::process::Command;
 fn malformed_numeric_flags_exit_2() {
     let table1 = env!("CARGO_BIN_EXE_table1");
     let serve_bench = env!("CARGO_BIN_EXE_serve_bench");
-    let cases: [(&str, &[&str]); 8] = [
+    let crash_sim = env!("CARGO_BIN_EXE_crash_sim");
+    let cases: [(&str, &[&str]); 14] = [
         (table1, &["--small", "--seed", "abc"]),
         (table1, &["--small", "--jobs", "abc"]),
         (table1, &["--small", "--jobs"]),
@@ -18,6 +20,14 @@ fn malformed_numeric_flags_exit_2() {
         (serve_bench, &["--pipeline", "0"]),
         (serve_bench, &["--flush", "sync"]),
         (serve_bench, &["--flush", "group-commit:0"]),
+        // Unknown flags: a misspelling, a retired flag, a flag of the
+        // other mode.
+        (table1, &["--small", "--sed", "7"]),
+        (crash_sim, &["--cache-stats"]),
+        (crash_sim, &["--kinds", "torn-write", "--cache-stats"]),
+        (crash_sim, &["--campaign", "clone", "--crashes", "2"]),
+        (env!("CARGO_BIN_EXE_hwm_monitor"), &["--once", "--interval-ms", "5"]),
+        (env!("CARGO_BIN_EXE_hwm_traces"), &["--input", "spans.jsonl", "--bogus"]),
     ];
     for (binary, args) in cases {
         let out = Command::new(binary).args(args).output().expect("spawn");
@@ -26,6 +36,21 @@ fn malformed_numeric_flags_exit_2() {
         assert!(out.stdout.is_empty(), "{binary} {args:?} printed a report");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{binary} {args:?}: {stderr}");
+    }
+}
+
+/// A value no flag takes is refused before anything runs, and named.
+#[test]
+fn stray_values_exit_2() {
+    for args in [&["--small", "7"][..], &["7", "--small"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+            .args(args)
+            .output()
+            .expect("spawn table1");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "table1 {args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("\"7\""), "{args:?}: {stderr}");
     }
 }
 

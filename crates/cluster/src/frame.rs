@@ -1,8 +1,8 @@
 //! The replication frame protocol.
 //!
 //! Replication traffic rides the same 4-byte length-prefixed JSON
-//! framing as the client protocol ([`hwm_service::read_frame`] /
-//! [`hwm_service::write_frame`]); only the payload schema differs. Like
+//! framing as the client protocol ([`hwm_service::wire::encode_frame`] /
+//! [`hwm_service::wire::FrameDecoder`]); only the payload schema differs. Like
 //! the client codec, parsing is **strict** — unknown, missing,
 //! ill-typed and duplicated fields are refused by the same
 //! [`StrictObj`] reader — and every frame except
@@ -295,7 +295,7 @@ fn entries_field(f: &mut StrictObj<'_>) -> Result<Vec<String>, ClusterError> {
         .map(|v| {
             v.as_str()
                 .map(str::to_string)
-                .ok_or_else(|| f.ill_typed("entries", "an array of strings").into())
+                .ok_or_else(|| f.ill_typed("entries", "an array of strings"))
         })
         .collect()
 }
@@ -303,10 +303,7 @@ fn entries_field(f: &mut StrictObj<'_>) -> Result<Vec<String>, ClusterError> {
 /// The optional `"trace"` context: absent means untraced (old frames
 /// parse), present is parsed strictly (tampered contexts are refused).
 fn trace_field(f: &mut StrictObj<'_>) -> Result<Option<TraceContext>, ClusterError> {
-    f.opt("trace")?
-        .map(TraceContext::from_json)
-        .transpose()
-        .map_err(|e| ClusterError::new(e.message))
+    f.opt("trace")?.map(TraceContext::from_json).transpose()
 }
 
 /// The optional `"spans"` batch: absent means empty, present is parsed
@@ -319,7 +316,7 @@ fn spans_field(f: &mut StrictObj<'_>) -> Result<Vec<SpanRecord>, ClusterError> {
         .as_arr()
         .ok_or_else(|| f.ill_typed("spans", "an array"))?
         .iter()
-        .map(|sj| SpanRecord::from_json(sj).map_err(|e| ClusterError::new(e.message)))
+        .map(SpanRecord::from_json)
         .collect()
 }
 
@@ -327,7 +324,7 @@ fn spans_field(f: &mut StrictObj<'_>) -> Result<Vec<SpanRecord>, ClusterError> {
 fn audit_field(f: &mut StrictObj<'_>) -> Result<Vec<AuditEvent>, ClusterError> {
     f.arr("audit")?
         .iter()
-        .map(|ej| AuditEvent::from_json(ej).map_err(|e| ClusterError::new(e.message)))
+        .map(AuditEvent::from_json)
         .collect()
 }
 

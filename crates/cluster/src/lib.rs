@@ -44,41 +44,6 @@ pub use node::ShardNode;
 pub use ring::HashRing;
 pub use router::{ClusterRouter, FailoverEvent, ShardGroup};
 
-use std::fmt;
-
 /// A cluster-level failure: a broken replication frame, a dead link, or
 /// a replica that refused an entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl ClusterError {
-    /// Builds an error from any message.
-    pub fn new(message: impl Into<String>) -> ClusterError {
-        ClusterError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cluster error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ClusterError {}
-
-impl From<hwm_jsonio::FieldError> for ClusterError {
-    fn from(e: hwm_jsonio::FieldError) -> ClusterError {
-        ClusterError::new(e.message)
-    }
-}
-
-impl From<hwm_service::WireError> for ClusterError {
-    fn from(e: hwm_service::WireError) -> ClusterError {
-        ClusterError::new(e.message)
-    }
-}
+pub type ClusterError = hwm_jsonio::FieldError;

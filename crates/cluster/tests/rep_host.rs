@@ -7,6 +7,7 @@
 //! router's side of a refusal is pinned here too: a follower that
 //! refuses a batch ends the shipment there.
 
+use frames::{read_frame, write_frame};
 use hwm_cluster::{
     ClusterRouter, LocalLink, NodeLink, RepFrame, RepHost, ShardGroup, ShardNode, TcpLink,
 };
@@ -14,13 +15,16 @@ use hwm_jsonio::Json;
 use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    read_frame, write_frame, ActivationServer, FrameService, Handler, Registry, RegistrySnapshot,
-    Request, Response, ServerConfig,
+    ActivationServer, FrameService, Handler, Registry, RegistrySnapshot, Request, Response,
+    ServerConfig,
 };
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
+
+#[path = "../../service/tests/support/frames.rs"]
+mod frames;
 
 fn designer(seed: u64) -> Designer {
     Designer::new(

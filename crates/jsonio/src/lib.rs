@@ -617,13 +617,26 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// A well-formed JSON value that is not the object a decoder expects.
-/// Each crate converts it once into its own error type through a `From`
-/// impl, so decoders apply [`StrictObj`] with `?`.
+/// Any failure described by one message: a well-formed JSON value that
+/// is not the object a decoder expects, a malformed frame or line, a
+/// dead link, a refused replication entry. It is the one error type of
+/// every codec and link in the workspace (each crate names it for its
+/// domain with a type alias, such as `WireError` or `ClusterError`), so
+/// decoders apply [`StrictObj`] and one another with `?`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldError {
-    /// Human-readable description naming the object and the field.
+    /// Human-readable description; for a decoder, it names the object
+    /// and the field.
     pub message: String,
+}
+
+impl FieldError {
+    /// Builds an error from any message.
+    pub fn new(message: impl Into<String>) -> FieldError {
+        FieldError {
+            message: message.into(),
+        }
+    }
 }
 
 impl fmt::Display for FieldError {
@@ -669,7 +682,7 @@ impl<'a> StrictObj<'a> {
     /// Fails when `j` is not an object.
     pub fn new(j: &'a Json, what: &'a str) -> Result<StrictObj<'a>, FieldError> {
         let Json::Obj(fields) = j else {
-            return Err(field_error(format!("{what} must be a JSON object")));
+            return Err(FieldError::new(format!("{what} must be a JSON object")));
         };
         Ok(StrictObj {
             what,
@@ -679,7 +692,7 @@ impl<'a> StrictObj<'a> {
     }
 
     fn duplicate(&self, name: &str) -> FieldError {
-        field_error(format!("{} has duplicate field {name:?}", self.what))
+        FieldError::new(format!("{} has duplicate field {name:?}", self.what))
     }
 
     /// The optional field `name`, marking it read.
@@ -705,13 +718,13 @@ impl<'a> StrictObj<'a> {
     /// Fails when the field is absent or its key occurs more than once.
     pub fn field(&mut self, name: &str) -> Result<&'a Json, FieldError> {
         self.opt(name)?
-            .ok_or_else(|| field_error(format!("{} missing field {name:?}", self.what)))
+            .ok_or_else(|| FieldError::new(format!("{} missing field {name:?}", self.what)))
     }
 
     /// The error for field `name` holding the wrong kind of value;
     /// `expected` completes "must be …".
     pub fn ill_typed(&self, name: &str, expected: &str) -> FieldError {
-        field_error(format!("{} field {name:?} must be {expected}", self.what))
+        FieldError::new(format!("{} field {name:?} must be {expected}", self.what))
     }
 
     /// The required unsigned-integer field `name`, converted to `T`
@@ -817,15 +830,11 @@ impl<'a> StrictObj<'a> {
         if self.fields.iter().filter(|(k, _)| k == name).count() > 1 {
             return Err(self.duplicate(name));
         }
-        Err(field_error(format!(
+        Err(FieldError::new(format!(
             "{} has unknown field {name:?}",
             self.what
         )))
     }
-}
-
-fn field_error(message: String) -> FieldError {
-    FieldError { message }
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use crate::snapshot::labels_from_json;
 use crate::timeseries::{History, WindowStats};
 use crate::{AuditEvent, AuditValue};
 use hwm_jsonio::{FieldError, Json, StrictObj};
-use std::fmt;
 
 /// Wire schema version for [`AlertRuleSet`] JSON.
 pub const RULES_SCHEMA_VERSION: u64 = 1;
@@ -38,33 +37,7 @@ const ALERT_FIRE_KIND: &str = "alert_fire";
 const ALERT_RESOLVE_KIND: &str = "alert_resolve";
 
 /// A malformed rule set (parse or validation failure).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl AlertError {
-    fn new(message: impl Into<String>) -> AlertError {
-        AlertError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for AlertError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "alert rule error: {}", self.message)
-    }
-}
-
-impl std::error::Error for AlertError {}
-
-impl From<FieldError> for AlertError {
-    fn from(e: FieldError) -> AlertError {
-        AlertError::new(e.message)
-    }
-}
+pub type AlertError = FieldError;
 
 /// What a rule watches: one exact series, or a whole family summed.
 #[derive(Debug, Clone, PartialEq, Eq)]

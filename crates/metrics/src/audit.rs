@@ -9,7 +9,6 @@
 //! optionally mirrors them to a file.
 
 use hwm_jsonio::Json;
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
@@ -153,27 +152,7 @@ impl AuditEvent {
 }
 
 /// A malformed audit line or an audit file failure.
-#[derive(Debug)]
-pub struct AuditError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl AuditError {
-    fn new(message: impl Into<String>) -> AuditError {
-        AuditError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for AuditError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "audit error: {}", self.message)
-    }
-}
-
-impl std::error::Error for AuditError {}
+pub type AuditError = hwm_jsonio::FieldError;
 
 /// The append-only alert log. Not internally synchronized: the server
 /// records under its own state lock, which also gives audit `seq` order

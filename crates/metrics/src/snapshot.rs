@@ -3,7 +3,6 @@
 
 use crate::{MetricClass, MetricKind, SCHEMA_VERSION};
 use hwm_jsonio::{FieldError, Json, StrictObj};
-use std::fmt;
 use std::fmt::Write as _;
 
 /// A frozen histogram: per-bucket counts plus totals.
@@ -99,33 +98,7 @@ pub struct Snapshot {
 }
 
 /// A malformed snapshot on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl SnapshotError {
-    fn new(message: impl Into<String>) -> SnapshotError {
-        SnapshotError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot error: {}", self.message)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<FieldError> for SnapshotError {
-    fn from(e: FieldError) -> SnapshotError {
-        SnapshotError::new(e.message)
-    }
-}
+pub type SnapshotError = FieldError;
 
 /// Groups an iterator of sorted `(name, labels, class, (kind, value))`
 /// rows into families. Crate-internal: the registry produces the rows.
@@ -383,20 +356,17 @@ fn series_to_json(s: &Series) -> Json {
 /// Parses a `[[key, value], ...]` label list (shared with the history
 /// dump and the alert rules).
 pub(crate) fn labels_from_json(j: &Json) -> Result<Vec<(String, String)>, FieldError> {
-    let bad = |message: &str| FieldError {
-        message: message.to_string(),
-    };
     j.as_arr()
-        .ok_or_else(|| bad("field \"labels\" must be an array"))?
+        .ok_or_else(|| FieldError::new("field \"labels\" must be an array"))?
         .iter()
         .map(|pair| {
             let pair = pair
                 .as_arr()
                 .filter(|p| p.len() == 2)
-                .ok_or_else(|| bad("each label must be a [key, value] pair"))?;
+                .ok_or_else(|| FieldError::new("each label must be a [key, value] pair"))?;
             match (pair[0].as_str(), pair[1].as_str()) {
                 (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
-                _ => Err(bad("label keys and values must be strings")),
+                _ => Err(FieldError::new("label keys and values must be strings")),
             }
         })
         .collect()

@@ -446,7 +446,7 @@ impl HistoryDump {
         let mut f = StrictObj::new(j, "history")?;
         let schema: u64 = f.uint("schema")?;
         if schema != HISTORY_SCHEMA_VERSION {
-            return Err(err(format!(
+            return Err(SnapshotError::new(format!(
                 "unsupported history schema {schema} (expected {HISTORY_SCHEMA_VERSION})"
             )));
         }
@@ -464,35 +464,39 @@ impl HistoryDump {
     }
 }
 
-fn err(message: impl Into<String>) -> SnapshotError {
-    SnapshotError {
-        message: message.into(),
-    }
-}
-
 fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
     let mut f = StrictObj::new(j, "history series")?;
     let name = f.string("name")?;
     let labels = labels_from_json(f.field("labels")?)?;
     let kind = f.string("kind")?;
     let kind = MetricKind::parse(&kind)
-        .ok_or_else(|| err(format!("history series {name:?} has unknown kind {kind:?}")))?;
+        .ok_or_else(|| {
+            SnapshotError::new(format!("history series {name:?} has unknown kind {kind:?}"))
+        })?;
     if kind == MetricKind::Histogram {
-        return Err(err(format!("history series {name:?}: histograms are never sampled")));
+        return Err(SnapshotError::new(format!(
+            "history series {name:?}: histograms are never sampled"
+        )));
     }
     let mut samples = Vec::new();
     for sj in f.arr("samples")? {
         let pair = sj
             .as_arr()
             .filter(|p| p.len() == 2)
-            .ok_or_else(|| err(format!("samples of {name:?} must be [tick, value] pairs")))?;
+            .ok_or_else(|| {
+                SnapshotError::new(format!("samples of {name:?} must be [tick, value] pairs"))
+            })?;
         let (tick, value) = match (pair[0].as_u64(), pair[1].as_u64()) {
             (Some(t), Some(v)) => (t, v),
-            _ => return Err(err(format!("samples of {name:?} must hold unsigned integers"))),
+            _ => {
+                return Err(SnapshotError::new(format!(
+                    "samples of {name:?} must hold unsigned integers"
+                )))
+            }
         };
         if let Some(&Sample { tick: prev, .. }) = samples.last() {
             if tick <= prev {
-                return Err(err(format!(
+                return Err(SnapshotError::new(format!(
                     "samples of {name:?} must be in strictly increasing tick order"
                 )));
             }

@@ -67,6 +67,4 @@ pub use transport::{
     Client, FrameClient, FrameConn, FrameService, FrameTransport, Handler, LocalClient, LocalWire,
     TcpClient, TcpServer,
 };
-pub use wire::{
-    read_frame, write_frame, ErrorCode, Request, Response, StatusReport, TracedRequest, WireError,
-};
+pub use wire::{ErrorCode, Request, Response, StatusReport, TracedRequest, WireError};

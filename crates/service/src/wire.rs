@@ -6,8 +6,7 @@
 //! by that many bytes of UTF-8 JSON. The codec is **strict**: unknown,
 //! missing, ill-typed and duplicated fields are all rejected (one
 //! [`StrictObj`] reader, shared with every other decoder), so a malformed
-//! or hostile client cannot smuggle state past the parser — the same
-//! strictness contract as the designer's lock database.
+//! or hostile client cannot smuggle state past the parser.
 //!
 //! Scan readouts travel as bit strings in the scan chain's display order
 //! (most significant flip-flop first), exactly what
@@ -18,8 +17,7 @@ use crate::registry::RegistryCounts;
 use hwm_jsonio::{FieldError, Json, StrictObj};
 use hwm_logic::Bits;
 use hwm_trace::{SpanRecord, TraceContext};
-use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 
 /// Maximum frame payload the service will read (1 MiB). Larger prefixes
 /// are treated as protocol errors, which bounds a hostile client's memory
@@ -27,33 +25,7 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// A protocol-level failure: bad framing or a malformed message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl WireError {
-    pub(crate) fn new(message: impl Into<String>) -> WireError {
-        WireError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "wire protocol error: {}", self.message)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<FieldError> for WireError {
-    fn from(e: FieldError) -> WireError {
-        WireError::new(e.message)
-    }
-}
+pub type WireError = FieldError;
 
 /// A request from the foundry (or an attacker) to the designer's server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -368,11 +340,7 @@ impl TracedRequest {
     /// deliberately untraced (reading traces must not create spans).
     pub fn from_json(j: &Json) -> Result<TracedRequest, WireError> {
         let mut fields = StrictObj::new(j, "request")?;
-        let trace = fields
-            .opt("trace")?
-            .map(TraceContext::from_json)
-            .transpose()
-            .map_err(|e| WireError::new(e.message))?;
+        let trace = fields.opt("trace")?.map(TraceContext::from_json).transpose()?;
         let req = Request::read(&mut fields)?;
         fields.finish()?;
         if trace.is_some() && req.is_admin() {
@@ -697,29 +665,24 @@ impl Response {
                 ic_state: fields.opt_string("ic_state")?,
             }),
             "metrics" => Response::Metrics {
-                snapshot: hwm_metrics::Snapshot::from_json(fields.field("snapshot")?)
-                    .map_err(|e| WireError::new(e.message))?,
+                snapshot: hwm_metrics::Snapshot::from_json(fields.field("snapshot")?)?,
             },
             "audit" => Response::Audit {
                 events: fields
                     .arr("events")?
                     .iter()
-                    .map(|ej| {
-                        hwm_metrics::AuditEvent::from_json(ej)
-                            .map_err(|e| WireError::new(e.message))
-                    })
+                    .map(hwm_metrics::AuditEvent::from_json)
                     .collect::<Result<Vec<_>, _>>()?,
                 next: fields.uint("next")?,
             },
             "history" => Response::History {
-                history: hwm_metrics::HistoryDump::from_json(fields.field("history")?)
-                    .map_err(|e| WireError::new(e.message))?,
+                history: hwm_metrics::HistoryDump::from_json(fields.field("history")?)?,
             },
             "traces" => Response::Traces {
                 spans: fields
                     .arr("spans")?
                     .iter()
-                    .map(|sj| SpanRecord::from_json(sj).map_err(|e| WireError::new(e.message)))
+                    .map(SpanRecord::from_json)
                     .collect::<Result<Vec<_>, _>>()?,
             },
             "error" => Response::Error {
@@ -784,7 +747,7 @@ impl FrameScratch {
 
 /// Encodes one length-prefixed frame into `scratch` and returns the
 /// complete wire bytes (prefix + payload), valid until the next encode.
-/// The byte stream is identical to [`write_frame`]'s.
+/// This is the one frame encoder: every transport writes its bytes.
 ///
 /// # Errors
 ///
@@ -805,55 +768,13 @@ pub fn encode_frame<'a>(scratch: &'a mut FrameScratch, payload: &Json) -> io::Re
     Ok(&scratch.frame)
 }
 
-/// Writes one length-prefixed frame: the bytes of [`encode_frame`], in a
-/// *single* `write_all`, so a TCP peer never sees a frame split at the
-/// prefix/payload boundary by the sender. Builds a throwaway scratch;
-/// hot paths hold a [`FrameScratch`] and call [`encode_frame`].
-///
-/// # Errors
-///
-/// Propagates I/O failures; refuses payloads above [`MAX_FRAME`].
-pub fn write_frame(w: &mut impl Write, payload: &Json) -> io::Result<()> {
-    let mut scratch = FrameScratch::new();
-    w.write_all(encode_frame(&mut scratch, payload)?)?;
-    w.flush()
-}
-
-/// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary (the peer closed the connection).
-///
-/// # Errors
-///
-/// Returns an error for I/O failures, truncated frames, oversized
-/// prefixes, or payloads that are not valid JSON.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame prefix of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not UTF-8: {e}")))?;
-    Json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not JSON: {e}")))
-}
-
 /// Incremental frame decoder for pipelined byte streams: feed raw bytes
 /// in whatever chunks the transport delivers (split anywhere, including
-/// mid-length-prefix) and pull complete frames out. The decoded frame
-/// sequence is identical to repeated [`read_frame`] calls over the same
-/// bytes — the partial-read proptest pins that equivalence.
+/// mid-length-prefix) and pull complete frames out. This is the one
+/// frame decoder: every transport reads through it. Its frame sequence
+/// is identical to a blocking whole-buffer read of the same bytes — the
+/// partial-read proptest pins that equivalence against the tests'
+/// reference reader.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -882,7 +803,7 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Returns an error for oversized prefixes or payloads that are not
-    /// valid UTF-8 JSON (same failures as [`read_frame`]).
+    /// valid UTF-8 JSON.
     pub fn next_frame(&mut self) -> io::Result<Option<Json>> {
         if self.pending() < 4 {
             self.compact();
@@ -1239,18 +1160,23 @@ mod tests {
         // Encode through caller-owned scratch (the hot-path form).
         let mut scratch = FrameScratch::new();
         let buf = encode_frame(&mut scratch, &req.to_json()).unwrap().to_vec();
-        let mut cursor = std::io::Cursor::new(&buf);
-        let j = read_frame(&mut cursor).unwrap().expect("one frame");
+        let mut dec = FrameDecoder::new();
+        dec.extend(&buf);
+        let j = dec.next_frame().unwrap().expect("one frame");
         assert_eq!(Request::from_json(&j).unwrap(), req);
-        // Clean EOF after the frame.
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        // Nothing is left after the frame.
+        assert_eq!(dec.next_frame().unwrap(), None);
+        assert_eq!(dec.pending(), 0);
         // Oversized prefix is refused without allocating.
-        let huge = (MAX_FRAME as u32 + 1).to_be_bytes();
-        assert!(read_frame(&mut std::io::Cursor::new(&huge[..])).is_err());
-        // Truncated payload is an error, not a clean EOF.
-        let mut truncated = buf.clone();
-        truncated.truncate(buf.len() - 2);
-        assert!(read_frame(&mut std::io::Cursor::new(&truncated[..])).is_err());
+        let mut dec = FrameDecoder::new();
+        dec.extend(&(MAX_FRAME as u32 + 1).to_be_bytes());
+        assert!(dec.next_frame().is_err());
+        // A truncated payload is never a frame: its bytes stay pending,
+        // which a transport at EOF reports as a torn frame.
+        let mut dec = FrameDecoder::new();
+        dec.extend(&buf[..buf.len() - 2]);
+        assert_eq!(dec.next_frame().unwrap(), None);
+        assert_eq!(dec.pending(), buf.len() - 2);
     }
 
     #[test]
@@ -1266,10 +1192,12 @@ mod tests {
             },
         ] {
             let j = resp.to_json();
-            let mut legacy = Vec::new();
-            write_frame(&mut legacy, &j).unwrap();
+            // The frame: a 4-byte big-endian length, then compact JSON.
+            let text = j.to_string();
+            let mut framed = (text.len() as u32).to_be_bytes().to_vec();
+            framed.extend_from_slice(text.as_bytes());
             let encoded = encode_frame(&mut scratch, &j).unwrap();
-            assert_eq!(encoded, &legacy[..], "scratch reuse must not change bytes");
+            assert_eq!(encoded, &framed[..], "scratch reuse must not change bytes");
         }
     }
 
@@ -1284,9 +1212,10 @@ mod tests {
                 .to_json()
             })
             .collect();
+        let mut scratch = FrameScratch::new();
         let mut stream = Vec::new();
         for j in &reqs {
-            write_frame(&mut stream, j).unwrap();
+            stream.extend_from_slice(encode_frame(&mut scratch, j).unwrap());
         }
         // Feed one byte at a time — every boundary, including
         // mid-length-prefix, is exercised.

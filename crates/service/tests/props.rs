@@ -493,7 +493,8 @@ proptest! {
         cuts in prop::collection::vec(any::<u16>(), 0..24),
         seed in any::<u64>(),
     ) {
-        use hwm_service::wire::{read_frame, write_frame, FrameDecoder};
+        use frames::{read_frame, write_frame};
+        use hwm_service::wire::FrameDecoder;
         use hwm_service::Request;
 
         let reqs: Vec<Request> = which
@@ -543,6 +544,8 @@ proptest! {
     }
 }
 
+#[path = "support/frames.rs"]
+mod frames;
 #[path = "support/mutate.rs"]
 mod mutate;
 

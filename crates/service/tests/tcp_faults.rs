@@ -13,9 +13,9 @@
 
 use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_service::wire::{readout_to_bits_string, MAX_FRAME};
+use frames::write_frame;
 use hwm_service::{
-    write_frame, ActivationServer, Client, Registry, Request, Response, ServerConfig, TcpClient,
-    TcpServer,
+    ActivationServer, Client, Registry, Request, Response, ServerConfig, TcpClient, TcpServer,
 };
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -24,6 +24,8 @@ use std::time::{Duration, Instant};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/frames.rs"]
+mod frames;
 
 const SEED: u64 = 2024;
 
@@ -201,7 +203,7 @@ fn shutdown_joins_cleanly_with_an_idle_connection_open() {
     let server = server();
     let tcp = TcpServer::spawn("127.0.0.1:0", Arc::clone(&server)).expect("bind");
     // One served request, then the client goes idle without hanging up —
-    // its handler thread is parked in read_frame.
+    // its handler thread is parked reading the next frame.
     let readout = one_readout();
     let mut client = TcpClient::connect(tcp.addr()).expect("connect");
     client.call(&register(&readout)).expect("register");

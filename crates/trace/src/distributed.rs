@@ -34,7 +34,6 @@
 use hwm_jsonio::{fnv1a, FieldError, Json, StrictObj, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Schema version of the span JSONL dump. Bump on incompatible change.
 pub const SPAN_SCHEMA_VERSION: u64 = 1;
@@ -47,33 +46,7 @@ fn fnv_u64(hash: u64, value: u64) -> u64 {
 }
 
 /// A broken span dump or trace-context payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl SpanError {
-    fn new(message: impl Into<String>) -> SpanError {
-        SpanError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for SpanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "span error: {}", self.message)
-    }
-}
-
-impl std::error::Error for SpanError {}
-
-impl From<FieldError> for SpanError {
-    fn from(e: FieldError) -> SpanError {
-        SpanError::new(e.message)
-    }
-}
+pub type SpanError = FieldError;
 
 /// The trace identity a request carries across node boundaries.
 ///

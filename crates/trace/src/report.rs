@@ -2,7 +2,7 @@
 //! binary and the golden schema tests.
 
 use crate::summary::{CounterRow, GaugeAgg, GaugeRow, RunInfo, SpanRow, Summary};
-use hwm_jsonio::Json;
+use hwm_jsonio::{FieldError, Json, StrictObj};
 
 /// One parsed `*.jsonl` trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,88 +13,32 @@ pub struct TraceFile {
     pub summary: Summary,
 }
 
-fn ms_to_ns(j: Option<&Json>) -> Option<u64> {
-    j.and_then(Json::as_f64).map(|ms| (ms * 1e6).round().max(0.0) as u64)
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str, line_no: usize) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing string field {key:?}"))
-}
-
-fn u64_field(obj: &Json, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing integer field {key:?}"))
+/// A duration field written in milliseconds, read back in nanoseconds.
+fn ms_field(f: &mut StrictObj<'_>, name: &str) -> Result<u64, FieldError> {
+    let ms = f.field(name)?.as_f64().ok_or_else(|| f.ill_typed(name, "a number"))?;
+    Ok((ms * 1e6).round().max(0.0) as u64)
 }
 
 /// Parses a JSONL trace produced by [`Summary::to_jsonl`].
 ///
-/// Strict about the schema (unknown `type` values and missing fields are
-/// errors, as are schema versions newer than [`crate::SCHEMA_VERSION`]),
-/// tolerant about ordering and blank lines.
+/// Strict about the schema: each line is read through one [`StrictObj`],
+/// `type` first and then that record type's fields, so unknown `type`
+/// values and unknown, missing, ill-typed and duplicated fields are all
+/// errors, as are schema versions newer than [`crate::SCHEMA_VERSION`].
+/// Tolerant about ordering and blank lines.
 ///
 /// # Errors
 ///
-/// Returns a description naming the first offending line.
-pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
+/// Returns an error naming the first offending line.
+pub fn parse_jsonl(text: &str) -> Result<TraceFile, FieldError> {
     let mut run = None;
     let mut summary = Summary::default();
     for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let obj = Json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        match str_field(&obj, "type", line_no)? {
-            "run" => {
-                let schema = u64_field(&obj, "schema", line_no)?;
-                if schema > crate::SCHEMA_VERSION {
-                    return Err(format!(
-                        "line {line_no}: schema version {schema} is newer than supported {}",
-                        crate::SCHEMA_VERSION
-                    ));
-                }
-                run = Some(RunInfo {
-                    experiment: str_field(&obj, "experiment", line_no)?.to_string(),
-                    seed: u64_field(&obj, "seed", line_no)?,
-                    jobs: u64_field(&obj, "jobs", line_no)?,
-                    wall_ns: ms_to_ns(obj.get("wall_ms"))
-                        .ok_or_else(|| format!("line {line_no}: missing field \"wall_ms\""))?,
-                });
-            }
-            "span" => {
-                let path = str_field(&obj, "path", line_no)?.to_string();
-                let depth = path.matches(crate::PATH_SEP).count();
-                summary.spans.push(SpanRow {
-                    depth,
-                    calls: u64_field(&obj, "calls", line_no)?,
-                    total_ns: ms_to_ns(obj.get("total_ms"))
-                        .ok_or_else(|| format!("line {line_no}: missing field \"total_ms\""))?,
-                    self_ns: ms_to_ns(obj.get("self_ms"))
-                        .ok_or_else(|| format!("line {line_no}: missing field \"self_ms\""))?,
-                    path,
-                });
-            }
-            "counter" => {
-                summary.counters.push(CounterRow {
-                    path: str_field(&obj, "path", line_no)?.to_string(),
-                    name: str_field(&obj, "name", line_no)?.to_string(),
-                    value: u64_field(&obj, "value", line_no)?,
-                });
-            }
-            "gauge" => {
-                let agg = str_field(&obj, "agg", line_no)?;
-                summary.gauges.push(GaugeRow {
-                    name: str_field(&obj, "name", line_no)?.to_string(),
-                    agg: GaugeAgg::parse(agg)
-                        .ok_or_else(|| format!("line {line_no}: unknown gauge agg {agg:?}"))?,
-                    value: u64_field(&obj, "value", line_no)?,
-                });
-            }
-            other => return Err(format!("line {line_no}: unknown record type {other:?}")),
-        }
+        parse_line(line, &mut run, &mut summary)
+            .map_err(|e| FieldError::new(format!("line {}: {}", i + 1, e.message)))?;
     }
     summary.spans.sort_by(|a, b| a.path.cmp(&b.path));
     summary
@@ -106,12 +50,64 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
     Ok(TraceFile { run, summary })
 }
 
+/// Reads one non-blank line into `run` or `summary`.
+fn parse_line(
+    line: &str,
+    run: &mut Option<RunInfo>,
+    summary: &mut Summary,
+) -> Result<(), FieldError> {
+    let j = Json::parse(line).map_err(|e| FieldError::new(e.to_string()))?;
+    let mut f = StrictObj::new(&j, "trace record")?;
+    match f.string("type")?.as_str() {
+        "run" => {
+            let schema: u64 = f.uint("schema")?;
+            if schema > crate::SCHEMA_VERSION {
+                return Err(FieldError::new(format!(
+                    "schema version {schema} is newer than supported {}",
+                    crate::SCHEMA_VERSION
+                )));
+            }
+            *run = Some(RunInfo {
+                experiment: f.string("experiment")?,
+                seed: f.uint("seed")?,
+                jobs: f.uint("jobs")?,
+                wall_ns: ms_field(&mut f, "wall_ms")?,
+            });
+        }
+        "span" => {
+            let path = f.string("path")?;
+            summary.spans.push(SpanRow {
+                depth: path.matches(crate::PATH_SEP).count(),
+                calls: f.uint("calls")?,
+                total_ns: ms_field(&mut f, "total_ms")?,
+                self_ns: ms_field(&mut f, "self_ms")?,
+                path,
+            });
+        }
+        "counter" => summary.counters.push(CounterRow {
+            path: f.string("path")?,
+            name: f.string("name")?,
+            value: f.uint("value")?,
+        }),
+        "gauge" => {
+            let agg = f.string("agg")?;
+            summary.gauges.push(GaugeRow {
+                name: f.string("name")?,
+                agg: GaugeAgg::parse(&agg)
+                    .ok_or_else(|| FieldError::new(format!("unknown gauge agg {agg:?}")))?,
+                value: f.uint("value")?,
+            });
+        }
+        other => return Err(FieldError::new(format!("unknown record type {other:?}"))),
+    }
+    f.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn jsonl_round_trips() {
+    fn sample() -> (Summary, RunInfo) {
         let summary = Summary {
             spans: vec![SpanRow {
                 path: "exp/phase".into(),
@@ -137,22 +133,58 @@ mod tests {
             jobs: 4,
             wall_ns: 5_000_000,
         };
+        (summary, info)
+    }
+
+    #[test]
+    fn jsonl_round_trips() {
+        let (summary, info) = sample();
         let text = summary.to_jsonl(&info);
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed.run.as_ref(), Some(&info));
         assert_eq!(parsed.summary, summary);
+        // Re-rendering the parsed file gives the same bytes.
+        assert_eq!(parsed.summary.to_jsonl(&info), text);
     }
 
     #[test]
     fn malformed_lines_are_rejected_with_position() {
         let bad = "{\"type\":\"span\"}\n";
         let err = parse_jsonl(bad).unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
+        assert!(err.message.contains("line 1"), "{err}");
         let unknown = "{\"type\":\"mystery\"}\n";
         assert!(parse_jsonl(unknown).is_err());
         let future = "{\"type\":\"run\",\"schema\":999,\"experiment\":\"x\",\"seed\":0,\"jobs\":1,\"wall_ms\":1.0}\n";
         let err = parse_jsonl(future).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        assert!(err.message.contains("schema"), "{err}");
+    }
+
+    /// Each span line below breaks the schema in one way, on line 2 of a
+    /// file whose other lines are [`Summary::to_jsonl`] output.
+    #[test]
+    fn span_lines_off_schema_are_refused_naming_the_line() {
+        let (summary, info) = sample();
+        let good = summary.to_jsonl(&info);
+        let header = good.lines().next().unwrap();
+        let span = r#"{"type":"span","path":"exp/phase","calls":4,"total_ms":2.0,"self_ms":1.0}"#;
+        assert!(good.contains(span), "{good}");
+        for (line, want) in [
+            (
+                r#"{"type":"span","path":"exp/phase","calls":4,"total_ms":2.0,"self_ms":1.0,"extra":1}"#,
+                "line 2: trace record has unknown field \"extra\"",
+            ),
+            (
+                r#"{"type":"span","path":"exp/phase","calls":4,"calls":5,"total_ms":2.0,"self_ms":1.0}"#,
+                "line 2: trace record has duplicate field \"calls\"",
+            ),
+            (
+                r#"{"type":"span","path":"exp/phase","calls":4,"total_ms":"2.0","self_ms":1.0}"#,
+                "line 2: trace record field \"total_ms\" must be a number",
+            ),
+        ] {
+            let err = parse_jsonl(&format!("{header}\n{line}\n")).unwrap_err();
+            assert_eq!(err.message, want, "{line}");
+        }
     }
 
     #[test]
