@@ -76,15 +76,18 @@ fn ask(name: &str, valued: bool) {
 }
 
 /// The value after `--flag` in `std::env::args`; `None` when the flag is
-/// absent. A flag given as the last argument has no value: that is a
-/// usage error, so the binary names the flag on stderr and exits with
-/// status 2 instead of running as if the flag were absent.
+/// absent. A flag given as the last argument, or followed by another
+/// flag (an argument starting with `--`), has no value: that is a usage
+/// error, so the binary names the flag on stderr and exits with status 2
+/// instead of running as if the flag were absent or taking the next
+/// flag for its value.
 pub fn arg_value(name: &str) -> Option<String> {
     ask(name, true);
     let mut args = std::env::args().skip(1);
     args.position(|a| a == name)?;
     match args.next() {
-        Some(value) => Some(value),
+        Some(value) if !value.starts_with("--") => Some(value),
+        Some(flag) => usage_error(&format!("{name} wants a value, got the flag {flag:?}")),
         None => usage_error(&format!("{name} wants a value, got nothing")),
     }
 }
@@ -139,18 +142,24 @@ pub fn flag_present(name: &str) -> bool {
 /// [`arg_value`], [`num_arg`] or [`flag_present`] nor the value of one,
 /// in order. Call it once every flag has been read and before any work:
 /// an argument starting with `--` that no read asked for is a misspelled
-/// or retired flag, so the binary names it on stderr and exits with
-/// status 2 instead of running with the defaults.
+/// or retired flag, and a flag given twice has two values of which the
+/// reads saw only the first, so for either the binary names the flag on
+/// stderr and exits with status 2 instead of running.
 pub fn positional_args() -> Vec<String> {
     let asked = ASKED.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let mut rest = Vec::new();
+    let mut seen = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match asked.iter().find(|(n, _)| *n == arg) {
             Some((_, valued)) => {
+                if seen.contains(&arg) {
+                    usage_error(&format!("flag {arg:?} given twice"));
+                }
                 if *valued {
                     args.next();
                 }
+                seen.push(arg);
             }
             None if arg.starts_with("--") => usage_error(&format!("unknown flag {arg:?}")),
             None => rest.push(arg),

@@ -1,5 +1,6 @@
 //! Flags are strict: a value that does not parse, a flag given without
-//! a value, a flag the binary does not know and a stray value all exit
+//! a value or with another flag where its value goes, a flag given
+//! twice, a flag the binary does not know and a stray value all exit
 //! with status 2 and name the argument instead of running with a
 //! default. A run writes nothing but stdout and stderr unless an output
 //! flag asks for a file.
@@ -11,11 +12,14 @@ fn malformed_numeric_flags_exit_2() {
     let table1 = env!("CARGO_BIN_EXE_table1");
     let serve_bench = env!("CARGO_BIN_EXE_serve_bench");
     let crash_sim = env!("CARGO_BIN_EXE_crash_sim");
-    let cases: [(&str, &[&str]); 14] = [
+    let cases: [(&str, &[&str]); 16] = [
         (table1, &["--small", "--seed", "abc"]),
         (table1, &["--small", "--jobs", "abc"]),
         (table1, &["--small", "--jobs"]),
         (table1, &["--small", "--trace-out"]),
+        // A flag given twice: the reads see only the first value.
+        (table1, &["--small", "--seed", "1", "--seed", "2"]),
+        (table1, &["--small", "--profile", "--profile"]),
         (serve_bench, &["--journal"]),
         (serve_bench, &["--pipeline", "0"]),
         (serve_bench, &["--flush", "sync"]),
@@ -52,6 +56,31 @@ fn stray_values_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("\"7\""), "{args:?}: {stderr}");
     }
+}
+
+/// A valued flag followed by another flag has no value: the run is
+/// refused, naming the valued flag, and writes no file named after the
+/// flag that followed it.
+#[test]
+fn a_flag_is_never_taken_as_a_value() {
+    let dir = std::env::temp_dir().join(format!("hwm-bench-flag-value-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--small", "--trace-out", "--profile"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn table1");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "table1 printed a table");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trace-out"), "{stderr}");
+    assert!(left.is_empty(), "table1 wrote {left:?}");
 }
 
 /// A fault kind `crash_sim` does not know, such as the retired TCP-only

@@ -65,6 +65,17 @@ impl CrossLink {
 /// tries before all of them.
 const QUICK_INPUTS: usize = 8;
 
+/// How many added STGs a verified build tries before it gives up.
+const BUILD_ATTEMPTS: u64 = 16;
+
+/// The seeds a verified build tries its added STGs under, in order,
+/// `seed` itself first: [`AddedStg::build_verified`] and
+/// [`crate::Designer::new`] both take them from here.
+pub(crate) fn attempt_seeds(seed: u64) -> impl Iterator<Item = u64> {
+    (0..BUILD_ATTEMPTS)
+        .map(move |attempt| seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
 /// Most modules a composed state can hold: it is a `u32` with 3 bits per
 /// module.
 pub const MAX_MODULES: usize = 10;
@@ -321,14 +332,9 @@ impl AddedStg {
         seed: u64,
         groups: u8,
     ) -> Result<Self, MeteringError> {
-        for attempt in 0..16u64 {
-            let candidate = AddedStg::build(
-                q,
-                input_bits,
-                overrides_per_module,
-                links_per_module,
-                seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            )?;
+        for attempt_seed in attempt_seeds(seed) {
+            let candidate =
+                AddedStg::build(q, input_bits, overrides_per_module, links_per_module, attempt_seed)?;
             if candidate.verify_exit_reachability(groups) {
                 return Ok(candidate);
             }
@@ -356,6 +362,7 @@ impl AddedStg {
         usable: impl Fn(u64) -> bool,
         keep: impl Fn(u32, u64) -> bool,
     ) -> bool {
+        let _span = hwm_trace::span("metering.reachability");
         let reaches_all = |take: usize| {
             let inputs = self.spread_inputs().filter(|&v| usable(v)).take(take);
             self.distances_to_exit_where(group, inputs, &keep, |_, _| {})
@@ -477,15 +484,25 @@ impl AddedStg {
     /// cross-link condition read only lower modules' pre-step states —
     /// recovered before module `i` is reached.
     pub fn step_inv(&self, composed: u32, input: u64, group: u8) -> u32 {
+        with_module_count!(self.modules.len(), Q => self.step_inv_n::<Q>(composed, input, group))
+    }
+
+    /// [`AddedStg::step_inv`] with the module count `Q` fixed at compile
+    /// time, as [`AddedStg::step_n`] is for [`AddedStg::step`]. Module
+    /// `i`'s enable and link condition wait for module `i − 1`'s
+    /// predecessor, so unlike the forward step the iterations form a
+    /// chain; a constant `Q` still unrolls it and drops the loop counter.
+    #[inline(always)]
+    fn step_inv_n<const Q: usize>(&self, composed: u32, input: u64, group: u8) -> u32 {
+        debug_assert_eq!(Q, self.modules.len(), "step_inv_n instantiated for this machine");
         let b = self.input_bits;
         let v = (input & ((1u64 << b) - 1)) as usize;
         let salt = u32::from(group) & STATE_MASK;
-        let q = self.modules.len();
-        let row = &self.tables.inv[v * q * MODULE_STATES..][..q * MODULE_STATES];
+        let row = &self.tables.inv[v * Q * MODULE_STATES..][..Q * MODULE_STATES];
         let mut pred = 0u32;
         let mut enabled = true;
         let mut prev = 0usize;
-        for i in 0..q {
+        for i in 0..Q {
             let shift = MODULE_BITS * i;
             let ns = (composed >> shift) & STATE_MASK;
             let e = row[i * MODULE_STATES + prev];
@@ -539,6 +556,22 @@ impl AddedStg {
         group: u8,
         inputs: impl Iterator<Item = u64> + Clone,
         keep: impl Fn(u32, u64) -> bool,
+        found: impl FnMut(u32, u64),
+    ) -> Vec<usize> {
+        with_module_count!(
+            self.modules.len(),
+            Q => self.distances_to_exit_n::<Q>(group, inputs, keep, found)
+        )
+    }
+
+    /// [`AddedStg::distances_to_exit_where`] stepping with
+    /// [`AddedStg::step_inv_n`], so the module count is chosen once per
+    /// search rather than once per edge.
+    fn distances_to_exit_n<const Q: usize>(
+        &self,
+        group: u8,
+        inputs: impl Iterator<Item = u64> + Clone,
+        keep: impl Fn(u32, u64) -> bool,
         mut found: impl FnMut(u32, u64),
     ) -> Vec<usize> {
         let exit = self.exit_state();
@@ -554,7 +587,7 @@ impl AddedStg {
             let mut next = Vec::new();
             for v in inputs.clone() {
                 for &u in &frontier {
-                    let p = self.step_inv(u, v, group);
+                    let p = self.step_inv_n::<Q>(u, v, group);
                     if p != u && dist[p as usize] == usize::MAX && keep(p, v) {
                         dist[p as usize] = d;
                         found(p, v);

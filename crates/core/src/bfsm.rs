@@ -103,7 +103,7 @@ impl ScanLayout {
 }
 
 /// The boosted FSM: structure shared by every chip of a protected design.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Bfsm {
     original: Stg,
     original_encoding: Encoding,
@@ -133,8 +133,8 @@ impl Bfsm {
     /// inconsistent or no safe trigger placement exists.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
-        original: Stg,
-        added: AddedStg,
+        original: &Stg,
+        added: &AddedStg,
         n_black_holes: usize,
         trapdoor_length: usize,
         group_bits: usize,
@@ -155,7 +155,7 @@ impl Bfsm {
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB10C_1234);
         let original_encoding = Encoding::assign(
-            &original,
+            original,
             EncodingStrategy::RandomObfuscated { seed: seed ^ 0x0E0C },
             0,
         )?;
@@ -1000,7 +1000,7 @@ mod tests {
         for (q, holes, seed) in [(2usize, 1usize, 71u64), (3, 1, 72), (2, 2, 73), (3, 2, 74)] {
             let added = AddedStg::build_verified(q, 3, 2, 2, seed, 4).unwrap();
             let bfsm =
-                Bfsm::assemble(Stg::ring_counter(5, 2), added, holes, 0, 2, 2, true, seed).unwrap();
+                Bfsm::assemble(&Stg::ring_counter(5, 2), &added, holes, 0, 2, 2, true, seed).unwrap();
             for group in 0..4u8 {
                 let added = bfsm.added();
                 assert_eq!(

@@ -495,7 +495,7 @@ mod tests {
     fn small_bfsm(holes: usize, group_bits: usize, seed: u64) -> Bfsm {
         let original = hwm_fsm::Stg::ring_counter(5, 2);
         let added = AddedStg::build_verified(2, 3, 2, 2, seed, 1 << group_bits).unwrap();
-        Bfsm::assemble(original, added, holes, 0, group_bits, 2, true, seed).unwrap()
+        Bfsm::assemble(&original, &added, holes, 0, group_bits, 2, true, seed).unwrap()
     }
 
     /// Layout of the hardware FF vector for the tests.

@@ -8,7 +8,7 @@
 //! The protocol is *symmetric*: Bob cannot use chips Alice never unlocked,
 //! and Alice's royalty stream is exactly the activation log.
 
-use crate::added::AddedStg;
+use crate::added::{attempt_seeds, AddedStg};
 use crate::bfsm::{Bfsm, KeyHops};
 use crate::chip::{Chip, ScanReadout, UnlockKey};
 use crate::MeteringError;
@@ -112,54 +112,55 @@ impl Designer {
         let _span = hwm_trace::span("metering.designer");
         let b = options.resolved_input_bits(&original);
         let groups = 1u8 << options.group_bits;
-        let added = if options.module_search_candidates > 1 {
-            // Low-overhead module search, then the same reachability
-            // verification the plain path gets.
-            let _search = hwm_trace::span("metering.module_search");
-            let lib = hwm_netlist::CellLibrary::generic();
-            let mut found = None;
-            for attempt in 0..16u64 {
-                let candidate = AddedStg::build_searched(
+        let search = options.module_search_candidates > 1;
+        let lib = hwm_netlist::CellLibrary::generic();
+        for attempt_seed in attempt_seeds(seed) {
+            let added = {
+                let _search = search.then(|| hwm_trace::span("metering.module_search"));
+                AddedStg::build_searched(
                     options.added_modules,
                     b,
                     options.overrides_per_module,
                     options.links_per_module,
                     options.module_search_candidates,
                     &lib,
-                    seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                )?;
-                if candidate.verify_exit_reachability(groups) {
-                    found = Some(candidate);
-                    break;
-                }
-            }
-            found.ok_or_else(|| MeteringError::InvalidOptions {
-                reason: "no searched added STG kept the exit reachable".to_string(),
-            })?
-        } else {
-            AddedStg::build_verified(
-                options.added_modules,
-                b,
-                options.overrides_per_module,
-                options.links_per_module,
+                    attempt_seed,
+                )?
+            };
+            // `assemble` keeps only placements under which every state
+            // reaches the exit over key-safe edges, a subset of the edges
+            // `verify_exit_reachability` walks, so a lock it accepts
+            // passes that check too. Only a refusal runs it, to tell an
+            // added STG whose exit some state cannot reach at all (try
+            // the next seed) from a refused placement (report it).
+            match Bfsm::assemble(
+                &original,
+                &added,
+                options.black_holes,
+                options.trapdoor_length,
+                options.group_bits,
+                options.dummy_ffs,
+                options.remote_disable,
                 seed,
-                groups,
-            )?
+            ) {
+                Ok(bfsm) => {
+                    return Ok(Designer {
+                        bfsm: Arc::new(bfsm),
+                        log: Vec::new(),
+                        key_tables: std::collections::HashMap::new(),
+                    })
+                }
+                Err(refused) if added.verify_exit_reachability(groups) => return Err(refused),
+                Err(_) => {}
+            }
+        }
+        let reason = if search {
+            "no searched added STG kept the exit reachable"
+        } else {
+            "could not build an added STG with full exit reachability"
         };
-        let bfsm = Bfsm::assemble(
-            original,
-            added,
-            options.black_holes,
-            options.trapdoor_length,
-            options.group_bits,
-            options.dummy_ffs,
-            options.remote_disable,
-            seed,
-        )?;
-        Ok(Designer {
-            bfsm: Arc::new(bfsm),
-            log: Vec::new(),
-            key_tables: std::collections::HashMap::new(),
+        Err(MeteringError::InvalidOptions {
+            reason: reason.to_string(),
         })
     }
 

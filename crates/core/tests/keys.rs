@@ -85,8 +85,8 @@ fn assert_table_walk_matches_search(bfsm: &Bfsm, stride: usize, lock: &str) -> u
 fn lock(q: usize, b: usize, holes: usize, trapdoor: usize, group_bits: usize, seed: u64) -> Bfsm {
     let added = AddedStg::build_verified(q, b, 2, 2, seed, 1 << group_bits).expect("added STG");
     Bfsm::assemble(
-        Stg::ring_counter(6, 2),
-        added,
+        &Stg::ring_counter(6, 2),
+        &added,
         holes,
         trapdoor,
         group_bits,
