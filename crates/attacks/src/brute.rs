@@ -29,6 +29,10 @@ pub struct BruteForceOutcome {
 /// `random_bool(0.5)` tests `(x >> 11) · 2⁻⁵³ < 0.5`, an exact product
 /// of a 53-bit integer and a power of two, which holds exactly when
 /// `x >> 11 < 2⁵²`, i.e. when bit 63 of `x` is clear.
+///
+/// Always inlined, so a caller passing a constant `width` gets the draws
+/// unrolled with no loop counter and no bit-63 test ([`brute_force`]).
+#[inline(always)]
 pub fn random_guess<R: Rng + ?Sized>(width: usize, rng: &mut R) -> u64 {
     let mut v = 0u64;
     for i in 0..width {
@@ -41,16 +45,52 @@ pub fn random_guess<R: Rng + ?Sized>(width: usize, rng: &mut R) -> u64 {
     v
 }
 
+/// Evaluates `$body` with `$w` bound to the input width `$b` as a
+/// constant, one arm per width in `1..=8` (the added STG's range), so
+/// that the choice is made once, outside the loop `$body` runs.
+macro_rules! with_input_width {
+    ($b:expr, $w:ident => $body:expr) => {
+        match $b {
+            1 => with_input_width!(@arm 1, $w => $body),
+            2 => with_input_width!(@arm 2, $w => $body),
+            3 => with_input_width!(@arm 3, $w => $body),
+            4 => with_input_width!(@arm 4, $w => $body),
+            5 => with_input_width!(@arm 5, $w => $body),
+            6 => with_input_width!(@arm 6, $w => $body),
+            7 => with_input_width!(@arm 7, $w => $body),
+            8 => with_input_width!(@arm 8, $w => $body),
+            b => unreachable!("added-STG input width {b} outside 1..=8"),
+        }
+    };
+    (@arm $k:literal, $w:ident => $body:expr) => {{
+        const $w: usize = $k;
+        $body
+    }};
+}
+
 /// Random-input brute force against one chip, capped at `max_guesses`
 /// (the paper uses 1,000,000): one [`random_guess`] per clock cycle while
 /// the chip is locked ([`Chip::walk_locked`]).
+///
+/// A locked chip reads only the added STG's low input bits, so each
+/// guess packs that many coins, a width fixed once per attack, and
+/// draws and drops the coins of the chip's remaining inputs, keeping
+/// the RNG stream that of a full `random_guess` per guess.
 pub fn brute_force<R: Rng + ?Sized>(
     chip: &mut Chip,
     max_guesses: u64,
     rng: &mut R,
 ) -> BruteForceOutcome {
     let width = chip.blueprint().num_inputs();
-    let attempts = chip.walk_locked(max_guesses, || random_guess(width, rng));
+    let attempts = with_input_width!(chip.blueprint().added().input_bits(), B => {
+        chip.walk_locked(max_guesses, || {
+            let v = random_guess(B, rng);
+            for _ in B..width {
+                rng.next_u64();
+            }
+            v
+        })
+    });
     let trapped = chip.is_trapped();
     BruteForceOutcome {
         unlocked: chip.is_unlocked(),
@@ -194,7 +234,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn population(modules: usize, holes: usize, seed: u64) -> Foundry {
-        let designer = Designer::new(
+        foundry(
             Stg::ring_counter(5, 2),
             LockOptions {
                 added_modules: modules,
@@ -203,7 +243,11 @@ mod tests {
             },
             seed,
         )
-        .unwrap();
+    }
+
+    fn foundry(original: Stg, options: LockOptions, seed: u64) -> Foundry {
+        let designer = Designer::new(original, options.clone(), seed)
+            .unwrap_or_else(|e| panic!("{options:?} seed {seed}: {e:?}"));
         Foundry::new(designer.blueprint().clone(), seed ^ 1)
     }
 
@@ -261,38 +305,102 @@ mod tests {
         }
     }
 
+    /// Attacks `runs` chips of `foundry` both ways and asserts the same
+    /// outcome (attempt count included), the same final chip state and
+    /// the same RNG position after the walk: at caps 0, 1, 2 and 20,000
+    /// and, for a chip that unlocks, with the unlock on the last allowed
+    /// guess and one guess short of it. Returns the chips attacked and
+    /// how many of them unlocked.
+    fn assert_walks_match(foundry: &mut Foundry, runs: u64, what: &str) -> (Vec<Chip>, usize) {
+        let mut exact = 0;
+        let chips: Vec<Chip> = (0..runs).map(|_| foundry.fabricate_one()).collect();
+        for (run, chip) in chips.iter().enumerate() {
+            let check = |cap: u64| {
+                let (mut a, mut b) = (chip.clone(), chip.clone());
+                let mut by_steps = StdRng::seed_from_u64(run as u64);
+                let mut walked = by_steps.clone();
+                let want = brute_force_by_steps(&mut a, cap, &mut by_steps);
+                let got = brute_force(&mut b, cap, &mut walked);
+                let at = format!("{what} run {run} cap {cap}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(b.state(), a.state(), "{at}");
+                assert_eq!(walked.next_u64(), by_steps.next_u64(), "{at}");
+                want
+            };
+            for cap in [0, 1, 2] {
+                check(cap);
+            }
+            let out = check(20_000);
+            if out.unlocked {
+                check(out.attempts);
+                check(out.attempts - 1);
+                exact += 1;
+            }
+        }
+        (chips, exact)
+    }
+
     #[test]
     fn brute_force_equals_the_per_guess_loop() {
         let mut exact = 0;
         for (modules, holes) in [(1usize, 0usize), (2, 0), (1, 1), (2, 2), (5, 0), (5, 1)] {
             let mut foundry = population(modules, holes, 60 + modules as u64);
-            for run in 0..6u64 {
-                let chip = foundry.fabricate_one();
-                let check = |cap: u64| {
-                    let (mut a, mut b) = (chip.clone(), chip.clone());
-                    let mut by_steps = StdRng::seed_from_u64(run);
-                    let mut walked = by_steps.clone();
-                    let want = brute_force_by_steps(&mut a, cap, &mut by_steps);
-                    let got = brute_force(&mut b, cap, &mut walked);
-                    let at = format!("modules {modules} holes {holes} run {run} cap {cap}");
-                    assert_eq!(got, want, "{at}");
-                    assert_eq!(b.state(), a.state(), "{at}");
-                    assert_eq!(walked.next_u64(), by_steps.next_u64(), "{at}");
-                    want
-                };
-                for cap in [0, 1, 2] {
-                    check(cap);
-                }
-                let out = check(20_000);
-                if out.unlocked {
-                    // Unlocking on the last allowed guess.
-                    check(out.attempts);
-                    check(out.attempts - 1);
-                    exact += 1;
-                }
-            }
+            exact +=
+                assert_walks_match(&mut foundry, 6, &format!("modules {modules} holes {holes}")).1;
         }
         assert!(exact > 0);
+
+        // Every input width the coin draw is fixed to.
+        for b in 1..=8 {
+            let options = LockOptions {
+                added_modules: 2,
+                input_bits: Some(b),
+                black_holes: 0,
+                ..LockOptions::default()
+            };
+            let mut foundry = foundry(Stg::ring_counter(5, 2), options, 63 + b as u64);
+            let (chips, exact) = assert_walks_match(&mut foundry, 4, &format!("input bits {b}"));
+            assert_eq!(chips[0].blueprint().num_inputs(), b);
+            assert!(exact > 0, "input bits {b}: no chip unlocked");
+        }
+
+        // A design with more inputs than the lock reads: each guess draws
+        // and drops the coins of the inputs past the added STG's.
+        for (inputs, b, holes, seed) in [
+            (11usize, 3usize, 1usize, 83u64),
+            (9, 8, 1, 88),
+            (4, 1, 0, 84),
+        ] {
+            let options = LockOptions {
+                added_modules: 2,
+                input_bits: Some(b),
+                black_holes: holes,
+                ..LockOptions::default()
+            };
+            let original = hwm_fsm::random_stg(6, inputs, 2, 2, seed);
+            let mut foundry = foundry(original, options, seed);
+            let what = format!("{inputs} inputs, input bits {b}, holes {holes}");
+            let (chips, _) = assert_walks_match(&mut foundry, 4, &what);
+            assert_eq!(chips[0].blueprint().num_inputs(), inputs, "{what}");
+        }
+
+        // SFFSM locks, whose chips step with a nonzero group salt.
+        for group_bits in 1..=3 {
+            let options = LockOptions {
+                added_modules: 3,
+                group_bits,
+                black_holes: 0,
+                ..LockOptions::default()
+            };
+            let mut foundry = foundry(Stg::ring_counter(5, 2), options, 90 + group_bits as u64);
+            let what = format!("group bits {group_bits}");
+            let (chips, exact) = assert_walks_match(&mut foundry, 6, &what);
+            assert!(
+                chips.iter().any(|c| c.group() != 0),
+                "{what}: every chip in group 0"
+            );
+            assert!(exact > 0, "{what}: no chip unlocked");
+        }
     }
 
     #[test]

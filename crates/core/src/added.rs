@@ -15,10 +15,10 @@
 //! to its exit in turn; the designer's BFS finds a much shorter route.
 //!
 //! The composed step runs on lookup tables derived once by the
-//! constructors (packed permutations of a module's 8 states per module,
-//! previous-module state and input value); [`Module3::next`] and
-//! [`CrossLink::apply`] stay the reference semantics the tables are filled
-//! from.
+//! constructors (per input value, a module's state after its cross-links
+//! for each pair of its own and its previous module's states, and each
+//! module's ring map); [`Module3::next`] and [`CrossLink::apply`] stay the
+//! reference semantics the tables are filled from.
 
 use crate::module3::{Module3, MODULE_BITS, MODULE_STATES};
 use crate::MeteringError;
@@ -149,60 +149,84 @@ fn perm_inverse(perm: Perm) -> Perm {
     })
 }
 
-/// The lookup tables behind [`AddedStg::step`] and [`AddedStg::step_inv`]:
-/// one `u64` per (module `i`, previous module's pre-step state `p`, input
-/// value `v`), at index `(qv + i)·8 + p` for `q` modules, so that one
-/// input's entries form one contiguous row of `8q`. Its low
-/// half packs `i`'s cross-links active under `(p, v)`, composed in
-/// declaration order (the identity for module 0, which has none); its
-/// high half packs `i`'s enabled successor map [`Module3::next`] on `v`,
-/// repeated for every `p` so that one load fetches both. `inv` holds the
-/// two inverses at the same index.
+/// The lookup tables behind [`AddedStg::step`] and [`AddedStg::step_inv`].
+///
+/// The forward step reads two tables, each one contiguous row per input
+/// value `v`:
+///
+/// * `link`, one byte per (module `i ≥ 1`, pre-step state `s` of `i`,
+///   pre-step state `p` of module `i − 1`) at `v·64(q − 1) + 64(i − 1) +
+///   8s + p`: `s` after `i`'s cross-links active under `(p, v)`, composed
+///   in declaration order. The low index `8s + p` is bits `3(i − 1)`
+///   to `3i + 2` of the composed state, so one shift and mask find it.
+///   Module 0 has no links and no row.
+/// * `ring`, one [`Perm`] per module at `vq + i`: `i`'s enabled successor
+///   map [`Module3::next`] on `v`.
+///
+/// `inv` holds one `u64` per (module `i`, `p`, `v`) at `(qv + i)·8 + p`:
+/// the inverse of `i`'s composed cross-links under `(p, v)` in the low
+/// half (the identity for module 0) and the inverse ring map, repeated
+/// for every `p`, in the high half.
 #[derive(Clone, PartialEq, Default)]
 struct StepTables {
-    fwd: Vec<u64>,
+    link: Vec<u8>,
+    ring: Vec<Perm>,
     inv: Vec<u64>,
 }
+
+/// Bytes of one module's `link` row: 8 own states × 8 previous states.
+const LINK_ROW: usize = MODULE_STATES * MODULE_STATES;
 
 impl StepTables {
     fn new(modules: &[Module3], links: &[CrossLink], input_bits: usize) -> Self {
         let q = modules.len();
-        let mut fwd = vec![0u64; (q * MODULE_STATES) << input_bits];
+        let inputs = 1usize << input_bits;
+        let mut tables = StepTables {
+            link: vec![0; inputs * (q - 1) * LINK_ROW],
+            ring: vec![0; inputs * q],
+            inv: vec![0; inputs * q * MODULE_STATES],
+        };
         for (i, m) in modules.iter().enumerate() {
-            for v in 0..1u64 << input_bits {
-                let ring = u64::from(perm_pack(|s| u32::from(m.next(s as u8, v)))) << 32;
+            let own: Vec<&CrossLink> = links.iter().filter(|l| l.module == i).collect();
+            for v in 0..inputs {
+                let ring = perm_pack(|s| u32::from(m.next(s as u8, v as u64)));
+                tables.ring[v * q + i] = ring;
+                let ring_inv = u64::from(perm_inverse(ring)) << 32;
                 for p in 0..MODULE_STATES {
-                    let link = links
+                    let link = own
                         .iter()
                         .filter(|l| {
-                            l.module == i
-                                && usize::from(l.requires_prev_at) == p
-                                && l.input.covers_minterm_u64(v)
+                            usize::from(l.requires_prev_at) == p
+                                && l.input.covers_minterm_u64(v as u64)
                         })
                         .fold(IDENTITY, |perm, l| {
                             perm_pack(|s| u32::from(l.apply(perm_apply(perm, s) as u8)))
                         });
-                    let at = (v as usize * q + i) * MODULE_STATES + p;
-                    fwd[at] = ring | u64::from(link);
+                    tables.inv[(v * q + i) * MODULE_STATES + p] =
+                        u64::from(perm_inverse(link)) | ring_inv;
+                    if i > 0 {
+                        let row = (v * (q - 1) + i - 1) * LINK_ROW;
+                        for s in 0..MODULE_STATES {
+                            tables.link[row + s * MODULE_STATES + p] =
+                                perm_apply(link, s as u32) as u8;
+                        }
+                    }
                 }
             }
         }
-        let inv = fwd
-            .iter()
-            .map(|&e| {
-                let link = perm_inverse(e as Perm);
-                let ring = perm_inverse((e >> 32) as Perm);
-                u64::from(link) | u64::from(ring) << 32
-            })
-            .collect();
-        StepTables { fwd, inv }
+        tables
+    }
+
+    /// Bytes the forward step reads: both forward tables.
+    fn forward_bytes(&self) -> usize {
+        self.link.len() + self.ring.len() * std::mem::size_of::<Perm>()
     }
 }
 
 impl std::fmt::Debug for StepTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StepTables")
-            .field("entries", &self.fwd.len())
+            .field("forward_bytes", &self.forward_bytes())
             .finish_non_exhaustive()
     }
 }
@@ -446,34 +470,46 @@ impl AddedStg {
 
     /// [`AddedStg::step`] with the module count `Q` fixed at compile time
     /// (`Q` must equal [`AddedStg::module_count`]). Every module reads
-    /// only pre-step state — its previous module's state and its carry
-    /// enable (all lower modules at their exits) are fields of `composed`
+    /// only pre-step state — its own and its previous module's states
+    /// are one 6-bit field of `composed`, its carry enable the bits below
     /// — so no iteration depends on another and the loop unrolls. Callers
     /// stepping many times pick `Q` once through `with_module_count!`.
+    ///
+    /// Module 0 is always enabled and has no links: one ring step. The
+    /// modules above are enabled only while module 0 sits at its exit,
+    /// one step in eight on a random walk, so the common path is one
+    /// byte lookup per module.
     #[inline(always)]
     pub(crate) fn step_n<const Q: usize>(&self, composed: u32, input: u64, group: u8) -> u32 {
         debug_assert_eq!(Q, self.modules.len(), "step_n instantiated for this machine");
         let b = self.input_bits;
         let v = (input & ((1u64 << b) - 1)) as usize;
         let salt = u32::from(group) & STATE_MASK;
-        // One bounds check per step: every index below is < 8Q.
-        let row = &self.tables.fwd[v * Q * MODULE_STATES..][..Q * MODULE_STATES];
-        let mut next = 0u32;
-        for i in 0..Q {
-            let shift = MODULE_BITS * i;
-            let s = (composed >> shift) & STATE_MASK;
-            // Module i − 1's state (0 for module 0, whose table holds no
-            // links); bits shifted out above bit 31 belong to no prev.
-            let prev = ((composed << MODULE_BITS) >> shift) & STATE_MASK;
-            let e = row[i * MODULE_STATES + prev as usize];
-            let linked = perm_apply(e as Perm, s);
-            let enabled = composed & ((1u32 << shift) - 1) == 0;
-            let ns = if enabled {
-                perm_apply((e >> 32) as Perm, linked ^ salt) ^ salt
-            } else {
-                linked
-            };
-            next |= ns << shift;
+        // One bounds check per table and step: every index below is in
+        // range by construction.
+        let ring = &self.tables.ring[v * Q..][..Q];
+        let links = &self.tables.link[v * (Q - 1) * LINK_ROW..][..(Q - 1) * LINK_ROW];
+        let linked = |i: usize| {
+            let at = (composed >> (MODULE_BITS * (i - 1))) as usize & (LINK_ROW - 1);
+            u32::from(links[(i - 1) * LINK_ROW + at])
+        };
+        let mut next = perm_apply(ring[0], (composed & STATE_MASK) ^ salt) ^ salt;
+        if composed & STATE_MASK != 0 {
+            for i in 1..Q {
+                next |= linked(i) << (MODULE_BITS * i);
+            }
+        } else {
+            for (i, &perm) in ring.iter().enumerate().skip(1) {
+                let shift = MODULE_BITS * i;
+                let s = linked(i);
+                let enabled = composed & ((1u32 << shift) - 1) == 0;
+                let ns = if enabled {
+                    perm_apply(perm, s ^ salt) ^ salt
+                } else {
+                    s
+                };
+                next |= ns << shift;
+            }
         }
         next
     }
@@ -745,9 +781,10 @@ mod tests {
     /// [`CrossLink::apply`] in declaration order, then the salt-conjugated
     /// [`Module3::next`] of every enabled module.
     fn reference_step(a: &AddedStg, composed: u32, v: u64, group: u8) -> u32 {
-        let states: Vec<u8> = (0..a.module_count())
-            .map(|i| a.module_state(composed, i))
-            .collect();
+        let mut states = [0u8; MAX_MODULES];
+        for (i, st) in states.iter_mut().enumerate().take(a.module_count()) {
+            *st = a.module_state(composed, i);
+        }
         let salt = group & 7;
         let mut next = 0u32;
         let mut enabled = true;
@@ -786,23 +823,39 @@ mod tests {
 
     #[test]
     fn table_step_matches_reference_and_inverts() {
-        // Every module count the unrolled step is instantiated for.
+        // Every module count the unrolled step is instantiated for, at
+        // every input width, under every salt.
         for q in 1..=MAX_MODULES {
-            for b in [1usize, 3, 8] {
+            for b in 1..=8 {
                 let a = AddedStg::build(q, b, 2, 2, 100 + (q * 10 + b) as u64).unwrap();
                 let mut rng = StdRng::seed_from_u64(q as u64);
                 for group in 0..8u8 {
                     for s in states_to_check(&a, &mut rng) {
                         for v in 0..1u64 << b {
                             let t = a.step(s, v, group);
-                            let at = format!("q {q} b {b} g {group} s {s} v {v}");
-                            assert_eq!(t, reference_step(&a, s, v, group), "{at}");
-                            assert_eq!(a.step_inv(t, v, group), s, "{at}");
+                            let at = || format!("q {q} b {b} g {group} s {s} v {v}");
+                            assert_eq!(t, reference_step(&a, s, v, group), "{}", at());
+                            assert_eq!(a.step_inv(t, v, group), s, "{}", at());
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn forward_tables_are_no_larger_than_one_u64_per_module_state_and_input() {
+        for q in 1..=MAX_MODULES {
+            for b in 1..=8 {
+                let a = AddedStg::build(q, b, 2, 2, 1).unwrap();
+                let packed = (q * MODULE_STATES * std::mem::size_of::<u64>()) << b;
+                assert!(a.tables.forward_bytes() <= packed, "q {q} b {b}");
+            }
+        }
+        // 5 modules at 8 input bits: 256 rows of 4 × 64 link bytes and
+        // 5 ring maps of 4 bytes.
+        let a = AddedStg::build(5, 8, 2, 2, 1).unwrap();
+        assert_eq!(a.tables.forward_bytes(), 70_656);
     }
 
     #[test]

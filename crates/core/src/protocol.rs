@@ -6,7 +6,7 @@
 //! state. Bob scans each IC's flip-flops and sends the readout to Alice;
 //! only Alice, who knows the transition table, can answer with the key.
 //! The protocol is *symmetric*: Bob cannot use chips Alice never unlocked,
-//! and Alice's royalty stream is exactly the activation log.
+//! and Alice's royalty stream is exactly the keys she issued.
 
 use crate::added::{attempt_seeds, AddedStg};
 use crate::bfsm::{Bfsm, KeyHops};
@@ -74,23 +74,13 @@ impl LockOptions {
     }
 }
 
-/// One issued activation, for the designer's royalty ledger.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ActivationRecord {
-    /// The locked power-up state the foundry reported (scrambled code).
-    pub reported_code: u64,
-    /// The SFFSM group reported.
-    pub group: u8,
-    /// The key issued.
-    pub key: UnlockKey,
-}
-
 /// Alice: owns the design, constructs the BFSM, and is the only party able
 /// to compute unlock keys.
 #[derive(Debug, Clone)]
 pub struct Designer {
     bfsm: Arc<Bfsm>,
-    log: Vec<ActivationRecord>,
+    /// Keys issued so far: the royalty count.
+    activations: usize,
     /// Per-group next-hop key tables ([`Bfsm::key_hops`]), built lazily
     /// on the first key issued for a group. Pure caches of the BFSM: a
     /// clone may rebuild them.
@@ -146,7 +136,7 @@ impl Designer {
                 Ok(bfsm) => {
                     return Ok(Designer {
                         bfsm: Arc::new(bfsm),
-                        log: Vec::new(),
+                        activations: 0,
                         key_tables: std::collections::HashMap::new(),
                     })
                 }
@@ -188,7 +178,7 @@ impl Designer {
         Ok(UnlockKey { values })
     }
 
-    /// Computes the key and records the activation in the royalty ledger.
+    /// Computes the key and counts the activation for royalties.
     ///
     /// The serving hot path: the first key of a group builds the group's
     /// next-hop table ([`Bfsm::key_hops`], one reverse BFS); every key
@@ -209,13 +199,8 @@ impl Designer {
             .or_insert_with(|| Arc::new(bfsm.key_hops(group)));
         let mut values = bfsm.follow_hops(hops, composed)?;
         values.push(self.bfsm.unlock_symbol());
-        let key = UnlockKey { values };
-        self.log.push(ActivationRecord {
-            reported_code: self.bfsm.obfuscation().scramble(composed),
-            group,
-            key: key.clone(),
-        });
-        Ok(key)
+        self.activations += 1;
+        Ok(UnlockKey { values })
     }
 
     /// Several distinct keys for the same readout (§5.2's multiplicity of
@@ -270,14 +255,9 @@ impl Designer {
         Ok(keys)
     }
 
-    /// The royalty ledger: every activation Alice has issued.
-    pub fn activation_log(&self) -> &[ActivationRecord] {
-        &self.log
-    }
-
     /// Number of ICs activated so far — the metering count.
     pub fn activations(&self) -> usize {
-        self.log.len()
+        self.activations
     }
 
     /// The remote-disable sequence for deployed chips (§8).

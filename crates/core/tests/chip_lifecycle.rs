@@ -167,7 +167,7 @@ fn trapdoor_round_trip_restores_service() {
 }
 
 #[test]
-fn ledger_records_reported_codes_and_groups() {
+fn ledger_counts_every_activation() {
     let (mut designer, mut foundry) = setup(
         LockOptions {
             group_bits: 2,
@@ -177,15 +177,16 @@ fn ledger_records_reported_codes_and_groups() {
         309,
     );
     let mut chips: Vec<Chip> = (0..5).map(|_| fabricate_locked(&mut foundry)).collect();
-    for chip in &mut chips {
+    for (activated, chip) in chips.iter_mut().enumerate() {
+        assert_eq!(designer.activations(), activated);
         protocol::activate(&mut designer, chip).unwrap();
+        assert!(chip.is_unlocked());
     }
-    let log = designer.activation_log();
-    assert_eq!(log.len(), 5);
-    for (record, chip) in log.iter().zip(&chips) {
-        assert_eq!(record.group, chip.group());
-        assert!(!record.key.is_empty());
-    }
+    assert_eq!(designer.activations(), 5);
+    // A key computed without issuing it is no activation.
+    let spare = fabricate_locked(&mut foundry);
+    designer.compute_key(&spare.scan_flip_flops()).unwrap();
+    assert_eq!(designer.activations(), 5);
 }
 
 #[test]

@@ -62,9 +62,7 @@ fn reference(original: &Stg, options: &LockOptions, seed: u64) -> Result<Bfsm, M
 }
 
 /// Builds the lock both ways, asserts the same lock or the same error,
-/// and returns whether a lock was built. (`Debug` strings would not do:
-/// the original design's encoding prints a `HashMap`, whose order differs
-/// between two equal locks.)
+/// and returns whether a lock was built.
 fn assert_same_construction(options: &LockOptions, seed: u64) -> bool {
     let original = Stg::ring_counter(4, 1);
     let built = Designer::new(original.clone(), options.clone(), seed);
@@ -164,6 +162,28 @@ fn an_unreachable_candidate_is_skipped() {
         assert!(
             assert_same_construction(&o, seed),
             "q {q} b {b} search {search} seed {seed}"
+        );
+    }
+}
+
+/// Two equal locks print the same `Debug` string, so a printed or hashed
+/// lock is reproducible. The original design's encoding once kept its
+/// code index in a `HashMap`, which lists its entries in a per-instance
+/// order; the first case below printed two orders.
+#[test]
+fn equal_locks_print_alike() {
+    let cases = [(1, 1, 1, 0, 247), (2, 3, 2, 2, 7), (5, 8, 0, 0, 2024)];
+    for (q, b, holes, group_bits, seed) in cases {
+        let o = options(q, b, holes, 0, group_bits, 1);
+        let build =
+            || Designer::new(Stg::ring_counter(4, 1), o.clone(), seed).expect("lock builds");
+        let (first, second) = (build(), build());
+        let at = format!("q {q} b {b} holes {holes} group_bits {group_bits} seed {seed}");
+        assert_eq!(first.blueprint(), second.blueprint(), "{at}");
+        assert_eq!(
+            format!("{:?}", first.blueprint()),
+            format!("{:?}", second.blueprint()),
+            "{at}"
         );
     }
 }

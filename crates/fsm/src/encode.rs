@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How codes are assigned to states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,7 +37,8 @@ pub enum EncodingStrategy {
 pub struct Encoding {
     bits: usize,
     codes: Vec<u64>,
-    by_code: HashMap<u64, StateId>,
+    /// Ordered, so that equal encodings print and hash alike.
+    by_code: BTreeMap<u64, StateId>,
 }
 
 impl Encoding {

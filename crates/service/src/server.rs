@@ -3,8 +3,8 @@
 //! An [`ActivationServer`] owns the [`Designer`] (the only party able to
 //! compute keys), the persistent [`Registry`] and the [`RateLimiter`], all
 //! behind one mutex: handlers execute serially against the shared state
-//! (key issuance appends to the royalty ledger and the registry journal —
-//! both are order-sensitive), while transports accept and decode any
+//! (key issuance counts a royalty and appends to the registry journal,
+//! which is order-sensitive), while transports accept and decode any
 //! number of connections concurrently. The logical clock ticks once per
 //! request, so every admission decision, journal line and ledger entry is
 //! a pure function of the request sequence — the workspace's determinism

@@ -4,9 +4,12 @@
 //! and neither may `Json::write_compact` into a buffer with room.
 //! Decoding builds a `Json` tree and does allocate; it is not counted
 //! here. A metric write to a series that already exists allocates
-//! nothing either: every request makes several.
+//! nothing either: every request makes several. And a designer issuing
+//! keys keeps nothing on the heap but the keys it hands out.
 
+use hwm_fsm::Stg;
 use hwm_jsonio::Json;
+use hwm_metering::{Designer, Foundry, LockOptions};
 use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
 use hwm_service::wire::{encode_frame, FrameScratch};
 use hwm_service::{ErrorCode, Response};
@@ -14,7 +17,7 @@ use hwm_service::{ErrorCode, Response};
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocations;
+use counting_alloc::{allocations, retained_bytes};
 
 #[test]
 fn rendering_allocates_nothing_in_steady_state() {
@@ -105,4 +108,34 @@ fn warm_metric_writes_allocate_nothing() {
     assert_eq!((units.count, units.exemplars[3]), (2, Some(0xdef)));
     assert_eq!(s.gauge("depth", &labels), Some(7));
     assert_eq!(s.gauge("depth", &other), Some(1));
+}
+
+#[test]
+fn issuing_keys_retains_only_the_keys() {
+    const DIES: usize = 64;
+    let options = LockOptions {
+        group_bits: 2,
+        ..LockOptions::default()
+    };
+    let mut designer = Designer::new(Stg::ring_counter(6, 2), options, 31).expect("lock");
+    let mut foundry = Foundry::new(designer.blueprint().clone(), 32);
+    let readouts: Vec<_> = (0..DIES)
+        .map(|_| foundry.fabricate_one().scan_flip_flops())
+        .collect();
+    // Warm-up: every group these dies fall in builds its key table.
+    for readout in &readouts {
+        designer.issue_key(readout).expect("warm-up key");
+    }
+    let mut keys = Vec::with_capacity(DIES);
+    let retained = retained_bytes(|| {
+        for readout in &readouts {
+            keys.push(designer.issue_key(readout).expect("key"));
+        }
+    });
+    let key_bytes: usize = keys
+        .iter()
+        .map(|k| k.values.capacity() * std::mem::size_of::<u64>())
+        .sum();
+    assert_eq!(retained, key_bytes as i64, "{DIES} keys retained beyond themselves");
+    assert_eq!(designer.activations(), 2 * DIES);
 }
