@@ -24,10 +24,10 @@
 //! material (`results/recovery.txt`).
 //!
 //! Designer-side royalty accounting is deliberately *excluded* from the
-//! comparison: [`hwm_metering::Designer::issue_key`] appends to its
-//! in-memory ledger before the registry journals the unlock, so a crash
-//! between the two can log an activation whose key was never delivered,
-//! and the ledger resets with each incarnation. The registry's unlocked
+//! comparison: [`hwm_metering::Designer::issue_key`] bumps its in-memory
+//! activation count before the registry journals the unlock, so a crash
+//! between the two can count an activation whose key was never delivered,
+//! and the count resets with each incarnation. The registry's unlocked
 //! state and the delivered `Key` responses are the authoritative royalty
 //! record — see DESIGN.md.
 

@@ -26,7 +26,6 @@ use hwm_logic::{Cube, Tri};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A shortcut edge between modules (the paper's interconnection edges), in
 /// bijective form: when the *previous* module is at `requires_prev_at` and
@@ -636,45 +635,6 @@ impl AddedStg {
         dist
     }
 
-    /// Shortest input sequence from `start` to the exit under group
-    /// `group`: the designer's key-computation core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::NoKeyExists`] when the exit is unreachable
-    /// (possible only from black-hole states, which are handled a level up).
-    pub fn sequence_to_exit(&self, start: u32, group: u8) -> Result<Vec<u64>, MeteringError> {
-        if self.is_exit(start) {
-            return Ok(Vec::new());
-        }
-        let n = self.state_count();
-        let n_inputs = 1u64 << self.input_bits;
-        let mut pred: Vec<Option<(u32, u64)>> = vec![None; n];
-        let mut queue = VecDeque::from([start]);
-        pred[start as usize] = Some((start, 0)); // sentinel
-        while let Some(s) = queue.pop_front() {
-            for v in 0..n_inputs {
-                let t = self.step(s, v, group);
-                if t != s && pred[t as usize].is_none() {
-                    pred[t as usize] = Some((s, v));
-                    if self.is_exit(t) {
-                        let mut seq = Vec::new();
-                        let mut cur = t;
-                        while cur != start {
-                            let (p, v) = pred[cur as usize].expect("on BFS tree");
-                            seq.push(v);
-                            cur = p;
-                        }
-                        seq.reverse();
-                        return Ok(seq);
-                    }
-                    queue.push_back(t);
-                }
-            }
-        }
-        Err(MeteringError::NoKeyExists)
-    }
-
     /// Several *distinct* input sequences from `start` to the exit:
     /// distance-guided randomized walks exploiting the cross-link cycles.
     pub fn diversified_sequences(
@@ -902,31 +862,6 @@ mod tests {
                 dist.iter().all(|&d| d != usize::MAX),
                 "seed {seed}: some state cannot reach the exit"
             );
-        }
-    }
-
-    #[test]
-    fn sequence_replays_to_exit() {
-        let a = added(4, 2);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..20 {
-            let start = rng.random_range(0..a.state_count() as u32);
-            let seq = a.sequence_to_exit(start, 0).unwrap();
-            let mut s = start;
-            for &v in &seq {
-                s = a.step(s, v, 0);
-            }
-            assert!(a.is_exit(s), "sequence from {start} must land on exit");
-        }
-    }
-
-    #[test]
-    fn sequences_match_bfs_distance() {
-        let a = added(3, 3);
-        let dist = a.distances_to_exit(0);
-        for start in [5u32, 77, 300, 511] {
-            let seq = a.sequence_to_exit(start, 0).unwrap();
-            assert_eq!(seq.len(), dist[start as usize], "start {start}");
         }
     }
 

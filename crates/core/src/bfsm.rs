@@ -12,9 +12,10 @@
 //! * **Unlocked** — the functional mode: the original STG runs and the
 //!   chip's I/O behaviour is exactly the original design's.
 //!
-//! The designer's key computation is a BFS over the locked mode that
-//! *avoids the black-hole triggers* — the attacker, not knowing the
-//! transition table, cannot distinguish safe inputs from trapping ones.
+//! The designer's key computation is one reverse BFS over the locked
+//! mode that *avoids the black-hole triggers* — the attacker, not knowing
+//! the transition table, cannot distinguish safe inputs from trapping
+//! ones.
 
 use crate::added::{with_module_count, AddedStg, MAX_MODULES};
 use crate::blackhole::{step_hole, BlackHole, HoleState, HoleStep, Trigger};
@@ -25,7 +26,6 @@ use hwm_logic::{Bits, Cube, Tri};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Number of low input bits the unlock edge matches at the exit state.
@@ -173,11 +173,16 @@ impl Bfsm {
         // designer's key-safe paths survive: a rare added-STG topology can
         // lose an SFFSM group's exit orbit under one gate polarity while
         // the other polarity works, so the gate is re-rolled per attempt.
-        for attempt in 0..24 {
-            let unlock_gate = if attempt == 0 {
-                rng.random_range(0..(1u64 << gate_bits))
-            } else {
-                attempt as u64 % (1u64 << gate_bits)
+        // With no holes a candidate depends on the gate alone, so each
+        // gate is tried once, starting from the random one.
+        let gates = 1u64 << gate_bits;
+        let first_gate = rng.random_range(0..gates);
+        let attempts = if n_black_holes == 0 { gates } else { 24 };
+        for attempt in 0..attempts {
+            let unlock_gate = match attempt {
+                0 => first_gate,
+                _ if n_black_holes == 0 => first_gate ^ attempt,
+                _ => attempt % gates,
             };
             let mut holes = Vec::with_capacity(n_black_holes);
             for h in 0..n_black_holes {
@@ -227,13 +232,17 @@ impl Bfsm {
             let groups = 1u8 << group_bits;
             let safe = (0..groups).all(|g| candidate.exit_safely_reachable(g));
             if safe {
-                hwm_trace::counter("placement_attempts", attempt as u64 + 1);
+                hwm_trace::counter("placement_attempts", attempt + 1);
                 return Ok(candidate);
             }
-            let _ = attempt;
         }
+        let reason = if n_black_holes == 0 {
+            "no unlock gate keeps the exit reachable over key-safe inputs"
+        } else {
+            "no black-hole placement keeps the exit reachable"
+        };
         Err(MeteringError::InvalidOptions {
-            reason: "no black-hole placement keeps the exit reachable".to_string(),
+            reason: reason.to_string(),
         })
     }
 
@@ -615,18 +624,13 @@ impl Bfsm {
         Ok((self.obfuscation.unscramble(code), group))
     }
 
-    /// Whether an input value is usable *inside* a key: it must not fire a
-    /// black-hole trigger from the given state, and its low bits must not
-    /// match the unlock gate — a key free of gate symbols can never fire a
-    /// foreign chip's unlock mid-replay, which (combined with the
+    /// Distance from every composed state to the exit along *key-safe*
+    /// edges. An input value is usable inside a key when it fires no
+    /// black-hole trigger from the state it is applied in and its low bits
+    /// do not match the unlock gate: a key free of gate symbols can never
+    /// fire a foreign chip's unlock mid-replay, which (combined with the
     /// per-input bijectivity of the added STG) makes stolen keys provably
     /// non-transferable within an SFFSM group.
-    fn key_safe(&self, composed: u32, v: u64) -> bool {
-        !self.matches_unlock_gate(v) && self.triggered_hole(composed, v).is_none()
-    }
-
-    /// Distance from every composed state to the exit along *key-safe*
-    /// edges (no black-hole triggers, no gate-matching input symbols).
     pub fn safe_distances_to_exit(&self, group: u8) -> Vec<usize> {
         self.safe_bfs(group, |_, _| {})
     }
@@ -656,57 +660,12 @@ impl Bfsm {
         )
     }
 
-    /// Shortest *key-safe* input-value sequence from a composed state to
-    /// the exit — the core of the designer's key computation. The sequence
-    /// avoids black-hole triggers and gate-matching symbols; the caller
-    /// appends [`Bfsm::unlock_symbol`] as the final cycle. A forward BFS
-    /// trying inputs in ascending order, it returns the lexicographically
-    /// least such sequence; the serving path reads the same one off
-    /// [`Bfsm::key_hops`] without a search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeteringError::NoKeyExists`] when no safe path exists.
-    pub fn safe_sequence_to_exit(&self, start: u32, group: u8) -> Result<Vec<u64>, MeteringError> {
-        if self.added.is_exit(start) {
-            return Ok(Vec::new());
-        }
-        let n = self.added.state_count();
-        let n_inputs = 1u64 << self.added.input_bits();
-        let mut pred: Vec<Option<(u32, u64)>> = vec![None; n];
-        pred[start as usize] = Some((start, 0));
-        let mut queue = VecDeque::from([start]);
-        while let Some(s) = queue.pop_front() {
-            for v in 0..n_inputs {
-                if !self.key_safe(s, v) {
-                    continue;
-                }
-                let t = self.added.step(s, v, group);
-                if t != s && pred[t as usize].is_none() {
-                    pred[t as usize] = Some((s, v));
-                    if self.added.is_exit(t) {
-                        let mut seq = Vec::new();
-                        let mut cur = t;
-                        while cur != start {
-                            let (p, val) = pred[cur as usize].expect("on BFS tree");
-                            seq.push(val);
-                            cur = p;
-                        }
-                        seq.reverse();
-                        return Ok(seq);
-                    }
-                    queue.push_back(t);
-                }
-            }
-        }
-        Err(MeteringError::NoKeyExists)
-    }
-
-    /// The next-hop key table of one group: one reverse BFS from the exit
-    /// records, for every composed state, the least input that starts a
-    /// shortest key-safe path. Following it from any state spells that
-    /// state's lexicographically least shortest key-safe path — exactly the
-    /// sequence [`Bfsm::safe_sequence_to_exit`]'s forward search returns.
+    /// The next-hop key table of one group — the designer's one key
+    /// search. One reverse BFS from the exit records, for every composed
+    /// state, the least input that starts a shortest key-safe path (no
+    /// black-hole triggers, no gate-matching symbols). Following it from
+    /// any state ([`Bfsm::follow_hops`]) spells that state's
+    /// lexicographically least shortest key-safe path.
     pub fn key_hops(&self, group: u8) -> KeyHops {
         // The gate symbol is never key-safe, so it marks "no hop".
         let mut hops = vec![self.unlock_gate as u8; self.added.state_count()];
@@ -714,8 +673,10 @@ impl Bfsm {
         KeyHops { group, hops }
     }
 
-    /// [`Bfsm::safe_sequence_to_exit`] read off a [`KeyHops`] table: one
-    /// table lookup and one step per key symbol, no search.
+    /// The key-safe input sequence from `start` to the exit, read off a
+    /// [`KeyHops`] table: one table lookup and one step per key symbol, no
+    /// search. The caller appends [`Bfsm::unlock_symbol`] as the final
+    /// cycle.
     ///
     /// # Errors
     ///
@@ -831,6 +792,7 @@ pub struct KeyHops {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// The adjacency-list reverse BFS the table-driven search replaced:
     /// forward edges `s → step(s, v)` that pass `keep`, minus self-loops,
@@ -1011,7 +973,9 @@ mod tests {
                 let safe = bfsm.safe_distances_to_exit(group);
                 assert_eq!(
                     safe,
-                    reference_distances(added, group, |s, v| bfsm.key_safe(s, v)),
+                    reference_distances(added, group, |s, v| {
+                        !bfsm.matches_unlock_gate(v) && bfsm.triggered_hole(s, v).is_none()
+                    }),
                     "q {q}, holes {holes}, group {group}"
                 );
                 assert!(safe.iter().all(|&d| d != usize::MAX));

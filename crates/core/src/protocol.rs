@@ -16,7 +16,7 @@ use hwm_rub::VariationModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the locking scheme.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,10 +81,11 @@ pub struct Designer {
     bfsm: Arc<Bfsm>,
     /// Keys issued so far: the royalty count.
     activations: usize,
-    /// Per-group next-hop key tables ([`Bfsm::key_hops`]), built lazily
-    /// on the first key issued for a group. Pure caches of the BFSM: a
-    /// clone may rebuild them.
-    key_tables: std::collections::HashMap<u8, Arc<KeyHops>>,
+    /// Per-group next-hop key tables ([`Bfsm::key_hops`]), indexed by
+    /// SFFSM group (at most 3 group bits) and built on the first key
+    /// computed for the group. Pure caches of the BFSM, shared by clones
+    /// made after they are built.
+    key_tables: [OnceLock<Arc<KeyHops>>; 8],
 }
 
 impl Designer {
@@ -137,7 +138,7 @@ impl Designer {
                     return Ok(Designer {
                         bfsm: Arc::new(bfsm),
                         activations: 0,
-                        key_tables: std::collections::HashMap::new(),
+                        key_tables: Default::default(),
                     })
                 }
                 Err(refused) if added.verify_exit_reachability(groups) => return Err(refused),
@@ -165,6 +166,11 @@ impl Designer {
     /// Computes the unlock key for a scanned readout — the `Key
     /// Calculation` box of Figure 2.
     ///
+    /// The first key of a group builds the group's next-hop table
+    /// ([`Bfsm::key_hops`], one reverse BFS); every key after that, from
+    /// this designer or a clone made after it, is a walk down the table
+    /// ([`Bfsm::follow_hops`]), one lookup and one step per symbol.
+    ///
     /// # Errors
     ///
     /// * [`MeteringError::UnrecognizedReadout`] for malformed or unlocked
@@ -172,7 +178,9 @@ impl Designer {
     /// * [`MeteringError::NoKeyExists`] when the chip sits in a black hole.
     pub fn compute_key(&self, readout: &ScanReadout) -> Result<UnlockKey, MeteringError> {
         let (composed, group) = self.bfsm.parse_readout(&readout.0)?;
-        let mut values = self.bfsm.safe_sequence_to_exit(composed, group)?;
+        let hops =
+            self.key_tables[usize::from(group)].get_or_init(|| Arc::new(self.bfsm.key_hops(group)));
+        let mut values = self.bfsm.follow_hops(hops, composed)?;
         // The final cycle fires the gated unlock edge at the exit state.
         values.push(self.bfsm.unlock_symbol());
         Ok(UnlockKey { values })
@@ -180,79 +188,13 @@ impl Designer {
 
     /// Computes the key and counts the activation for royalties.
     ///
-    /// The serving hot path: the first key of a group builds the group's
-    /// next-hop table ([`Bfsm::key_hops`], one reverse BFS); every key
-    /// after that is a walk down the table, one lookup and one step per
-    /// symbol. The table spells the same lexicographically least shortest
-    /// key-safe path that [`Designer::compute_key`]'s table-free search
-    /// finds, so the two return the same key and the same errors.
-    ///
     /// # Errors
     ///
     /// As [`Designer::compute_key`].
     pub fn issue_key(&mut self, readout: &ScanReadout) -> Result<UnlockKey, MeteringError> {
-        let (composed, group) = self.bfsm.parse_readout(&readout.0)?;
-        let bfsm = &self.bfsm;
-        let hops = self
-            .key_tables
-            .entry(group)
-            .or_insert_with(|| Arc::new(bfsm.key_hops(group)));
-        let mut values = bfsm.follow_hops(hops, composed)?;
-        values.push(self.bfsm.unlock_symbol());
+        let key = self.compute_key(readout)?;
         self.activations += 1;
-        Ok(UnlockKey { values })
-    }
-
-    /// Several distinct keys for the same readout (§5.2's multiplicity of
-    /// keys) — different customers of the same chip population can receive
-    /// different key material.
-    ///
-    /// # Errors
-    ///
-    /// As [`Designer::compute_key`].
-    pub fn compute_keys(
-        &self,
-        readout: &ScanReadout,
-        count: usize,
-        seed: u64,
-    ) -> Result<Vec<UnlockKey>, MeteringError> {
-        let (composed, group) = self.bfsm.parse_readout(&readout.0)?;
-        let gate = self.bfsm.unlock_symbol();
-        let gate_mask = (1u64 << crate::bfsm::UNLOCK_GATE_BITS.min(self.bfsm.added().input_bits())) - 1;
-        let mut keys: Vec<UnlockKey> = self
-            .bfsm
-            .added()
-            .diversified_sequences(composed, group, count, seed)
-            .into_iter()
-            .filter(|seq| {
-                // Re-validate each diversified walk for key safety: no
-                // black-hole triggers and no gate-matching symbols.
-                let mut s = composed;
-                for &v in seq {
-                    if v & gate_mask == gate {
-                        return false;
-                    }
-                    if self
-                        .bfsm
-                        .black_holes()
-                        .iter()
-                        .any(|h| hole_triggered(&self.bfsm, h, s, v))
-                    {
-                        return false;
-                    }
-                    s = self.bfsm.added().step(s, v, group);
-                }
-                true
-            })
-            .map(|mut seq| {
-                seq.push(self.bfsm.unlock_symbol());
-                UnlockKey { values: seq }
-            })
-            .collect();
-        if keys.is_empty() {
-            keys.push(self.compute_key(readout)?);
-        }
-        Ok(keys)
+        Ok(key)
     }
 
     /// Number of ICs activated so far — the metering count.
@@ -264,14 +206,6 @@ impl Designer {
     pub fn kill_sequence(&self) -> Vec<u64> {
         self.bfsm.kill_sequence().to_vec()
     }
-}
-
-fn hole_triggered(bfsm: &Bfsm, hole: &crate::blackhole::BlackHole, composed: u32, v: u64) -> bool {
-    let module_states: Vec<u8> = (0..bfsm.added().module_count())
-        .map(|i| bfsm.added().module_state(composed, i))
-        .collect();
-    let input = hwm_logic::Bits::from_u64(v, bfsm.added().input_bits());
-    hole.triggered(&module_states, &input)
 }
 
 /// Bob: fabricates ICs from the blueprint. Every chip leaves the fab

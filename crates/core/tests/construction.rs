@@ -215,3 +215,44 @@ fn a_row_15_lock_costs_one_reachability_search() {
         assert_eq!(searches, 1, "b {b}");
     }
 }
+
+/// With no black holes a candidate lock depends only on its unlock gate,
+/// and one input bit leaves a single key-safe input, so many of these
+/// locks cannot be built. `assemble` tries each gate once and refuses
+/// with a message about the gate, not about a placement that was never
+/// asked for. The seeds that build are the ones that built when every
+/// refusal retried the same two gates 24 times.
+#[test]
+fn a_lock_without_holes_tries_each_gate_once() {
+    let one_bit_built = [
+        (2, vec![64, 68, 80, 84, 86, 87, 91, 92, 99]),
+        (
+            1,
+            vec![
+                64, 67, 68, 70, 71, 72, 74, 76, 79, 80, 81, 84, 85, 86, 87, 88, 90, 91, 92, 94, 97,
+                98, 99,
+            ],
+        ),
+    ];
+    for (modules, expected) in one_bit_built {
+        let mut built = Vec::new();
+        for seed in 60..100 {
+            let options = LockOptions {
+                added_modules: modules,
+                input_bits: Some(1),
+                black_holes: 0,
+                ..LockOptions::default()
+            };
+            match Designer::new(Stg::ring_counter(5, 2), options, seed) {
+                Ok(_) => built.push(seed),
+                Err(refused) => assert_eq!(
+                    refused.to_string(),
+                    "invalid lock options: no unlock gate keeps the exit reachable over \
+                     key-safe inputs",
+                    "{modules} modules, seed {seed}"
+                ),
+            }
+        }
+        assert_eq!(built, expected, "{modules} modules");
+    }
+}

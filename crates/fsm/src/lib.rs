@@ -1,21 +1,21 @@
 //! Finite-state-machine / state-transition-graph substrate.
 //!
 //! The paper manipulates designs at the STG level: the original control FSM
-//! is *boosted* with added states, the designer computes unlocking input
-//! sequences by path search on the transition table, and key diversity is
-//! argued through the cycle structure of the added graph. This crate
-//! provides that machinery:
+//! is *boosted* with added states, and key diversity is argued through the
+//! cycle structure of the added graph. (The designer's key search runs on
+//! the added STG's own step tables, in `hwm-metering`.) This crate provides
+//! that machinery:
 //!
 //! * [`Stg`] — states, cube-labelled transitions, determinism/completeness
 //!   checks, cycle-accurate simulation;
 //! * [`kiss`] — the KISS2 interchange format used by SIS;
-//! * [`paths`] — breadth-first shortest input sequences and diversified
-//!   multi-key search;
 //! * [`cycles`] — cycle counting (the paper's §7.3 key-diversity argument);
 //! * [`encode`] — state-encoding strategies including the out-of-sequence
 //!   obfuscated encoding of §5.2;
 //! * [`product`] — input/output equivalence of two machines (used to prove
-//!   that boosting preserves the original behaviour after unlock).
+//!   that boosting preserves the original behaviour after unlock);
+//! * [`minimize`] — state minimization by partition refinement;
+//! * [`corpus`] — a small corpus of realistic control FSMs in KISS2.
 //!
 //! # Example
 //!
@@ -40,7 +40,6 @@ pub mod cycles;
 pub mod encode;
 pub mod kiss;
 pub mod minimize;
-pub mod paths;
 pub mod product;
 mod random;
 mod stg;
@@ -51,6 +50,11 @@ pub use stg::{StateId, Stg, Transition};
 
 use std::error::Error;
 use std::fmt;
+
+/// Maximum input width for exhaustive input enumeration (2^12 vectors per
+/// state), the budget of [`product::io_equivalent`] and
+/// [`minimize::minimize`].
+pub const MAX_ENUMERATED_INPUT_BITS: usize = 12;
 
 /// Errors produced by FSM-level operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,16 +24,16 @@ pub struct Minimized {
 ///
 /// * [`FsmError::Nondeterministic`] when transitions conflict;
 /// * [`FsmError::BudgetExceeded`] when the input space is too wide to
-///   enumerate (more than [`crate::paths::MAX_ENUMERATED_INPUT_BITS`] bits).
+///   enumerate (more than [`crate::MAX_ENUMERATED_INPUT_BITS`] bits).
 pub fn minimize(stg: &Stg) -> Result<Minimized, FsmError> {
     let _span = hwm_trace::span("fsm.minimize");
     if let Some(s) = stg.nondeterministic_state() {
         return Err(FsmError::Nondeterministic { state: s.index() });
     }
     let b = stg.num_inputs();
-    if b > crate::paths::MAX_ENUMERATED_INPUT_BITS {
+    if b > crate::MAX_ENUMERATED_INPUT_BITS {
         return Err(FsmError::BudgetExceeded {
-            budget: crate::paths::MAX_ENUMERATED_INPUT_BITS,
+            budget: crate::MAX_ENUMERATED_INPUT_BITS,
         });
     }
     let n = stg.state_count();

@@ -55,9 +55,9 @@ pub fn io_equivalent(
         });
     }
     let nb = a.num_inputs();
-    if nb > crate::paths::MAX_ENUMERATED_INPUT_BITS {
+    if nb > crate::MAX_ENUMERATED_INPUT_BITS {
         return Err(FsmError::BudgetExceeded {
-            budget: crate::paths::MAX_ENUMERATED_INPUT_BITS,
+            budget: crate::MAX_ENUMERATED_INPUT_BITS,
         });
     }
     let n_inputs = 1u64 << nb;

@@ -1,6 +1,6 @@
 //! Property-based tests for the FSM substrate.
 
-use hwm_fsm::{kiss, paths, EncodingStrategy, StateId, Stg};
+use hwm_fsm::{kiss, EncodingStrategy, StateId, Stg};
 use hwm_logic::Bits;
 use proptest::prelude::*;
 
@@ -43,20 +43,6 @@ proptest! {
             prop_assert_eq!(n1.index(), n2.index());
             s1 = n1;
             s2 = n2;
-        }
-    }
-
-    #[test]
-    fn shortest_sequences_replay(stg in arb_stg(), from_raw in any::<u32>(), to_raw in any::<u32>()) {
-        let from = StateId::from_index(from_raw as usize % stg.state_count());
-        let to = StateId::from_index(to_raw as usize % stg.state_count());
-        if let Ok(Some(seq)) = paths::shortest_input_sequence(&stg, from, to) {
-            let (visited, _) = stg.run(from, &seq);
-            let arrived = visited.last().copied().unwrap_or(from);
-            prop_assert_eq!(arrived, to);
-            // And it is genuinely shortest per the distance map.
-            let dist = paths::distances_to(&stg, to).unwrap();
-            prop_assert_eq!(seq.len(), dist[from.index()]);
         }
     }
 

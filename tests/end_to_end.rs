@@ -3,7 +3,7 @@
 
 use hardware_metering::fsm::{self, Stg};
 use hardware_metering::logic::Bits;
-use hardware_metering::metering::{protocol, Designer, Foundry, LockOptions};
+use hardware_metering::metering::{protocol, Designer, Foundry, LockOptions, UnlockKey};
 
 fn lock(original: Stg, modules: usize, holes: usize, groups: usize, seed: u64) -> Designer {
     Designer::new(
@@ -143,14 +143,27 @@ fn scan_readout_roundtrips_through_designer() {
 
 #[test]
 fn multiple_keys_for_one_chip_all_work() {
+    // §5.2's multiplicity of keys: distance-guided walks find several
+    // routes to the exit, and on a lock without black holes each one,
+    // closed by the unlock symbol, unlocks the chip. (The designer issues
+    // only the walk that also avoids unlock-gate symbols, which keeps a
+    // stolen key from unlocking any other chip.)
     let designer = lock(Stg::ring_counter(5, 2), 3, 0, 0, 13);
-    let mut foundry = Foundry::new(designer.blueprint().clone(), 14);
-    let chip = foundry.fabricate_one();
-    let readout = chip.scan_flip_flops();
-    let keys = designer
-        .compute_keys(&readout, 4, 15)
-        .expect("diversified keys");
-    assert!(!keys.is_empty());
+    let bfsm = designer.blueprint();
+    let chip = Foundry::new(bfsm.clone(), 14).fabricate_one();
+    let (composed, group) = bfsm
+        .parse_readout(&chip.scan_flip_flops().0)
+        .expect("well-formed readout");
+    let keys: Vec<UnlockKey> = bfsm
+        .added()
+        .diversified_sequences(composed, group, 4, 15)
+        .into_iter()
+        .map(|mut values| {
+            values.push(bfsm.unlock_symbol());
+            UnlockKey { values }
+        })
+        .collect();
+    assert!(keys.len() >= 2, "{} keys", keys.len());
     for (i, key) in keys.iter().enumerate() {
         let mut fresh = chip.clone();
         fresh

@@ -56,7 +56,9 @@ fn lock_netlist_walks_to_unlock_like_the_model() {
 
     // Start the hardware at an arbitrary locked composed state.
     let start: u32 = 27;
-    let key = bfsm.safe_sequence_to_exit(start, 0).expect("key exists");
+    let key = bfsm
+        .follow_hops(&bfsm.key_hops(0), start)
+        .expect("key exists");
 
     // FF vector: no holes here, so [unlock, module bits…, dummies…].
     let n_ffs = nl.flip_flops().len();
