@@ -22,7 +22,6 @@
 
 pub mod ablations;
 pub mod analysis;
-pub mod cache;
 pub mod cluster;
 pub mod figures;
 pub mod fit;

@@ -17,7 +17,8 @@
 //! under `--profile` — stderr so the table on stdout stays byte-identical.
 //! A run writes no file that no flag asked for.
 
-use hwm_trace::{RunInfo, SpanGuard};
+use hwm_trace::{RunInfo, SpanGuard, Summary};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -87,8 +88,84 @@ impl BenchRun {
                 crate::write_artifact(path, "trace", summary.to_jsonl(&info));
             }
             if self.profile {
-                eprint!("{}", summary.phase_table(&info));
+                eprint!("{}", phase_table(&summary, &info));
             }
         }
+    }
+}
+
+/// The `--profile` breakdown: one row per span path with call counts,
+/// total and self time and the share of the run's wall time each path's
+/// total covers, then the gauges and the share the root spans account for.
+fn phase_table(summary: &Summary, info: &RunInfo) -> String {
+    let wall_ns = info.wall_ns.max(1);
+    let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
+    let share = |ns: u64| format!("{:.1}", 100.0 * ns as f64 / wall_ns as f64);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "per-phase breakdown — {} (seed {}, jobs {}, wall {:.1} ms)",
+        info.experiment,
+        info.seed,
+        info.jobs,
+        info.wall_ns as f64 / 1e6
+    );
+    let rows: Vec<Vec<String>> = summary
+        .spans
+        .iter()
+        .map(|r| {
+            vec![
+                r.path.clone(),
+                r.calls.to_string(),
+                ms(r.total_ns),
+                ms(r.self_ns),
+                share(r.total_ns),
+            ]
+        })
+        .collect();
+    let header = ["phase", "calls", "total ms", "self ms", "% wall"];
+    out.push_str(&crate::render_table(&header, &rows));
+    if !summary.gauges.is_empty() {
+        let _ = writeln!(out, "gauges:");
+        for g in &summary.gauges {
+            let _ = writeln!(out, "  {} ({}) = {}", g.name, g.agg.as_str(), g.value);
+        }
+    }
+    let roots: u64 = summary.spans.iter().filter(|r| r.depth == 0).map(|r| r.total_ns).sum();
+    let _ = writeln!(out, "root spans account for {}% of wall time", share(roots));
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hwm_trace::SpanRow;
+
+    #[test]
+    fn phase_table_accounts_wall_time() {
+        let span = |path: &str, depth, calls, total_ns, self_ns| SpanRow {
+            path: path.into(),
+            depth,
+            calls,
+            total_ns,
+            self_ns,
+        };
+        let summary = Summary {
+            spans: vec![
+                span("t", 0, 1, 10_000_000, 4_000_000),
+                span("t/synth", 1, 3, 6_000_000, 6_000_000),
+            ],
+            ..Summary::default()
+        };
+        let info = RunInfo {
+            experiment: "t".into(),
+            seed: 7,
+            jobs: 2,
+            wall_ns: 10_000_000,
+        };
+        let t = phase_table(&summary, &info);
+        assert!(t.contains("t/synth      3"), "child rows carry full paths: {t}");
+        assert!(t.contains("100.0"), "root must cover the wall: {t}");
+        assert!(t.contains("root spans account for 100.0%"), "{t}");
     }
 }

@@ -262,7 +262,7 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
         let resp = oracle_client
             .call(req)
             .map_err(|e| io::Error::other(format!("oracle transport: {e}")))?;
-        if resp.journaled() {
+        if resp.journal_event().is_some() {
             storage_ticks.push(tick as u64);
         }
         oracle_responses.push(resp);

@@ -7,10 +7,10 @@
 //! constant, so the *relative* overhead decays with circuit size).
 
 use hwm_fsm::Stg;
-use hwm_metering::hardware::OverheadReport;
+use hwm_metering::hardware::{added_netlist, OverheadReport};
 use hwm_metering::{Bfsm, Designer, LockOptions, MeteringError};
 use hwm_netlist::{CellLibrary, DesignStats, Netlist};
-use hwm_synth::iscas::BenchmarkProfile;
+use hwm_synth::iscas::{self, BenchmarkProfile};
 use std::sync::Arc;
 
 /// Input width used for the overhead tables (Table 3 shows the input count
@@ -49,6 +49,18 @@ pub fn lock_blueprint(
     Ok(designer.blueprint().clone())
 }
 
+/// The synthesized lock circuitry of [`lock_blueprint`]`(modules,
+/// black_holes, seed)` under `lib`.
+fn lock_netlist(
+    modules: usize,
+    black_holes: usize,
+    seed: u64,
+    lib: &CellLibrary,
+) -> Result<Netlist, MeteringError> {
+    let bfsm = lock_blueprint(modules, black_holes, seed)?;
+    added_netlist(&bfsm, lib)
+}
+
 /// One row of Tables 1/2: the original circuit plus its 12-FF and 15-FF
 /// boosted variants.
 #[derive(Debug, Clone)]
@@ -64,10 +76,10 @@ pub struct OverheadRow {
 }
 
 /// Runs the Table 1/2 pipeline over the given profiles, fanned across
-/// `jobs` worker threads, one work item per benchmark circuit. The lock
-/// syntheses and generated circuits go through [`crate::cache`]; every
-/// per-circuit computation depends only on `(profile, seed)`, so the rows
-/// are byte-identical for every `jobs`.
+/// `jobs` worker threads, one work item per benchmark circuit. The two
+/// locks are synthesized once per call and each circuit is generated once;
+/// every per-circuit computation depends only on `(profile, seed)`, so the
+/// rows are byte-identical for every `jobs`.
 ///
 /// # Errors
 ///
@@ -78,13 +90,13 @@ pub fn overhead_rows(
     seed: u64,
     jobs: usize,
 ) -> Result<Vec<OverheadRow>, MeteringError> {
-    let lock12 = crate::cache::lock_netlist(4, 1, seed, lib)?;
-    let lock15 = crate::cache::lock_netlist(5, 1, seed ^ 0x51, lib)?;
+    let lock12 = lock_netlist(4, 1, seed, lib)?;
+    let lock15 = lock_netlist(5, 1, seed ^ 0x51, lib)?;
     crate::parallel::try_run_indexed(jobs, profiles.len(), |i| {
         let p = &profiles[i];
-        let base = crate::cache::generated_circuit(p, lib, seed ^ 0xC1AC)?;
-        let merged12 = base.netlist.merged_with(&lock12.1, "lock_");
-        let merged15 = base.netlist.merged_with(&lock15.1, "lock_");
+        let base = iscas::generate(p, lib, seed ^ 0xC1AC)?;
+        let merged12 = base.netlist.merged_with(&lock12, "lock_");
+        let merged15 = base.netlist.merged_with(&lock15, "lock_");
         Ok(OverheadRow {
             profile: p.clone(),
             base: base.stats,
@@ -167,9 +179,8 @@ pub struct BlackHoleRow {
 }
 
 /// Runs the Table 4 pipeline, boosted-with-hole versus boosted-without,
-/// fanned across `jobs` worker threads. The one-hole locks are the same
-/// cache entries Table 1/2 synthesize, so a combined regeneration run
-/// pays for them once.
+/// fanned across `jobs` worker threads. Each circuit is merged with each
+/// of the four locks once, and each merge is measured once.
 ///
 /// # Errors
 ///
@@ -180,24 +191,28 @@ pub fn blackhole_rows(
     seed: u64,
     jobs: usize,
 ) -> Result<Vec<BlackHoleRow>, MeteringError> {
-    let lock12_plain = crate::cache::lock_netlist(4, 0, seed, lib)?;
-    let lock12_hole = crate::cache::lock_netlist(4, 1, seed, lib)?;
-    let lock15_plain = crate::cache::lock_netlist(5, 0, seed ^ 0x51, lib)?;
-    let lock15_hole = crate::cache::lock_netlist(5, 1, seed ^ 0x51, lib)?;
+    let lock12_plain = lock_netlist(4, 0, seed, lib)?;
+    let lock12_hole = lock_netlist(4, 1, seed, lib)?;
+    let lock15_plain = lock_netlist(5, 0, seed ^ 0x51, lib)?;
+    let lock15_hole = lock_netlist(5, 1, seed ^ 0x51, lib)?;
     crate::parallel::try_run_indexed(jobs, profiles.len(), |i| {
         let p = &profiles[i];
-        let base = crate::cache::generated_circuit(p, lib, seed ^ 0xC1AC)?;
-        let frac = |plain: &Netlist, hole: &Netlist, metric: fn(&DesignStats) -> f64| {
+        let base = iscas::generate(p, lib, seed ^ 0xC1AC)?;
+        // (area, power) cost of the hole, relative to the lock without it.
+        let cost = |plain: &Netlist, hole: &Netlist| {
             let without = base.netlist.merged_with(plain, "lock_").stats(lib);
             let with = base.netlist.merged_with(hole, "lock_").stats(lib);
-            (metric(&with) - metric(&without)) / metric(&without)
+            let frac = |with: f64, without: f64| (with - without) / without;
+            (frac(with.area, without.area), frac(with.power, without.power))
         };
+        let (area12, power12) = cost(&lock12_plain, &lock12_hole);
+        let (area15, power15) = cost(&lock15_plain, &lock15_hole);
         Ok(BlackHoleRow {
             name: p.name.to_string(),
-            area12: frac(&lock12_plain.1, &lock12_hole.1, |s| s.area),
-            power12: frac(&lock12_plain.1, &lock12_hole.1, |s| s.power),
-            area15: frac(&lock15_plain.1, &lock15_hole.1, |s| s.area),
-            power15: frac(&lock15_plain.1, &lock15_hole.1, |s| s.power),
+            area12,
+            power12,
+            area15,
+            power15,
         })
     })
 }
@@ -223,7 +238,6 @@ pub fn table4(rows: &[BlackHoleRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwm_synth::iscas;
 
     #[test]
     fn overhead_shapes_match_paper() {
@@ -233,9 +247,12 @@ mod tests {
             .map(|n| iscas::benchmark(n).unwrap())
             .collect();
         let rows = overhead_rows(&profiles, &lib, 2024, 1).unwrap();
-        // 1. Area overhead decreases monotonically with circuit size.
+        // 1. Area and power overheads decrease monotonically with circuit
+        //    size (Table 2's p-ovh12 reads 2.55, 0.80 and 0.11 here).
         assert!(rows[0].ff12.area() > rows[1].ff12.area());
         assert!(rows[1].ff12.area() > rows[2].ff12.area());
+        assert!(rows[0].ff12.power() > rows[1].ff12.power());
+        assert!(rows[1].ff12.power() > rows[2].ff12.power());
         // 2. The 15-FF lock costs more than the 12-FF lock.
         for r in &rows {
             assert!(r.ff15.area() > r.ff12.area(), "{}", r.profile.name);
@@ -244,8 +261,9 @@ mod tests {
         // 3. Delay overhead is ~0 for circuits slower than the lock.
         let big = &rows[2];
         assert!(big.ff12.delay().abs() < 0.01, "delay overhead {}", big.ff12.delay());
-        // 4. The largest circuit's overhead is well under 10%.
-        assert!(big.ff12.area() < 0.10, "area overhead {}", big.ff12.area());
+        // 4. The largest circuit's overhead is positive and well under 10%.
+        let area = big.ff12.area();
+        assert!(area > 0.0 && area < 0.10, "area overhead {area}");
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! wandering, black-hole capture (with frozen module bits), and the sticky
 //! unlock latch.
 //!
-//! The netlists come from the bench synthesis cache with a deliberately
-//! small seed pool, so many proptest cases resolve to cache *hits*: the
-//! test also proves a cached netlist behaves identically to a freshly
-//! synthesized one.
+//! Each case builds its lock the way Tables 1, 2 and 4 do: the bench
+//! harness's `lock_blueprint`, synthesized by `added_netlist`.
 
 use hwm_logic::Bits;
 use hwm_metering::bfsm::BfsmState;
+use hwm_metering::hardware::added_netlist;
 use hwm_metering::Bfsm;
 use hwm_netlist::{CellLibrary, Netlist};
 use proptest::prelude::*;
@@ -103,14 +102,13 @@ proptest! {
         seed_slot in 0u64..4,
         input_stream_seed in any::<u64>(),
     ) {
-        // Four seeds × few configs across 24 cases: most lookups after the
-        // first pass are cache hits, exercising the cached-netlist path.
         let lib = CellLibrary::generic();
         let seed = 0xD1FF_0000 + seed_slot;
-        let cached = hwm_bench::cache::lock_netlist(modules, holes, seed, &lib)
+        let bfsm = hwm_bench::tables::lock_blueprint(modules, holes, seed)
+            .map_err(|e| TestCaseError::fail(format!("construction failed: {e}")))?;
+        let nl = added_netlist(&bfsm, &lib)
             .map_err(|e| TestCaseError::fail(format!("synthesis failed: {e}")))?;
-        let (bfsm, nl) = (&cached.0, &cached.1);
-        co_simulate(bfsm, nl, 400, input_stream_seed)
+        co_simulate(&bfsm, &nl, 400, input_stream_seed)
             .map_err(TestCaseError::fail)?;
     }
 }

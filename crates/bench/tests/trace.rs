@@ -33,14 +33,6 @@ fn traced_overhead_run(jobs: usize) -> Summary {
 #[test]
 fn span_tree_and_counters_identical_across_jobs() {
     let _g = serial();
-    // Warm the synthesis cache first so both traced runs see the same
-    // hit/miss pattern (all hits) — in separate processes both would see
-    // all misses; either way the pattern is jobs-independent.
-    {
-        let profiles = iscas::small_benchmarks();
-        let lib = CellLibrary::generic();
-        hwm_bench::tables::overhead_rows(&profiles, &lib, 2024, 2).expect("warm-up");
-    }
     let serial_run = traced_overhead_run(1);
     let parallel_run = traced_overhead_run(4);
     assert!(

@@ -43,11 +43,10 @@ use crate::frame::RepFrame;
 use crate::link::NodeLink;
 use crate::ring::HashRing;
 use crate::ClusterError;
-use hwm_jsonio::Json;
 use hwm_metrics::{AuditEvent, AuditLog, HistoryDump, MetricClass, MetricsRegistry, Snapshot};
 use hwm_service::{
-    publish_state_gauges, ErrorCode, FaultPlan, Handler, RegistryCounts, Request, Response,
-    StatusReport, REQUEST_UNITS_BOUNDS,
+    publish_state_gauges, ErrorCode, FaultPlan, Handler, IcState, RegistryCounts, Request,
+    Response, StatusReport, REQUEST_UNITS_BOUNDS,
 };
 use hwm_trace::{spans_to_jsonl, TraceContext, TraceRing, TraceScope};
 use std::collections::HashMap;
@@ -96,14 +95,6 @@ struct ShardState {
     pending_batches: u32,
 }
 
-/// Where one die is in its lifecycle, as the router last saw it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Life {
-    Registered,
-    Unlocked,
-    Disabled,
-}
-
 /// Where one traced request's router spans go: the scope recording
 /// them, and the span the next attempt hangs under (the root, or the
 /// `retry` marker after a failover).
@@ -137,8 +128,9 @@ struct RouterInner {
     ring: HashRing,
     shards: Vec<ShardState>,
     clock: u64,
-    ic_to_shard: HashMap<String, usize>,
-    ic_states: HashMap<String, Life>,
+    /// Each registered die's shard and lifecycle state, as the router
+    /// last saw them.
+    ics: HashMap<String, (usize, IcState)>,
     /// Merged audit stream, seqs renumbered densely on ingest; ticks
     /// already increase monotonically because the router serializes.
     audit: AuditLog,
@@ -198,8 +190,7 @@ impl ClusterRouter {
                 ring: HashRing::new(shards.len(), vnodes),
                 shards,
                 clock: 0,
-                ic_to_shard: HashMap::new(),
-                ic_states: HashMap::new(),
+                ics: HashMap::new(),
                 audit: AuditLog::new(),
                 counts: RegistryCounts::default(),
                 lockouts: 0,
@@ -326,10 +317,9 @@ impl ClusterRouter {
                 inner.ring.route(readout)
             }
             Request::RemoteDisable { ic, .. } | Request::Status { ic: Some(ic), .. } => inner
-                .ic_to_shard
+                .ics
                 .get(ic)
-                .copied()
-                .unwrap_or_else(|| inner.ring.route(ic)),
+                .map_or_else(|| inner.ring.route(ic), |&(shard, _)| shard),
             Request::Status {
                 ic: None, client, ..
             } => inner.ring.route(client),
@@ -578,20 +568,6 @@ impl ClusterRouter {
                 }
             }
         }
-        // Fold journal events into the fleet counter (what a single
-        // node's registry metrics would have counted).
-        for line in &entries {
-            if let Ok(Json::Obj(fields)) = Json::parse(line) {
-                if let Some(event) = fields
-                    .iter()
-                    .find(|(k, _)| k == "event")
-                    .and_then(|(_, v)| v.as_str())
-                {
-                    self.metrics
-                        .inc("journal_events_total", &[("event", event)], 1);
-                }
-            }
-        }
         // Merge the audit stream: seqs renumber densely on ingest,
         // ticks are already global.
         for e in &audit {
@@ -732,20 +708,31 @@ impl Handler for ClusterRouter {
         if outcome == "unknown_readout" {
             self.metrics.inc("service_wrong_readouts_total", &[], 1);
         }
-        // Track the lifecycle transition and learn IC placement.
+        // The journal event the leader appended (what a single node's
+        // registry metrics would have counted), then the lifecycle
+        // transition and the IC's placement.
+        if let Some(event) = resp.journal_event() {
+            self.metrics
+                .inc("journal_events_total", &[("event", event)], 1);
+        }
         match (&resp, req) {
             (Response::Registered { .. }, Request::Register { ic, .. }) => {
                 inner.counts.registered += 1;
-                inner.ic_to_shard.insert(ic.clone(), shard);
-                inner.ic_states.insert(ic.clone(), Life::Registered);
+                inner.ics.insert(ic.clone(), (shard, IcState::Registered));
             }
             (Response::Key { ic, .. }, _) => {
                 inner.counts.unlocked += 1;
-                inner.ic_states.insert(ic.clone(), Life::Unlocked);
+                if let Some((_, state)) = inner.ics.get_mut(ic) {
+                    *state = IcState::Unlocked;
+                }
             }
             (Response::Disabled { ic, .. }, _) => {
                 // A disabled die leaves the unlocked state count.
-                if inner.ic_states.insert(ic.clone(), Life::Disabled) == Some(Life::Unlocked) {
+                let was = inner
+                    .ics
+                    .get_mut(ic)
+                    .map(|(_, state)| std::mem::replace(state, IcState::Disabled));
+                if was == Some(IcState::Unlocked) {
                     inner.counts.unlocked -= 1;
                 }
                 inner.counts.disabled += 1;

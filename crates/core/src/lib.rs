@@ -22,7 +22,7 @@
 //! * [`bfsm`] — the boosted FSM combining all of the above with the
 //!   original design (§4.1, Figure 3);
 //! * [`hardware`] — synthesis of the BFSM additions into gates and the
-//!   Table 1/2/4 overhead pipeline;
+//!   Table 1/2/4 overhead report;
 //! * [`chip`] — the fabricated-IC model: RUB, FF scan/load, key
 //!   application, remote disabling (§4, §8);
 //! * [`protocol`] — Alice and Bob: [`Designer`], [`Foundry`] and the

@@ -539,20 +539,21 @@ impl Response {
         }
     }
 
-    /// Whether the response proves its request appended a journal line:
-    /// an accepted mutation, or a duplicate readout (recorded as clone
-    /// evidence).
-    pub fn journaled(&self) -> bool {
-        matches!(
-            self,
-            Response::Registered { .. }
-                | Response::Key { .. }
-                | Response::Disabled { .. }
-                | Response::Error {
-                    code: ErrorCode::DuplicateReadout,
-                    ..
-                }
-        )
+    /// The journal event the response proves its request appended, named
+    /// as the registry's journal names it: an accepted mutation, or a
+    /// duplicate readout (recorded as clone evidence). `None` when the
+    /// request appended nothing.
+    pub fn journal_event(&self) -> Option<&'static str> {
+        match self {
+            Response::Registered { .. } => Some("register"),
+            Response::Key { .. } => Some("unlock"),
+            Response::Disabled { .. } => Some("disable"),
+            Response::Error {
+                code: ErrorCode::DuplicateReadout,
+                ..
+            } => Some("duplicate"),
+            _ => None,
+        }
     }
 
     /// Serializes the response to a JSON value.
@@ -1082,8 +1083,14 @@ mod tests {
                 _ => wire_type(&j),
             };
             assert_eq!(resp.outcome(), kind);
-            let appends = ["registered", "key", "disabled", "duplicate_readout"];
-            assert_eq!(resp.journaled(), appends.contains(&kind.as_str()));
+            let event = match kind.as_str() {
+                "registered" => Some("register"),
+                "key" => Some("unlock"),
+                "disabled" => Some("disable"),
+                "duplicate_readout" => Some("duplicate"),
+                _ => None,
+            };
+            assert_eq!(resp.journal_event(), event, "{kind}");
         }
     }
 

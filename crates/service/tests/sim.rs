@@ -122,7 +122,7 @@ fn oracle() -> OracleRun {
     let mut storage_ticks = Vec::new();
     for (tick, req) in schedule().iter().enumerate() {
         let resp = client.call(req).expect("oracle transport");
-        if resp.journaled() {
+        if resp.journal_event().is_some() {
             storage_ticks.push(tick as u64);
         }
         responses.push(resp);

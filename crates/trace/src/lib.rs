@@ -15,8 +15,7 @@
 //!   guesses): their totals must not depend on scheduling.
 //! * **Named gauges** ([`gauge_add`] / [`gauge_max`]) for quantities that
 //!   legitimately vary run to run (queue-wait nanoseconds, peak worker
-//!   threads, cache races). Gauges are excluded from the determinism
-//!   contract.
+//!   threads). Gauges are excluded from the determinism contract.
 //! * A **thread-safe per-worker aggregator**: each thread accumulates
 //!   into thread-local storage and merges into the process-wide store by
 //!   span path whenever its span stack empties, so `--jobs 1` and

@@ -1,5 +1,4 @@
-//! The merged trace summary: rows, digests, the JSONL wire format and the
-//! human-readable per-phase breakdown.
+//! The merged trace summary: rows, digests and the JSONL wire format.
 
 use hwm_jsonio::Json;
 use std::fmt::Write as _;
@@ -83,12 +82,6 @@ pub struct RunInfo {
     pub wall_ns: u64,
 }
 
-impl RunInfo {
-    fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-}
-
 /// A deterministic, sorted snapshot of everything a run recorded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
@@ -150,7 +143,7 @@ impl Summary {
             ("experiment", Json::Str(info.experiment.clone())),
             ("seed", Json::U64(info.seed)),
             ("jobs", Json::U64(info.jobs)),
-            ("wall_ms", Json::F64(info.wall_ms())),
+            ("wall_ms", Json::F64(info.wall_ns as f64 / 1e6)),
         ]);
         let _ = writeln!(out, "{header}");
         for r in &self.spans {
@@ -181,65 +174,6 @@ impl Summary {
             ]);
             let _ = writeln!(out, "{line}");
         }
-        out
-    }
-
-    /// Renders the human-readable per-phase breakdown: one row per span
-    /// path (indented by depth), with call counts, total/self time, the
-    /// share of `wall_ns` each phase's total covers, and per-phase cache
-    /// hit rates where both cache counters were recorded. Gauges print
-    /// underneath.
-    pub fn phase_table(&self, info: &RunInfo) -> String {
-        let wall_ns = info.wall_ns.max(1);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "per-phase breakdown — {} (seed {}, jobs {}, wall {:.1} ms)",
-            info.experiment,
-            info.seed,
-            info.jobs,
-            info.wall_ms()
-        );
-        let header = ["phase", "calls", "total ms", "self ms", "% wall", "cache"];
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for r in &self.spans {
-            let name = match r.path.rfind(crate::PATH_SEP) {
-                Some(i) => &r.path[i + 1..],
-                None => r.path.as_str(),
-            };
-            let hit_rate = match (
-                self.counter(&r.path, "cache_hits"),
-                self.counter(&r.path, "cache_misses"),
-            ) {
-                (Some(h), Some(m)) if h + m > 0 => {
-                    format!("{:.0}% hit", 100.0 * h as f64 / (h + m) as f64)
-                }
-                (Some(h), None) if h > 0 => format!("{h} hit"),
-                (None, Some(m)) if m > 0 => format!("{m} miss"),
-                _ => String::new(),
-            };
-            rows.push(vec![
-                format!("{}{}", "  ".repeat(r.depth), name),
-                r.calls.to_string(),
-                format!("{:.2}", r.total_ns as f64 / 1e6),
-                format!("{:.2}", r.self_ns as f64 / 1e6),
-                format!("{:.1}", 100.0 * r.total_ns as f64 / wall_ns as f64),
-                hit_rate,
-            ]);
-        }
-        out.push_str(&render_aligned(&header, &rows));
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for g in &self.gauges {
-                let _ = writeln!(out, "  {} ({}) = {}", g.name, g.agg.as_str(), g.value);
-            }
-        }
-        let accounted: u64 = self.spans.iter().filter(|r| r.depth == 0).map(|r| r.total_ns).sum();
-        let _ = writeln!(
-            out,
-            "root spans account for {:.1}% of wall time",
-            100.0 * accounted as f64 / wall_ns as f64
-        );
         out
     }
 
@@ -282,47 +216,12 @@ impl Summary {
     }
 }
 
-/// Right-aligned text table (the trace crate cannot depend on the bench
-/// crate's renderer — the dependency points the other way).
-fn render_aligned(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    let mut line = String::new();
-    for (i, h) in header.iter().enumerate() {
-        // The phase column is left-aligned so the indentation tree reads.
-        if i == 0 {
-            let _ = write!(line, "{:<w$}  ", h, w = widths[i]);
-        } else {
-            let _ = write!(line, "{:>w$}  ", h, w = widths[i]);
-        }
-    }
-    let _ = writeln!(out, "{}", line.trim_end());
-    let _ = writeln!(out, "{}", "-".repeat(line.trim_end().len()));
-    for row in rows {
-        let mut line = String::new();
-        for (i, cell) in row.iter().enumerate() {
-            if i == 0 {
-                let _ = write!(line, "{:<w$}  ", cell, w = widths[i]);
-            } else {
-                let _ = write!(line, "{:>w$}  ", cell, w = widths[i]);
-            }
-        }
-        let _ = writeln!(out, "{}", line.trim_end());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> (Summary, RunInfo) {
-        let summary = Summary {
+    fn sample() -> Summary {
+        Summary {
             spans: vec![
                 SpanRow {
                     path: "t".into(),
@@ -341,7 +240,7 @@ mod tests {
             ],
             counters: vec![CounterRow {
                 path: "t".into(),
-                name: "cache_hits".into(),
+                name: "items".into(),
                 value: 2,
             }],
             gauges: vec![GaugeRow {
@@ -349,33 +248,17 @@ mod tests {
                 agg: GaugeAgg::Max,
                 value: 4,
             }],
-        };
-        let info = RunInfo {
-            experiment: "t".into(),
-            seed: 7,
-            jobs: 2,
-            wall_ns: 10_000_000,
-        };
-        (summary, info)
-    }
-
-    #[test]
-    fn phase_table_accounts_wall_time() {
-        let (s, info) = sample();
-        let t = s.phase_table(&info);
-        assert!(t.contains("  synth"), "child rows are indented leaf names: {t}");
-        assert!(t.contains("100.0"), "root must cover the wall: {t}");
-        assert!(t.contains("root spans account for 100.0%"), "{t}");
+        }
     }
 
     #[test]
     fn merge_adds_spans_and_counters() {
-        let (mut a, _) = sample();
-        let (b, _) = sample();
+        let mut a = sample();
+        let b = sample();
         a.merge(&b);
         assert_eq!(a.span("t").unwrap().calls, 2);
         assert_eq!(a.span("t/synth").unwrap().total_ns, 12_000_000);
-        assert_eq!(a.counter("t", "cache_hits"), Some(4));
+        assert_eq!(a.counter("t", "items"), Some(4));
         assert_eq!(a.gauge("peak"), Some(4), "max gauge does not add");
     }
 }
