@@ -1,13 +1,10 @@
 //! Attack (i): brute force (§6.1, quantified in the paper's Table 3).
 //!
 //! Bob applies random input vectors hoping to stumble into the functional
-//! reset state. The scan-assisted variant additionally remembers the FF
-//! snapshots of chips he has already seen unlocked and replays the matching
-//! key when the walk revisits a known snapshot.
+//! reset state.
 
-use hwm_metering::{Chip, ScanReadout, UnlockKey};
+use hwm_metering::Chip;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Result of a brute-force run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,59 +167,6 @@ where
         mean_attempts: total as f64 / runs.max(1) as f64,
         trapped_fraction: trapped as f64 / runs.max(1) as f64,
     }
-}
-
-/// Scan-assisted brute force: Bob stores (snapshot → key suffix) pairs
-/// observed while legally unlocking `known` chips, then walks a fresh chip
-/// and replays a stored suffix whenever the scan matches a stored snapshot.
-/// State obfuscation makes matching snapshots astronomically unlikely; this
-/// returns the matches so the report can show the countermeasure working.
-pub fn scan_assisted_brute_force<R: Rng + ?Sized>(
-    chip: &mut Chip,
-    known: &[(ScanReadout, UnlockKey)],
-    max_guesses: u64,
-    rng: &mut R,
-) -> (BruteForceOutcome, u64) {
-    let table: HashMap<&hwm_logic::Bits, &UnlockKey> =
-        known.iter().map(|(r, k)| (&r.0, k)).collect();
-    let width = chip.blueprint().num_inputs();
-    let mut matches = 0u64;
-    for attempts in 0..max_guesses {
-        if chip.is_unlocked() || chip.is_trapped() {
-            return (
-                BruteForceOutcome {
-                    unlocked: chip.is_unlocked(),
-                    trapped: chip.is_trapped(),
-                    attempts,
-                },
-                matches,
-            );
-        }
-        let snapshot = chip.scan_flip_flops();
-        if let Some(key) = table.get(&snapshot.0) {
-            matches += 1;
-            let _ = chip.apply_key(key);
-            if chip.is_unlocked() {
-                return (
-                    BruteForceOutcome {
-                        unlocked: true,
-                        trapped: false,
-                        attempts,
-                    },
-                    matches,
-                );
-            }
-        }
-        chip.step_value(random_guess(width, rng));
-    }
-    (
-        BruteForceOutcome {
-            unlocked: chip.is_unlocked(),
-            trapped: chip.is_trapped(),
-            attempts: max_guesses,
-        },
-        matches,
-    )
 }
 
 #[cfg(test)]
@@ -460,49 +404,5 @@ mod tests {
             chip.apply_key(&key).unwrap();
             assert!(chip.is_unlocked());
         }
-    }
-
-    #[test]
-    fn scan_assist_defeated_by_per_chip_states() {
-        // Keys+snapshots from 5 unlocked chips never match a fresh walk.
-        // The defence is the size of the snapshot space (the paper's §4.2
-        // sizing plus the camouflage/dummy bits): on a 12-FF lock with a
-        // realistically sized original design, the expected number of
-        // snapshot collisions over a few thousand probes is ≪ 10⁻³. Toy
-        // locks do show occasional collisions — real state hits, the same
-        // birthday phenomenon the selective-release analysis covers.
-        let designer = Designer::new(
-            Stg::ring_counter(60, 2),
-            LockOptions {
-                added_modules: 4,
-                black_holes: 0,
-                dummy_ffs: 8,
-                ..LockOptions::default()
-            },
-            57,
-        )
-        .unwrap();
-        let mut foundry = Foundry::new(designer.blueprint().clone(), 58);
-        let mut known = Vec::new();
-        for _ in 0..5 {
-            let chip = foundry.fabricate_one();
-            let readout = chip.scan_flip_flops();
-            let key = designer.compute_key(&readout).unwrap();
-            known.push((readout, key));
-        }
-        let mut victim = foundry.fabricate_one();
-        let mut rng = StdRng::seed_from_u64(4);
-        // Step the victim past its power-up cycle first: a cycle-0 composed
-        // collision with a donor is the (legitimate) birthday phenomenon
-        // covered by the selective-release analysis, not a snapshot leak.
-        let width = victim.blueprint().num_inputs();
-        for _ in 0..3 {
-            victim.step_value(random_guess(width, &mut rng));
-        }
-        let (outcome, matches) = scan_assisted_brute_force(&mut victim, &known, 3_000, &mut rng);
-        // Mid-walk snapshots bind the camouflage stream to the cycle count,
-        // so stored snapshots can never match again.
-        assert_eq!(matches, 0, "obfuscated snapshots must not repeat");
-        let _ = outcome;
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | §6.1 | Attack | Module |
 //! |------|--------|--------|
-//! | (i)   | Brute force (random inputs / scan-assisted) | [`brute`] |
+//! | (i)   | Brute force (random inputs) | [`brute`] |
 //! | (ii)  | FSM reverse engineering by scanning | [`reverse`] |
 //! | (iii) | Combinational redundancy removal | [`redundancy`] |
 //! | (iv)  | RUB emulation | [`emulation`] |

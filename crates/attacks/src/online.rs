@@ -39,29 +39,6 @@ pub struct OnlineBruteOutcome {
     pub unlocked: bool,
 }
 
-/// Sends random wrong readouts from `client` until the server answers
-/// with a lockout, and returns how many were *evaluated* first. This is
-/// the observable guarantee of the throttle: an attacker gets exactly
-/// `failure_threshold` free evaluations, then waits.
-pub fn attempts_until_lockout(
-    server: &ActivationServer,
-    client: &str,
-    readout_width: usize,
-    rng: &mut StdRng,
-) -> u64 {
-    let mut evaluated = 0;
-    loop {
-        match guess_once(server, client, readout_width, rng) {
-            GuessResult::Evaluated { locked_out: false } => evaluated += 1,
-            GuessResult::Evaluated { locked_out: true } => return evaluated + 1,
-            GuessResult::Refused => {}
-            // A guess collided with a registered die: no lockout will
-            // ever fire on this streak, report the attempts so far.
-            GuessResult::Unlocked => return evaluated,
-        }
-    }
-}
-
 /// Runs a full campaign of `budget` requests against the server and
 /// tallies what the throttle let through.
 pub fn online_brute_force(
@@ -210,7 +187,8 @@ mod tests {
         };
         let (server, width) = throttled_server(91, throttle);
         let mut rng = StdRng::seed_from_u64(92);
-        assert_eq!(attempts_until_lockout(&server, "mallory", width, &mut rng), 5);
+        let out = online_brute_force(&server, "mallory", width, 1_000, &mut rng);
+        assert_eq!(out.attempts_until_first_lockout, Some(5), "{out:?}");
     }
 
     #[test]

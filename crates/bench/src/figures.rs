@@ -5,7 +5,7 @@
 //! and fits a decaying polynomial; both series must fall toward zero as
 //! circuits grow.
 
-use crate::fit::{polyfit, polyval, r_squared};
+use crate::fit::{polyfit, r_squared};
 use crate::tables::OverheadRow;
 use hwm_metering::MeteringError;
 use hwm_netlist::CellLibrary;
@@ -77,11 +77,6 @@ pub fn fig8_from_rows(rows: &[OverheadRow]) -> Fig8 {
     }
 }
 
-/// Predicted overhead at a given size under a fit.
-pub fn predict(fit: (f64, f64), size: f64) -> f64 {
-    polyval(&[fit.0, fit.1], 1.0 / size)
-}
-
 /// Renders both series as aligned text plus the fitted models — the data a
 /// plotting tool needs to redraw Figures 8a and 8b.
 pub fn render(fig: &Fig8) -> String {
@@ -110,6 +105,7 @@ pub fn render(fig: &Fig8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::polyval;
     use hwm_synth::iscas;
 
     #[test]
@@ -132,8 +128,9 @@ mod tests {
         // in percent, so "< 1%" is a bound of 1.0 (the area intercept is
         // exactly zero — added area is a constant — while the power
         // intercept carries a little synthesis noise).
-        assert!(predict(fig.area_fit, 100_000.0) < 1.0);
-        assert!(predict(fig.power_fit, 500_000.0) < 1.0);
+        let at = |fit: (f64, f64), size: f64| polyval(&[fit.0, fit.1], 1.0 / size);
+        assert!(at(fig.area_fit, 100_000.0) < 1.0);
+        assert!(at(fig.power_fit, 500_000.0) < 1.0);
     }
 
     #[test]

@@ -555,8 +555,10 @@ impl AddedStg {
     }
 
     /// Whether the composed step is a bijection for the given input/group —
-    /// the stolen-key no-transfer guarantee. Checked exhaustively; intended
-    /// for tests and construction-time validation of small machines.
+    /// the stolen-key no-transfer guarantee. Checked exhaustively.
+    ///
+    /// Test oracle: `composed_step_is_a_bijection` (this file) checks every
+    /// input and group of several locks against it.
     pub fn step_is_bijective(&self, input: u64, group: u8) -> bool {
         let n = self.state_count();
         let mut seen = vec![false; n];

@@ -16,6 +16,22 @@
 //! mode that *avoids the black-hole triggers* — the attacker, not knowing
 //! the transition table, cannot distinguish safe inputs from trapping
 //! ones.
+//!
+//! # Specialized functional FSMs (§6.2, Figure 7)
+//!
+//! With SFFSM enabled (`group_bits > 0` in [`crate::LockOptions`]), the
+//! added STG's dynamics depend on a group value derived from the chip's own
+//! RUB. Chips in different groups follow different trajectories for the
+//! same inputs, so a key captured from one chip replays only on chips that
+//! happen to share its group — and the group cannot be forged by loading
+//! flip-flops, because it is re-derived from the physical RUB every cycle.
+//!
+//! The group derivation is error-tolerant: each group bit is the majority
+//! of [`Bfsm::RUB_CELLS_PER_GROUP_BIT`] redundant RUB cells
+//! ([`Bfsm::group_from_rub`]), implementing the paper's "transition into
+//! the correct next states even when one or up to a specified number of
+//! the inputs from the RUB are altered". Each group also runs its own
+//! replica encoding of the original STG ([`Bfsm::original_code_mask`]).
 
 use crate::added::{with_module_count, AddedStg, MAX_MODULES};
 use crate::blackhole::{step_hole, BlackHole, HoleState, HoleStep, Trigger};
@@ -792,6 +808,8 @@ pub struct KeyHops {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Designer, Foundry, LockOptions};
+    use hwm_rub::{Environment, Rub, VariationModel};
     use std::collections::VecDeque;
 
     /// The adjacency-list reverse BFS the table-driven search replaced:
@@ -982,5 +1000,134 @@ mod tests {
                 assert!(bfsm.exit_safely_reachable(group));
             }
         }
+    }
+
+    // SFFSM (§6.2): RUB-derived groups and their replica encodings.
+
+    fn sffsm_designer() -> Designer {
+        Designer::new(
+            Stg::ring_counter(5, 2),
+            LockOptions {
+                added_modules: 2,
+                group_bits: 2,
+                black_holes: 0,
+                ..LockOptions::default()
+            },
+            41,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn groups_are_distributed() {
+        let designer = sffsm_designer();
+        let mut foundry = Foundry::new(designer.blueprint().clone(), 5);
+        let chips = foundry.fabricate(40);
+        let mut seen = [0usize; 4];
+        for c in &chips {
+            seen[c.group() as usize] += 1;
+        }
+        // All four groups should appear in 40 chips with overwhelming
+        // probability.
+        assert!(seen.iter().all(|&n| n > 0), "group histogram {seen:?}");
+    }
+
+    #[test]
+    fn group_survives_noisy_power_ups() {
+        let designer = sffsm_designer();
+        let mut foundry = Foundry::new(designer.blueprint().clone(), 6);
+        let mut chip = foundry.fabricate_one();
+        let nominal = chip.group();
+        for _ in 0..30 {
+            chip.power_up();
+            assert_eq!(chip.group(), nominal, "group must be stable across boots");
+        }
+    }
+
+    #[test]
+    fn group_stability_statistics() {
+        // Noisy RUB reads rarely change the group `group_from_rub` derives.
+        let designer = sffsm_designer();
+        let bfsm = designer.blueprint();
+        let model = VariationModel::default();
+        let mut rng = StdRng::seed_from_u64(9);
+        let rub = Rub::sample(&model, bfsm.rub_bits_needed(), &mut rng);
+        let nominal = bfsm.group_from_rub(&rub.nominal());
+        let flips = (0..200)
+            .filter(|_| {
+                let reading = rub.read_with(&model, &Environment::nominal(), &mut rng);
+                bfsm.group_from_rub(&reading) != nominal
+            })
+            .count();
+        assert!(
+            flips < 10,
+            "majority-of-5 group derivation should be stable, {flips} of 200 reads flipped"
+        );
+    }
+
+    #[test]
+    fn replica_masks_are_pairwise_distinct() {
+        // Colliding masks let two groups decode each other's state codes,
+        // which reopens the cross-group reset-state CAR. With a 5-state
+        // original (3 code bits) and 4 groups the keyed hash alone collides;
+        // the probed assignment must not.
+        let designer = sffsm_designer();
+        let bfsm = designer.blueprint();
+        let masks: Vec<u64> = (0..4u8).map(|g| bfsm.original_code_mask(g)).collect();
+        for i in 0..masks.len() {
+            for j in 0..i {
+                assert_ne!(
+                    masks[i], masks[j],
+                    "groups {j} and {i} share replica mask {masks:?}"
+                );
+            }
+        }
+        assert_eq!(masks[0], 0, "group 0 (SFFSM off) stays unmasked");
+    }
+
+    #[test]
+    fn keys_do_not_transfer_across_groups() {
+        // Bigger added space than the other tests so an accidental unlock
+        // of the diverged replay walk is vanishingly unlikely.
+        let original = Stg::ring_counter(5, 2);
+        let mut designer = Designer::new(
+            original,
+            LockOptions {
+                added_modules: 3,
+                group_bits: 2,
+                black_holes: 0,
+                ..LockOptions::default()
+            },
+            43,
+        )
+        .unwrap();
+        let mut foundry = Foundry::new(designer.blueprint().clone(), 7);
+        let chips = foundry.fabricate(30);
+        // Find two chips in different groups.
+        let mut by_group: Vec<Option<crate::Chip>> = vec![None, None, None, None];
+        for c in chips {
+            let g = c.group() as usize;
+            if by_group[g].is_none() {
+                by_group[g] = Some(c);
+            }
+        }
+        let mut found: Vec<crate::Chip> = by_group.into_iter().flatten().collect();
+        assert!(found.len() >= 2);
+        let mut b = found.pop().unwrap();
+        let mut a = found.pop().unwrap();
+        assert_ne!(a.group(), b.group());
+        // Capture A's locked power-up state, then unlock A legitimately.
+        let a_locked_readout = a.scan_flip_flops();
+        crate::protocol::activate(&mut designer, &mut a).unwrap();
+        assert!(a.is_unlocked());
+        // The CAR replay (§6.1 v): invasively load A's locked state into
+        // B's flip-flops and replay A's key. B's dynamics use B's own
+        // RUB-derived group, so the trajectory diverges and the key fails.
+        let key = a.stored_key().unwrap().clone();
+        b.load_flip_flops(&a_locked_readout).unwrap();
+        let result = b.apply_key(&key);
+        assert!(result.is_err() || !b.is_unlocked());
+        // The same replay against a chip of A's own group would have
+        // worked — that residual risk is 1/2^group_bits (documented).
     }
 }

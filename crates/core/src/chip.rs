@@ -126,6 +126,10 @@ impl Chip {
     }
 
     /// Sets the chip's operating conditions (affects RUB read noise).
+    ///
+    /// Kept for `tests/end_to_end.rs`'s test
+    /// `environmental_stress_does_not_brick_enrolled_chips`: it is the only
+    /// way to put noise on a fabricated chip's RUB read.
     pub fn set_environment(&mut self, env: Environment) {
         self.environment = env;
     }
@@ -150,6 +154,7 @@ impl Chip {
     /// Re-boots from nonvolatile storage: the enrolled RUB reading is
     /// reloaded into the flip-flops and the stored key (when present)
     /// replayed — how a deployed IC starts in the field (§4.2(i)).
+    /// `examples/quickstart.rs` drives this field boot.
     ///
     /// # Errors
     ///

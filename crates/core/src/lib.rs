@@ -20,14 +20,14 @@
 //! * [`obfuscate`] — power-up scrambling, dummy states and out-of-sequence
 //!   code assignment (§5.2, Figure 5);
 //! * [`bfsm`] — the boosted FSM combining all of the above with the
-//!   original design (§4.1, Figure 3);
+//!   original design (§4.1, Figure 3), including the RUB-dependent
+//!   specialized functional FSMs (SFFSM, §6.2);
 //! * [`hardware`] — synthesis of the BFSM additions into gates and the
 //!   Table 1/2/4 overhead report;
 //! * [`chip`] — the fabricated-IC model: RUB, FF scan/load, key
 //!   application, remote disabling (§4, §8);
 //! * [`protocol`] — Alice and Bob: [`Designer`], [`Foundry`] and the
 //!   key-exchange flow of Figure 2;
-//! * [`sffsm`] — RUB-dependent specialized functional FSMs (§6.2);
 //! * [`diversity`] — key multiplicity via the cycle structure (§7.3);
 //! * [`passive`] — the DAC 2001 passive metering scheme (the titled paper;
 //!   see the collision note at the top of DESIGN.md).
@@ -63,7 +63,6 @@ pub mod module3;
 pub mod obfuscate;
 pub mod passive;
 pub mod protocol;
-pub mod sffsm;
 
 pub use added::AddedStg;
 pub use bfsm::{Bfsm, BfsmState};

@@ -214,6 +214,7 @@ pub fn detection_probability(legal: u64, cloned: u64, sample: u64) -> f64 {
 
 /// The smallest audit sample that detects `cloned` clones among `legal`
 /// legitimate chips with probability at least `confidence`.
+/// `examples/passive_metering.rs` prints it for each clone count.
 pub fn required_sample(legal: u64, cloned: u64, confidence: f64) -> Option<u64> {
     (2..=legal + cloned).find(|&s| detection_probability(legal, cloned, s) >= confidence)
 }

@@ -45,7 +45,7 @@ proptest! {
     /// collisions, which §4.2's birthday sizing controls, and (b) victims
     /// in a *different* SFFSM group, which run different bijections and
     /// land on the exit with probability ≈ 1/8^q (covered statistically by
-    /// the sffsm and ablation suites).
+    /// the SFFSM tests in `bfsm.rs` and the ablation suites).
     #[test]
     fn stolen_keys_never_transfer_within_a_group(
         seed in any::<u64>(),

@@ -184,6 +184,9 @@ pub fn count_simple_cycles_bounded(stg: &Stg, limit: usize) -> usize {
 }
 
 /// Whether every state in `states` has a path to `target` in the STG.
+///
+/// Test oracle: `hwm-metering`'s `module3.rs` test `exit_reachable_from_everywhere`
+/// checks every added-STG module's exit against it.
 pub fn all_reach(stg: &Stg, states: &[StateId], target: StateId) -> bool {
     // Reverse reachability from target.
     let n = stg.state_count();

@@ -135,70 +135,6 @@ impl Encoding {
     pub fn codes(&self) -> &[u64] {
         &self.codes
     }
-
-    /// Pearson correlation between STG hop distance and code Hamming
-    /// distance over all state pairs reachable from each other. Near zero
-    /// for the obfuscated strategy (the paper's observation in §5.2); high
-    /// for Gray-coded rings.
-    pub fn proximity_correlation(&self, stg: &Stg) -> f64 {
-        // Undirected hop distances by BFS per state over the unlabeled
-        // graph (undirected because scan-based attackers observe adjacency,
-        // not direction).
-        let n = stg.state_count();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for t in stg.transitions() {
-            if t.from != t.to {
-                adj[t.from.index()].push(t.to.index());
-                adj[t.to.index()].push(t.from.index());
-            }
-        }
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for start in 0..n {
-            let mut dist = vec![usize::MAX; n];
-            dist[start] = 0;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(u) = queue.pop_front() {
-                for &v in &adj[u] {
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            for (other, &d) in dist.iter().enumerate() {
-                if other != start && d != usize::MAX {
-                    xs.push(d as f64);
-                    ys.push(
-                        (self.codes[start] ^ self.codes[other]).count_ones() as f64,
-                    );
-                }
-            }
-        }
-        pearson(&xs, &ys)
-    }
-}
-
-fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
 }
 
 /// Number of bits needed to give `n` items distinct codes.
@@ -283,14 +219,38 @@ mod tests {
         assert_eq!(e.bits(), 12);
     }
 
+    /// Pearson correlation between ring hop distance and code Hamming
+    /// distance over all ordered state pairs of a ring of `codes.len()`
+    /// states: what a scan-based attacker reads off adjacent codes.
+    fn ring_proximity_correlation(codes: &[u64]) -> f64 {
+        let n = codes.len();
+        let pairs: Vec<(f64, f64)> = (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let hops = i.abs_diff(j).min(n - i.abs_diff(j));
+                (hops as f64, (codes[i] ^ codes[j]).count_ones() as f64)
+            })
+            .collect();
+        let m = pairs.len() as f64;
+        let mx = pairs.iter().map(|p| p.0).sum::<f64>() / m;
+        let my = pairs.iter().map(|p| p.1).sum::<f64>() / m;
+        let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
+        for (x, y) in &pairs {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx).powi(2);
+            vy += (y - my).powi(2);
+        }
+        cov / (vx.sqrt() * vy.sqrt())
+    }
+
     #[test]
     fn obfuscation_decorrelates() {
         let stg = Stg::ring_counter(32, 1);
         let gray = Encoding::assign(&stg, EncodingStrategy::Gray, 0).unwrap();
         let obf =
             Encoding::assign(&stg, EncodingStrategy::RandomObfuscated { seed: 3 }, 0).unwrap();
-        let cg = gray.proximity_correlation(&stg).abs();
-        let co = obf.proximity_correlation(&stg).abs();
+        let cg = ring_proximity_correlation(gray.codes()).abs();
+        let co = ring_proximity_correlation(obf.codes()).abs();
         assert!(
             co < cg,
             "obfuscated correlation {co} should be below gray {cg}"

@@ -21,6 +21,10 @@ pub enum Equivalence {
 
 impl Equivalence {
     /// Whether the machines were found equivalent.
+    ///
+    /// Test oracle: `corpus_machines_roundtrip_kiss2` (`tests/corpus_lockdown.rs`)
+    /// and `minimize.rs`'s `corpus_machines_minimize_as_expected` check KISS2
+    /// round trips and minimization against it.
     pub fn is_equivalent(&self) -> bool {
         matches!(self, Equivalence::Equivalent)
     }

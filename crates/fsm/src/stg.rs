@@ -312,6 +312,10 @@ impl Stg {
     }
 
     /// States reachable from `start` (including it), in BFS order.
+    ///
+    /// Test oracle: `random.rs`'s `generated_is_complete_deterministic_connected`
+    /// and `tests/properties.rs`'s `generated_stgs_are_well_formed` check that
+    /// generated machines are connected against it.
     pub fn reachable_from(&self, start: StateId) -> Vec<StateId> {
         let mut seen = vec![false; self.states.len()];
         let mut order = Vec::new();

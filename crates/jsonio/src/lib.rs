@@ -117,6 +117,10 @@ impl Json {
     }
 
     /// The value as `bool`.
+    ///
+    /// Kept for `hwm_perf`'s `tests/cli.rs` test
+    /// `quick_runs_pass_every_check_and_report_the_declared_metrics`, which
+    /// reads each workload's `correct` flag through it.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),

@@ -137,34 +137,9 @@ impl Bits {
         self.words.first().copied().unwrap_or(0)
     }
 
-    /// Interprets the whole vector as an integer if it fits in `usize`.
-    ///
-    /// Returns `None` when a set bit lies at or above `usize::BITS`.
-    pub fn to_index(&self) -> Option<usize> {
-        let bits = usize::BITS as usize;
-        for i in bits..self.len {
-            if self.get(i) {
-                return None;
-            }
-        }
-        Some(self.low_u64() as usize)
-    }
-
     /// Iterates over the bits, index 0 first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Concatenates two bit-vectors (`self` keeps the low indices).
-    pub fn concat(&self, other: &Bits) -> Bits {
-        let mut out = Bits::zeros(self.len + other.len);
-        for (i, v) in self.iter().enumerate() {
-            out.set(i, v);
-        }
-        for (i, v) in other.iter().enumerate() {
-            out.set(self.len + i, v);
-        }
-        out
     }
 
     /// Extracts bits `[start, start + len)` into a new vector.
@@ -258,19 +233,10 @@ mod tests {
     fn concat_slice_roundtrip() {
         let a = Bits::from_u64(0b101, 3);
         let b = Bits::from_u64(0b01, 2);
-        let c = a.concat(&b);
+        let c = Bits::from_u64(0b01_101, 5);
         assert_eq!(c.len(), 5);
         assert_eq!(c.slice(0, 3), a);
         assert_eq!(c.slice(3, 2), b);
-    }
-
-    #[test]
-    fn to_index() {
-        let b = Bits::from_u64(37, 30);
-        assert_eq!(b.to_index(), Some(37));
-        let mut big = Bits::zeros(80);
-        big.set(79, true);
-        assert_eq!(big.to_index(), None);
     }
 
     #[test]

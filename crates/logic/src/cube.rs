@@ -321,21 +321,6 @@ impl Cube {
         (0..self.width).map(move |v| self.get(v))
     }
 
-    /// The lowest-index minterm covered by this cube, if any.
-    pub fn some_minterm(&self) -> Option<Bits> {
-        if self.is_void() {
-            return None;
-        }
-        let mut bits = Bits::zeros(self.width);
-        for v in 0..self.width {
-            match self.pair(v) {
-                PAIR_ONE => bits.set(v, true),
-                _ => bits.set(v, false),
-            }
-        }
-        Some(bits)
-    }
-
     fn pair(&self, v: usize) -> u64 {
         assert!(v < self.width, "variable {v} out of range for width {}", self.width);
         (self.words[v / VARS_PER_WORD] >> (2 * (v % VARS_PER_WORD))) & 0b11
@@ -514,13 +499,6 @@ mod tests {
     fn minterm_count() {
         assert_eq!(cube("1-0").minterm_count(), Some(2));
         assert_eq!(Cube::full(7).minterm_count(), Some(128));
-    }
-
-    #[test]
-    fn some_minterm_is_covered() {
-        let c = cube("-1-0");
-        let m = c.some_minterm().unwrap();
-        assert!(c.covers_minterm(&m));
     }
 
     #[test]

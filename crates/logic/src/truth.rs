@@ -103,6 +103,9 @@ impl TruthTable {
     }
 
     /// Whether two tables describe the same function.
+    ///
+    /// Test oracle: `tests/properties.rs`'s `double_complement_is_identity`
+    /// checks cover complementation against it.
     pub fn same_function(&self, other: &TruthTable) -> bool {
         self.vars == other.vars && self.words == other.words
     }

@@ -103,7 +103,7 @@ proptest! {
                          b in prop::collection::vec(any::<bool>(), 0..50)) {
         let ba = Bits::from_bools(&a);
         let bb = Bits::from_bools(&b);
-        let c = ba.concat(&bb);
+        let c = Bits::from_bools(&[a.as_slice(), b.as_slice()].concat());
         prop_assert_eq!(c.slice(0, ba.len()), ba.clone());
         prop_assert_eq!(c.slice(ba.len(), bb.len()), bb);
     }

@@ -268,9 +268,11 @@ impl AuditLog {
         &self.events
     }
 
-    /// Consumes the log, yielding the events without cloning them —
-    /// callers that are done recording (wire-response builders, tests)
-    /// use this instead of `events().to_vec()`.
+    /// Consumes the log, yielding the events without cloning them.
+    ///
+    /// Test oracle: `hwm-service`'s `wire.rs` test `responses_round_trip` and
+    /// `tests/wire_golden.rs` build the `Response::Audit` frames they pin
+    /// from it.
     pub fn into_events(self) -> Vec<AuditEvent> {
         self.events
     }

@@ -319,13 +319,6 @@ impl NetlistBuilder {
         });
     }
 
-    /// Instantiates a D flip-flop with a fresh Q net, which is returned.
-    pub fn flip_flop(&mut self, d: NetId, init: bool) -> NetId {
-        let q = self.net(format!("q{}", self.ffs.len()));
-        self.flip_flop_onto(d, q, init);
-        q
-    }
-
     /// Instantiates a D flip-flop onto an existing Q net.
     pub fn flip_flop_onto(&mut self, d: NetId, q: NetId, init: bool) {
         self.ffs.push(FlipFlop { d, q, init });
@@ -597,7 +590,8 @@ mod instantiate_tests {
         let a = cb.input("a");
         let b2 = cb.input("b");
         let y = cb.gate(CellKind::Nand(2), &[a, b2]);
-        let q = cb.flip_flop(y, false);
+        let q = cb.net("q");
+        cb.flip_flop_onto(y, q, false);
         cb.output("y", y);
         cb.output("q", q);
         let child = cb.finish().unwrap();

@@ -81,19 +81,6 @@ pub fn p_power_up_added(k_bits: u32, m_original: u64) -> f64 {
     1.0 - p_power_up_original(k_bits, m_original)
 }
 
-/// The smallest `k` such that powering up in an original state has
-/// probability at most `max_p` with `m_original` original states.
-pub fn min_bits_for_added_power_up(m_original: u64, max_p: f64) -> u32 {
-    let mut k = 1;
-    while p_power_up_original(k, m_original) > max_p {
-        k += 1;
-        if k > 128 {
-            break;
-        }
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,12 +135,5 @@ mod tests {
         assert_eq!(p_all_distinct(10, 1), 1.0);
         // More chips than IDs → distinctness impossible.
         assert_eq!(p_all_distinct(2, 5), 0.0);
-    }
-
-    #[test]
-    fn min_bits_for_added_power_up_matches_paper() {
-        let k = min_bits_for_added_power_up(100, 1e-7);
-        assert!(k <= 30, "paper quotes k=30 as sufficient, got {k}");
-        assert!(p_power_up_original(k, 100) <= 1e-7);
     }
 }

@@ -1,6 +1,6 @@
 //! The cross-coupled NOR latch ID cell and the RUB block.
 
-use crate::variation::{normal, normal_cdf, VariationModel};
+use crate::variation::{normal, VariationModel};
 use hwm_logic::Bits;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -72,15 +72,6 @@ impl LatchCell {
         let noise = normal(rng, 0.0, model.temporal_sigma * env.noise_scale);
         self.mismatch + self.drift + noise > 0.0
     }
-
-    /// Probability that a read disagrees with the nominal value.
-    pub fn flip_probability(&self, model: &VariationModel, env: &Environment) -> f64 {
-        let sigma = model.temporal_sigma * env.noise_scale;
-        if sigma <= 0.0 {
-            return 0.0;
-        }
-        normal_cdf(-(self.mismatch + self.drift).abs() / sigma)
-    }
 }
 
 /// A Random Unique Block: the on-chip array of ID cells.
@@ -138,19 +129,6 @@ impl Rub {
         self.cells.iter().map(|c| c.read(model, env, rng)).collect()
     }
 
-    /// Fraction of cells whose flip probability is below `threshold`.
-    pub fn stable_fraction(&self, model: &VariationModel, env: &Environment, threshold: f64) -> f64 {
-        if self.cells.is_empty() {
-            return 1.0;
-        }
-        let stable = self
-            .cells
-            .iter()
-            .filter(|c| c.flip_probability(model, env) < threshold)
-            .count();
-        stable as f64 / self.cells.len() as f64
-    }
-
     /// Ages the block: accumulates lifetime drift (NBTI/hot-carrier) on each
     /// cell, `units` standard deviations' worth.
     pub fn age<R: Rng + ?Sized>(&mut self, model: &VariationModel, units: f64, rng: &mut R) {
@@ -206,9 +184,6 @@ mod tests {
         }
         // Expected flip rate is small (a few % of bits are marginal).
         assert!(total_flips < 20 * 60, "too many flips: {total_flips}");
-        assert!(
-            rub.stable_fraction(&model, &Environment::nominal(), 0.01) > 0.9
-        );
     }
 
     #[test]
@@ -241,15 +216,5 @@ mod tests {
         let moved = before.hamming_distance(&after);
         assert!(moved > 0, "a century of aging should move some bits");
         assert!(moved < 400, "aging should not randomize the ID, moved {moved}");
-    }
-
-    #[test]
-    fn flip_probability_bounds() {
-        let model = VariationModel::default();
-        let strong = LatchCell { mismatch: 50.0, drift: 0.0 };
-        let weak = LatchCell { mismatch: 0.1, drift: 0.0 };
-        let env = Environment::nominal();
-        assert!(strong.flip_probability(&model, &env) < 1e-6);
-        assert!(weak.flip_probability(&model, &env) > 0.4);
     }
 }

@@ -47,19 +47,6 @@ impl VariationModel {
         }
     }
 
-    /// Samples die `index` of a seeded fabrication batch with its own RNG
-    /// derived from the batch's `master` seed — the workspace convention
-    /// for one RNG per work item, so a batch of dies sampled by index is
-    /// identical no matter how a parallel harness shards the indices
-    /// across threads (unlike [`Self::sample_die`] on a shared sequential
-    /// stream, where the result depends on draw order).
-    pub fn sample_die_indexed(&self, master: u64, index: u64) -> DieSample {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(indexed_seed(master, index));
-        self.sample_die(&mut rng)
-    }
-
     /// Expected fraction of latch bits whose flip probability at nominal
     /// conditions is below `flip_threshold` (e.g. 0.01): the "stable bits"
     /// figure of merit.
@@ -79,23 +66,6 @@ impl VariationModel {
 pub struct DieSample {
     /// Common-mode threshold shift of this die (mV). Positive = slower die.
     pub inter_die_offset: f64,
-}
-
-impl DieSample {
-    /// A multiplicative gate-delay factor for this die: 1.0 at the process
-    /// corner, ±~1 % per 10 mV of common-mode shift. Used by the
-    /// statistical-characterization countermeasure.
-    pub fn delay_factor(&self) -> f64 {
-        1.0 + self.inter_die_offset * 0.001
-    }
-}
-
-/// Derives the seed for item `index` of a batch from the batch's master
-/// seed (golden-ratio index spread, then the seeder's SplitMix diffusion)
-/// — shared convention with `hwm_fsm::indexed_seed` and the brute-force
-/// batches in `hwm-attacks`.
-pub fn indexed_seed(master: u64, index: u64) -> u64 {
-    master ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Standard normal sample by Box–Muller (keeps the workspace free of extra
@@ -213,29 +183,5 @@ mod tests {
             (0.93..=0.98).contains(&stable),
             "expected ~96% stable, got {stable}"
         );
-    }
-
-    #[test]
-    fn indexed_die_samples_are_order_invariant() {
-        let model = VariationModel::default();
-        let forward: Vec<f64> = (0..5u64)
-            .map(|i| model.sample_die_indexed(77, i).inter_die_offset)
-            .collect();
-        let backward: Vec<f64> = (0..5u64)
-            .rev()
-            .map(|i| model.sample_die_indexed(77, i).inter_die_offset)
-            .collect();
-        let mut backward = backward;
-        backward.reverse();
-        assert_eq!(forward, backward);
-        assert_ne!(forward[0], forward[1]);
-    }
-
-    #[test]
-    fn die_delay_factor_scales_with_offset() {
-        let fast = DieSample { inter_die_offset: -20.0 };
-        let slow = DieSample { inter_die_offset: 20.0 };
-        assert!(fast.delay_factor() < 1.0);
-        assert!(slow.delay_factor() > 1.0);
     }
 }

@@ -237,11 +237,6 @@ impl FaultInjector {
         self.slot().take()
     }
 
-    /// Whether a fault is currently armed.
-    pub fn is_armed(&self) -> bool {
-        self.slot().is_some()
-    }
-
     /// Consumes an armed storage fault for a journal append of `len`
     /// bytes: how many bytes of the line to write before failing, and
     /// the error to fail with. A torn write keeps at least one byte and
@@ -318,9 +313,8 @@ mod tests {
     #[test]
     fn injector_is_one_shot() {
         let inj = FaultInjector::new();
-        assert!(!inj.is_armed());
+        assert_eq!(inj.take(), None);
         inj.arm(ArmedFault::DiskFull);
-        assert!(inj.is_armed());
         assert_eq!(inj.take(), Some(ArmedFault::DiskFull));
         assert_eq!(inj.take(), None);
     }

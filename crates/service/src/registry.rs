@@ -700,12 +700,6 @@ impl Registry {
         Ok(())
     }
 
-    /// Journal events appended to the file since the last durability
-    /// barrier (always 0 in memory).
-    pub fn pending_commits(&self) -> u32 {
-        self.journal.unsynced()
-    }
-
     /// Registers a fabricated IC. The same readout registered twice is the
     /// passive-metering clone signal: the attempt is journaled as a
     /// `duplicate` event and rejected.
@@ -1324,7 +1318,6 @@ mod tests {
             )
             .unwrap();
             r.register("c0", "ic-0", "0101", 1).unwrap();
-            assert_eq!(r.pending_commits(), 1, "the batch is still open");
             assert_eq!(std::fs::read(&path).unwrap(), b"", "nothing reached the file yet");
         }
         let r = Registry::open(&path).unwrap();

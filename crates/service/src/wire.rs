@@ -513,16 +513,6 @@ pub enum Response {
 }
 
 impl Response {
-    /// Whether this is any error response.
-    pub fn is_error(&self) -> bool {
-        matches!(self, Response::Error { .. })
-    }
-
-    /// Whether this is an error response with the given code.
-    pub fn has_code(&self, code: ErrorCode) -> bool {
-        matches!(self, Response::Error { code: c, .. } if *c == code)
-    }
-
     /// The response's `outcome` label: its wire type, or for a refusal
     /// its error code.
     pub fn outcome(&self) -> &'static str {

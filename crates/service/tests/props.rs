@@ -775,7 +775,13 @@ fn mutated_request_frames_are_refused_at_dispatch_without_side_effects() {
                 }
                 refused += 1;
                 assert!(
-                    reply.has_code(ErrorCode::Malformed),
+                    matches!(
+                        reply,
+                        Response::Error {
+                            code: ErrorCode::Malformed,
+                            ..
+                        }
+                    ),
                     "refused mutant {mutant} got {reply:?}"
                 );
                 assert_eq!(

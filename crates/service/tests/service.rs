@@ -155,7 +155,7 @@ fn duplicate_readout_is_rejected_as_clone_evidence() {
             readout: readout.clone(),
         })
         .unwrap();
-    assert!(!ok.is_error());
+    assert!(!matches!(ok, Response::Error { .. }), "{ok:?}");
     // The same readout under a different label: a cloned die.
     let resp = client
         .call(&Request::Register {
@@ -271,8 +271,10 @@ fn token_bucket_throttles_bursts() {
             })
             .unwrap()
     };
-    assert!(!status(&mut client).is_error());
-    assert!(!status(&mut client).is_error());
+    for _ in 0..2 {
+        let resp = status(&mut client);
+        assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
+    }
     let resp = status(&mut client);
     assert!(
         matches!(
@@ -306,14 +308,14 @@ fn journal_replay_recovers_state_across_restart() {
             ThrottleConfig::default(),
         );
         let mut client = LocalClient::new(Arc::clone(&server));
-        assert!(!client
+        let resp = client
             .call(&Request::Register {
                 client: "fab".into(),
                 ic: "ic-0".into(),
                 readout: readout.clone(),
             })
-            .unwrap()
-            .is_error());
+            .unwrap();
+        assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
         assert!(matches!(
             client
                 .call(&Request::Unlock {
@@ -419,7 +421,7 @@ fn tcp_round_trip_matches_local_semantics() {
                         readout: readout.clone(),
                     })
                     .expect("register over tcp");
-                assert!(!resp.is_error(), "{resp:?}");
+                assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
                 let resp = client
                     .call(&Request::Unlock {
                         client: format!("fab-{w}"),

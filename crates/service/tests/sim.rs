@@ -244,7 +244,7 @@ fn run_crash_sim(kind: FaultKind, crashes: usize, compact_every: u64, dir: &Path
                     }
                     Ok(resp) => panic!("{kind}: doomed request succeeded: {resp:?}"),
                 }
-                assert!(!injector.is_armed(), "{kind}: fault was consumed");
+                assert_eq!(injector.take(), None, "{kind}: fault was consumed");
                 // Kill this incarnation (drop flushes what it can).
                 continue 'world;
             }

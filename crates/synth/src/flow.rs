@@ -355,6 +355,11 @@ impl Mapper<'_> {
 /// Simulation-based check that a synthesized netlist implements its STG:
 /// runs `steps` random input vectors from reset on both models and compares
 /// outputs and state codes. Exact for complete deterministic machines.
+///
+/// Test oracle: `tests/hardware_consistency.rs`'s
+/// `synthesized_fsm_matches_simulation_across_encodings` and
+/// `tests/corpus_lockdown.rs` check synthesis against it;
+/// `examples/synthesis_flow.rs` also calls it.
 pub fn verify_against_stg(
     result: &SynthResult,
     stg: &Stg,

@@ -35,9 +35,6 @@ use hwm_jsonio::{fnv1a, FieldError, Json, StrictObj, FNV1A_BASIS};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-/// Schema version of the span JSONL dump. Bump on incompatible change.
-pub const SPAN_SCHEMA_VERSION: u64 = 1;
-
 /// Default per-node span ring capacity (spans, not traces).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
@@ -287,23 +284,32 @@ pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Parses a JSONL span dump, rejecting any malformed line.
+/// Parses a JSONL span dump, rejecting any malformed line and any span
+/// whose `(trace_id, span_id)` an earlier line already holds.
 ///
 /// # Errors
 ///
 /// Returns a [`SpanError`] naming the offending line.
 pub fn spans_from_jsonl(text: &str) -> Result<Vec<SpanRecord>, SpanError> {
     let mut spans = Vec::new();
+    let mut first_line: HashMap<(u64, u64), usize> = HashMap::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let j = Json::parse(line)
             .map_err(|e| SpanError::new(format!("span dump line {}: {e}", i + 1)))?;
-        spans.push(
-            SpanRecord::from_json(&j)
-                .map_err(|e| SpanError::new(format!("span dump line {}: {}", i + 1, e.message)))?,
-        );
+        let span = SpanRecord::from_json(&j)
+            .map_err(|e| SpanError::new(format!("span dump line {}: {}", i + 1, e.message)))?;
+        if let Some(first) = first_line.insert((span.trace_id, span.span_id), i + 1) {
+            return Err(SpanError::new(format!(
+                "span dump line {}: span {:016x} of trace {:016x} repeats line {first}",
+                i + 1,
+                span.span_id,
+                span.trace_id
+            )));
+        }
+        spans.push(span);
     }
     Ok(spans)
 }
@@ -387,9 +393,11 @@ impl TraceTree {
         max - min
     }
 
-    /// Total units across the trace's spans.
+    /// Total units across the trace's spans, saturating at `u64::MAX`.
     pub fn total_units(&self) -> u64 {
-        self.spans.iter().map(|s| s.units).sum()
+        self.spans
+            .iter()
+            .fold(0, |sum, s| sum.saturating_add(s.units))
     }
 }
 
@@ -466,22 +474,33 @@ fn render_span_line(out: &mut String, s: &SpanRecord, depth: usize) {
     out.push('\n');
 }
 
+/// Draws the subtree under `spans[top]` depth first, children in dump
+/// order, with an explicit stack so a deep chain cannot overflow the
+/// call stack. Each span is drawn at most once: `drawn` stops a walk
+/// that a parent cycle would send back to a span already on the page.
 fn render_subtree(
     out: &mut String,
-    children: &HashMap<u64, Vec<&SpanRecord>>,
-    span: &SpanRecord,
-    depth: usize,
+    spans: &[SpanRecord],
+    children: &HashMap<u64, Vec<usize>>,
+    drawn: &mut [bool],
+    top: usize,
 ) {
-    render_span_line(out, span, depth);
-    if let Some(kids) = children.get(&span.span_id) {
-        for kid in kids {
-            render_subtree(out, children, kid, depth + 1);
+    let mut stack = vec![(top, 1)];
+    while let Some((i, depth)) = stack.pop() {
+        if std::mem::replace(&mut drawn[i], true) {
+            continue;
+        }
+        render_span_line(out, &spans[i], depth);
+        if let Some(kids) = children.get(&spans[i].span_id) {
+            stack.extend(kids.iter().rev().map(|&kid| (kid, depth + 1)));
         }
     }
 }
 
 /// Renders traces as indented ASCII span trees — deterministic,
-/// golden-snapshot material.
+/// golden-snapshot material. Every span is drawn exactly once: spans
+/// whose parent chain loops back on itself, which no tree can place,
+/// are drawn as further tops after the trace's roots and orphans.
 pub fn render_traces(trees: &[TraceTree]) -> String {
     let mut out = String::new();
     for tree in trees {
@@ -494,20 +513,24 @@ pub fn render_traces(trees: &[TraceTree]) -> String {
             min,
             max
         ));
-        let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+        let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
         let ids: std::collections::HashSet<u64> =
             tree.spans.iter().map(|s| s.span_id).collect();
-        let mut tops: Vec<&SpanRecord> = Vec::new();
-        for s in &tree.spans {
+        let mut tops: Vec<usize> = Vec::new();
+        for (i, s) in tree.spans.iter().enumerate() {
             if s.parent != 0 && ids.contains(&s.parent) && s.parent != s.span_id {
-                children.entry(s.parent).or_default().push(s);
+                children.entry(s.parent).or_default().push(i);
             } else {
                 // Roots, and orphans whose parent the dump missed.
-                tops.push(s);
+                tops.push(i);
             }
         }
-        for top in tops {
-            render_subtree(&mut out, &children, top, 1);
+        let mut drawn = vec![false; tree.spans.len()];
+        // The roots first, then whatever only a parent cycle reaches.
+        for top in tops.into_iter().chain(0..tree.spans.len()) {
+            if !drawn[top] {
+                render_subtree(&mut out, &tree.spans, &children, &mut drawn, top);
+            }
         }
     }
     out
@@ -528,6 +551,18 @@ mod tests {
             units,
             attrs: vec![("client".into(), "alice".into())],
         }
+    }
+
+    /// Root R, child X of R, then a second record holding R's id whose
+    /// parent is X: a parent loop through a repeated span id.
+    fn looped_dump() -> Vec<SpanRecord> {
+        let root = span(3, 0, "request", 1, 0);
+        let kid = span(3, root.span_id, "dispatch", 1, 0);
+        let again = SpanRecord {
+            parent: kid.span_id,
+            ..root.clone()
+        };
+        vec![root, kid, again]
     }
 
     #[test]
@@ -605,6 +640,17 @@ mod tests {
         assert!(spans_from_jsonl("not json\n").is_err());
         let err = spans_from_jsonl("{\"trace_id\":1}\n").unwrap_err();
         assert!(err.message.contains("line 1"), "{}", err.message);
+
+        let err = spans_from_jsonl(&spans_to_jsonl(&looped_dump())).unwrap_err();
+        assert!(err.message.contains("line 3"), "{}", err.message);
+        assert!(err.message.contains("repeats line 1"), "{}", err.message);
+        // The same span id in another trace is a different span.
+        let other = SpanRecord {
+            trace_id: 4,
+            ..looped_dump()[0].clone()
+        };
+        let spans = vec![looped_dump()[0].clone(), other];
+        assert_eq!(spans_from_jsonl(&spans_to_jsonl(&spans)).unwrap(), spans);
     }
 
     #[test]
@@ -655,6 +701,23 @@ mod tests {
         .run(&spans);
         assert_eq!(by_client.len(), 1, "trace 2's root has no client attr");
         assert_eq!(by_client[0].trace_id, 1);
+
+        // Units whose sum overflows a `u64` saturate.
+        let spans = vec![
+            span(6, 0, "request", 1, u64::MAX),
+            span(6, 5, "dispatch", 1, u64::MAX),
+        ];
+        let trees = collect_traces(&spans);
+        assert_eq!(trees[0].total_units(), u64::MAX);
+        // A saturated trace still outranks a one-unit trace of equal width.
+        let mut spans = vec![span(9, 0, "request", 1, 1)];
+        spans.extend(trees[0].spans.iter().cloned());
+        let slowest = TraceQuery {
+            slowest: Some(1),
+            ..TraceQuery::default()
+        }
+        .run(&spans);
+        assert_eq!(slowest[0].trace_id, 6);
     }
 
     #[test]
@@ -676,6 +739,25 @@ mod tests {
             "trace 0000000000000007 spans=2 ticks=4..4\n  \
              request @test tick=4 client=alice\n    \
              dispatch @router tick=4 units=2 shard=1\n"
+        );
+
+        // The repeated-id loop, as a live ring could still hand it over.
+        let text = render_traces(&collect_traces(&looped_dump()));
+        assert_eq!(text.lines().count(), 4, "{text}");
+        // Two spans that parent each other: no root, both still drawn.
+        let a = span(8, 11, "a", 2, 0);
+        let b = SpanRecord {
+            span_id: 11,
+            parent: a.span_id,
+            name: "b".into(),
+            ..a.clone()
+        };
+        let text = render_traces(&collect_traces(&[a, b]));
+        assert_eq!(
+            text,
+            "trace 0000000000000008 spans=2 ticks=2..2\n  \
+             a @test tick=2 client=alice\n    \
+             b @test tick=2 client=alice\n"
         );
     }
 }

@@ -120,7 +120,11 @@ impl Summary {
     /// The scheduling-independent part of the summary as canonical text:
     /// span paths with call counts plus counter totals — no timings, no
     /// gauges. Byte-identical across `--jobs` values for deterministic
-    /// workloads; the determinism tests diff exactly this.
+    /// workloads.
+    ///
+    /// Test oracle: `hwm-bench`'s `tests/trace.rs` test
+    /// `span_tree_and_counters_identical_across_jobs` compares runs at
+    /// different `--jobs` through it.
     pub fn structural_digest(&self) -> String {
         let mut out = String::new();
         for r in &self.spans {
